@@ -1,29 +1,39 @@
-"""Enumeration kernels behind the point counters.
+"""Counting kernels behind the point counters.
 
-Both kernels count field elements x with Tr(f(x)) = 0 for f(x) = sum of
-x**e over a term list.  The table kernel walks the multiplicative group
-through discrete-log tables and works for any characteristic up to the
-table-size limit.  The bit kernel handles p = 2 for term exponents of the
-shape 2^a or 2^a + 1 at any supported field size without tables: writing
-Tr(x * x^(2^a)) as a bit-parity quadratic form turns the whole per-element
-evaluation into a handful of vectorized byte-table lookups.
+Every kernel counts field elements x with Tr(f(x)) = 0 for f(x) = sum of
+x**e over a term list, and :func:`trace_zero_count` makes the one choice
+between them:
 
-Work is partitioned into contiguous index ranges so a worker pool can
-consume them; partial sums are combined in partition order, which keeps
-results identical for every worker count.
+* ``qf`` when every exponent is p^a (a linear term) or p^a + 1 (a quadratic
+  term).  Then Tr(f(x)) is a quadratic form plus a linear form over GF(p) in
+  the coordinates of x, and its number of zeros follows from the form's rank
+  and type in O(m^3) operations, without visiting a single element
+  (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
+  the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
+* ``table`` for any other term list (ek's 1/x term): a walk over the
+  multiplicative group through discrete-log tables, up to
+  TABLE_ORDER_LIMIT.  Its work is partitioned into contiguous index ranges
+  so a worker pool can consume them; partial sums are combined in
+  partition order, which keeps results identical for every worker count.
+
+The bit kernel :func:`_bit_count_range` enumerates GF(2^m) by writing
+Tr(x * x^(2^a)) as a bit-parity quadratic form evaluated with vectorized
+byte-table lookups.  It is no longer dispatched to; the tests keep it as the
+exhaustive oracle that ``qf`` must agree with.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gf import FieldContext, FieldLimitError, make_field
+from .gf import FieldContext, FieldLimitError, jacobi_symbol, make_field
 
-# Largest field the discrete-log kernel will handle; beyond this only the
-# bit kernel (p = 2, supported term shapes) is available.
+# Largest field the discrete-log kernel will handle; term lists outside the
+# qf shape are refused beyond it.
 TABLE_ORDER_LIMIT = 1 << 20
 
 _BATCH = 1 << 20
@@ -31,90 +41,227 @@ _BATCH = 1 << 20
 ProgressFn = Callable[[int, int], None]
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _log_exact(p: int, n: int) -> int | None:
+    """a with p**a == n, or None when n is not a power of p."""
+    if n < 1:
+        return None
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a if n == 1 else None
 
 
-def _classify_terms(exponents: Sequence[int]) -> tuple[list[int], int] | None:
-    """Split exponents into Frobenius twists for the bit kernel.
+def _classify_terms(p: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
+    """Split exponents into Frobenius twists for the quadratic-form kernels.
 
-    Returns (quadratic twist orders, linear term count), or None if some
-    exponent fits neither the 2^a nor the 2^a + 1 shape.
+    Returns (quadratic twist orders a of the p^a + 1 terms, number of p^a
+    terms), or None if some exponent fits neither shape.
     """
     quads: list[int] = []
     linear = 0
     for e in exponents:
-        if e >= 1 and _is_pow2(e):
+        if _log_exact(p, e) is not None:
             linear += 1
-        elif e >= 2 and _is_pow2(e - 1):
-            quads.append((e - 1).bit_length() - 1)
+        elif (a := _log_exact(p, e - 1)) is not None:
+            quads.append(a)
         else:
             return None
     return quads, linear
 
 
+def _frobenius(ctx: FieldContext, x: int, a: int) -> int:
+    """x^(p^a), by a % m applications of the p-th power map."""
+    for _ in range(a % ctx.m):
+        x = ctx.pow(x, ctx.p)
+    return x
+
+
+def _bit_basis(ctx: FieldContext, quads: Sequence[int]) -> list[int]:
+    """Rows of the GF(2)-linear map B with sum_a Tr(x^(2^a) * x) = parity(x & B(x)).
+
+    Bit j of row i is sum_a Tr(e_j * e_i^(2^a)) for the basis e_i = x^i.
+    """
+    rows = []
+    for i in range(ctx.m):
+        w = 0
+        for a in quads:
+            w ^= _frobenius(ctx, 1 << i, a)
+        u = 0
+        for j in range(ctx.m):
+            u |= ctx.trace(ctx.mul(w, 1 << j)) << j
+        rows.append(u)
+    return rows
+
+
 def _bit_tables(ctx: FieldContext, quads: Sequence[int], linear: int) -> list[np.ndarray]:
     """Byte lookup tables for u(x) with Tr(f(x)) = parity(x & u(x)).
 
-    For each quadratic term x^(2^a + 1), Tr(x^(2^a) * x) = parity(x & B(x))
-    where B is linear over GF(2); the maps for all terms XOR together, and
-    the constant trace mask for an odd number of linear terms folds into the
-    low byte table.
+    u is the linear map of :func:`_bit_basis`; the constant trace mask for an
+    odd number of linear terms folds into the low byte table.
     """
     m = ctx.m
-    basis = []
-    for i in range(m):
-        u = 0
-        for a in quads:
-            w = 1 << i
-            for _ in range(a % m):
-                w = ctx.mul(w, w)
-            for j in range(m):
-                if ctx.trace(ctx.mul(1 << j, w)):
-                    u ^= 1 << j
-        basis.append(u)
+    basis = _bit_basis(ctx, quads)
     const = ctx.trace_mask if linear % 2 else 0
     nbytes = (m + 7) // 8
     tables = []
     for b in range(nbytes):
-        tab = np.zeros(256, dtype=np.uint64)
+        tab = np.zeros(256, dtype=np.uint32)
         for v in range(1, 256):
             low = (v & -v).bit_length() - 1
             bit = 8 * b + low
             piece = basis[bit] if bit < m else 0
-            tab[v] = tab[v & (v - 1)] ^ np.uint64(piece)
+            tab[v] = tab[v & (v - 1)] ^ np.uint32(piece)
         tables.append(tab)
-    tables[0] ^= np.uint64(const)
+    tables[0] ^= np.uint32(const)
     return tables
 
 
-def _bit_count_range(
-    ctx: FieldContext,
-    exponents: Sequence[int],
-    lo: int,
-    hi: int,
-    progress: ProgressFn | None = None,
-    total: int | None = None,
-) -> int:
-    classified = _classify_terms(exponents)
+def _bit_count_range(ctx: FieldContext, exponents: Sequence[int], lo: int, hi: int) -> int:
+    """Count x in [lo, hi) with Tr(f(x)) = 0 by enumeration (p = 2 oracle)."""
+    classified = _classify_terms(2, exponents) if ctx.p == 2 else None
     if classified is None:
         raise ValueError(f"term exponents {exponents} unsupported by the bit kernel")
     tables = _bit_tables(ctx, *classified)
-    nbytes = len(tables)
     zeros = 0
-    done = 0
     for start in range(lo, hi, _BATCH):
         stop = min(hi, start + _BATCH)
-        x = np.arange(start, stop, dtype=np.uint64)
-        u = tables[0][(x & np.uint64(0xFF)).astype(np.intp)]
-        for b in range(1, nbytes):
-            u ^= tables[b][((x >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.intp)]
-        parity = np.bitwise_count(x & u) & np.uint8(1)
-        zeros += int(np.count_nonzero(parity == 0))
-        if progress is not None:
-            done += stop - start
-            progress(done, total if total is not None else hi - lo)
+        # elements fit in 32 bits (m <= 32); byte b of x is column b of the view
+        x = np.arange(start, stop, dtype="<u4")
+        xbytes = x.view(np.uint8).reshape(-1, 4)
+        u = tables[0][xbytes[:, 0]]
+        for b in range(1, len(tables)):
+            u ^= tables[b][xbytes[:, b]]
+        odd = np.count_nonzero(np.bitwise_count(x & u) & np.uint8(1))
+        zeros += (stop - start) - int(odd)
     return zeros
+
+
+def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
+    """Zeros of Q(x) = x^T M x + l.x over GF(2)^m, from the Walsh sum of Q.
+
+    Over GF(2) the diagonal of M is linear (x_i^2 = x_i) and the pair i < j
+    carries M_ij + M_ji, so Q is an alternating matrix A plus a linear mask.
+    Each elimination of a pair (i, j) with A_ij = 1 rewrites
+    x_i x_j + x_i u + x_j v = (x_i + v)(x_j + u) + uv, where u, v are affine
+    in the other variables; summing x_i, x_j out doubles the Walsh sum and
+    leaves the form Q' + uv on m - 2 variables.  After h eliminations A is
+    zero: the sum is 0 if a linear term is left (the linear part does not
+    vanish on the radical), else (-1)^c 2^(m-h) with c the constant.
+    """
+    m = ctx.m
+    rows = _bit_basis(ctx, quads)
+    lin = ctx.trace_mask if linear % 2 else 0
+    alt = []
+    for i in range(m):
+        col = 0
+        for j in range(m):
+            col |= ((rows[j] >> i) & 1) << j
+        alt.append(rows[i] ^ col)
+        lin ^= rows[i] & (1 << i)
+    const = 0
+    h = 0
+    for i in range(m):
+        if not alt[i]:
+            continue
+        j = (alt[i] & -alt[i]).bit_length() - 1
+        keep = ~((1 << i) | (1 << j))
+        u, v = alt[i] & keep, alt[j] & keep
+        li, lj = (lin >> i) & 1, (lin >> j) & 1
+        for k in range(m):
+            row = alt[k] & keep
+            if (u >> k) & 1:
+                row ^= v
+            if (v >> k) & 1:
+                row ^= u
+            alt[k] = row
+        alt[i] = alt[j] = 0
+        lin = (lin & keep) ^ (u & v) ^ (u if lj else 0) ^ (v if li else 0)
+        const ^= li & lj
+        h += 1
+    if lin:
+        return 1 << (m - 1)
+    half = 1 << (m - h - 1)
+    return (1 << (m - 1)) + (-half if const else half)
+
+
+def _diagonal_count(p: int, r: int, delta: int, b: int) -> int:
+    """Solutions y in GF(p)^r of d_1 y_1^2 + ... + d_r y_r^2 = b, prod d_t = delta.
+
+    Lidl-Niederreiter Thm 6.26 (r odd) and Thm 6.27 (r even), with eta the
+    quadratic character of GF(p).
+    """
+    if r == 0:
+        return 1 if b == 0 else 0
+    if r % 2:
+        sign = -1 if (r - 1) // 2 % 2 else 1
+        return p ** (r - 1) + p ** ((r - 1) // 2) * jacobi_symbol(sign * b * delta, p)
+    nu = p - 1 if b == 0 else -1
+    sign = -1 if r // 2 % 2 else 1
+    return p ** (r - 1) + nu * p ** ((r - 2) // 2) * jacobi_symbol(sign * delta, p)
+
+
+def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
+    """Zeros of Q(x) = x^T S x + l.x over GF(p)^m, p odd, by completing squares.
+
+    S_ij = (Tr(e_i^(p^a) e_j) + Tr(e_i e_j^(p^a))) / 2 summed over the twists
+    a, and l_i = (number of linear terms) Tr(e_i).  Each pivot d = S_ii != 0
+    is split off as d y^2, leaving a form on the other variables; a zero
+    diagonal with S_ij != 0 is first made a pivot by x_j -> x_j + x_i.  After
+    r pivots what is left is linear plus a constant c: a nonzero linear part
+    is balanced, otherwise the diagonal form of rank r must equal -c.
+    """
+    p, m = ctx.p, ctx.m
+    basis = [p**i for i in range(m)]
+    tr = [ctx.trace(e) for e in basis]
+
+    def trace(v: int) -> int:
+        t = 0
+        for ti in tr:
+            v, d = divmod(v, p)
+            t += d * ti
+        return t % p
+
+    twisted = [0] * m
+    for i, e in enumerate(basis):
+        for a in quads:
+            twisted[i] = ctx.add(twisted[i], _frobenius(ctx, e, a))
+    half = (p + 1) // 2
+    form = [[trace(ctx.mul(twisted[i], e)) for e in basis] for i in range(m)]
+    s = [[(form[i][j] + form[j][i]) * half % p for j in range(m)] for i in range(m)]
+    lin = [linear * t % p for t in tr]
+    const = 0
+    delta = 1
+    rank = 0
+    live = list(range(m))
+    while True:
+        piv = next((i for i in live if s[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if i != j and s[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            for k in live:
+                s[piv][k] = (s[piv][k] + s[j][k]) % p
+            for k in live:
+                s[k][piv] = (s[k][piv] + s[k][j]) % p
+            lin[piv] = (lin[piv] + lin[j]) % p
+        d = s[piv][piv]
+        dinv = pow(d, -1, p)
+        live.remove(piv)
+        col = [s[k][piv] for k in range(m)]
+        for k in live:
+            if col[k]:
+                f = col[k] * dinv
+                for l in live:
+                    s[k][l] = (s[k][l] - f * col[l]) % p
+                lin[k] = (lin[k] - f * lin[piv]) % p
+        const = (const - lin[piv] * lin[piv] * dinv * half * half) % p
+        delta = delta * d % p
+        rank += 1
+    if any(lin[k] for k in live):
+        return p ** (m - 1)
+    return p ** (m - rank) * _diagonal_count(p, rank, delta, -const % p)
 
 
 def _table_count_range(ctx: FieldContext, exponents: Sequence[int], lo: int, hi: int) -> int:
@@ -130,15 +277,13 @@ def _table_count_range(ctx: FieldContext, exponents: Sequence[int], lo: int, hi:
 
 
 def _range_worker(args: tuple) -> int:
-    p, m, exponents, path, lo, hi = args
-    ctx = make_field(p, m)
-    if path == "bits":
-        return _bit_count_range(ctx, exponents, lo, hi)
-    return _table_count_range(ctx, exponents, lo, hi)
+    p, m, exponents, lo, hi = args
+    return _table_count_range(make_field(p, m), exponents, lo, hi)
 
 
 def _split(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
+    """Contiguous ranges covering [0, total), at most one per CPU and per element."""
+    parts = max(1, min(parts, total, os.cpu_count() or 1))
     step, extra = divmod(total, parts)
     out = []
     lo = 0
@@ -161,6 +306,8 @@ def trace_zero_count(
 
     Negative exponents mean inverse powers and force exclude_zero.  The zero
     element contributes iff every exponent is positive (f(0) = 0 there).
+    workers and progress apply to the table walk only; the qf count visits
+    no elements.
     """
     exponents = tuple(exponents)
     if any(e == 0 for e in exponents):
@@ -170,34 +317,26 @@ def trace_zero_count(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    if ctx.p == 2 and all(e > 0 for e in exponents) and _classify_terms(exponents) is not None:
-        path = "bits"
-        total = ctx.order
-    elif ctx.order <= TABLE_ORDER_LIMIT:
-        path = "table"
-        total = ctx.order - 1
-    else:
+    classified = _classify_terms(ctx.p, exponents)
+    if classified is not None:
+        qf_count = _qf_binary_count if ctx.p == 2 else _qf_odd_count
+        count = qf_count(ctx, *classified)
+        return count - 1 if exclude_zero else count
+    if ctx.order > TABLE_ORDER_LIMIT:
         raise FieldLimitError(
             f"{ctx!r} is too large for these terms: the table kernel stops at "
             f"order 2^{TABLE_ORDER_LIMIT.bit_length() - 1}"
         )
 
-    if workers == 1:
-        if path == "bits":
-            count = _bit_count_range(ctx, exponents, 0, total, progress, total)
-        else:
-            count = _table_count_range(ctx, exponents, 0, total)
+    total = ctx.order - 1
+    ranges = _split(total, workers)
+    if len(ranges) == 1:
+        count = _table_count_range(ctx, exponents, 0, total)
     else:
-        ranges = _split(total, workers)
-        args = [(ctx.p, ctx.m, exponents, path, lo, hi) for lo, hi in ranges]
+        args = [(ctx.p, ctx.m, exponents, lo, hi) for lo, hi in ranges]
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             count = sum(pool.map(_range_worker, args))
         if progress is not None:
             progress(total, total)
-
-    if path == "table":
-        if not exclude_zero:
-            count += 1  # f(0) = 0, so x = 0 always satisfies the condition
-    elif exclude_zero:
-        count -= 1
-    return count
+    # f(0) = 0 for positive exponents, so x = 0 satisfies the condition
+    return count if exclude_zero else count + 1

@@ -4,16 +4,25 @@ Each record stores family, k, p, m, the modulus coefficients (ascending, so
 the key pins the exact field presentation), the count, and a timestamp.  The
 timestamp is informational; lookups key on everything else and re-reads are
 bit-exact because counts are integers end to end.
+
+Each record is appended with a single write under an exclusive ``flock``, so
+concurrent writers never interleave.  A writer killed mid-write can leave
+only the final line without its newline: readers warn about such a torn line
+and ignore it, and the next store cuts it off before appending.  A malformed
+record anywhere else is corruption and raises :class:`CountIntegrityError`.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .curves import CurveSpec
+from .curves import CountIntegrityError, CurveSpec
 
 
 class CountCache:
@@ -28,21 +37,34 @@ class CountCache:
     def _load(self) -> dict[tuple, int]:
         if self._records is None:
             self._records = {}
-            if self.path.exists():
-                with self.path.open() as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        rec = json.loads(line)
-                        key = (
-                            rec["family"],
-                            int(rec["k"]),
-                            int(rec["p"]),
-                            int(rec["m"]),
-                            tuple(int(c) for c in rec["modulus"]),
-                        )
-                        self._records[key] = int(rec["n"])
+            try:
+                data = self.path.read_bytes()
+            except FileNotFoundError:
+                return self._records
+            *lines, torn = data.split(b"\n")
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    key = (
+                        rec["family"],
+                        int(rec["k"]),
+                        int(rec["p"]),
+                        int(rec["m"]),
+                        tuple(int(c) for c in rec["modulus"]),
+                    )
+                    self._records[key] = int(rec["n"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CountIntegrityError(
+                        f"{self.path}:{lineno}: malformed count record"
+                    ) from exc
+            if torn.strip():
+                print(
+                    f"warning: {self.path}:{len(lines) + 1}: ignoring a torn final line "
+                    "left by an interrupted write",
+                    file=sys.stderr,
+                )
         return self._records
 
     def lookup(self, spec: CurveSpec, m: int, modulus: Sequence[int]) -> int | None:
@@ -58,7 +80,16 @@ class CountCache:
             "n": n,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        line = (json.dumps(rec, separators=(",", ":")) + "\n").encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+            if os.write(fd, line) != len(line):
+                raise OSError(f"short write appending to {self.path}")
+        finally:
+            os.close(fd)
         self._load()[self._key(spec, m, modulus)] = n

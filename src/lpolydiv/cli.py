@@ -23,12 +23,11 @@ from .curves import (
     CurveSpec,
     DEFAULT_MAX_ORDER,
     LARGE_MAX_ORDER,
+    count_field,
     count_series,
     lmw_formula,
     lmw_zero_count,
-    point_count,
 )
-from .gf import make_field
 from .lseries import (
     LPolynomial,
     LSeriesError,
@@ -61,17 +60,18 @@ class RunConfig:
 def _config(args) -> RunConfig:
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
+    workers = min(args.workers, os.cpu_count() or 1)
+    # Created by the first store, so commands that count nothing leave no trace.
     cache_dir = Path(
         args.cache_dir
         or os.environ.get(CACHE_ENV)
         or Path.home() / ".cache" / "lpolydiv"
     )
-    cache_dir.mkdir(parents=True, exist_ok=True)
     if args.max_bits is not None:
         max_order = 1 << args.max_bits
     else:
         max_order = LARGE_MAX_ORDER if args.allow_large else DEFAULT_MAX_ORDER
-    return RunConfig(args.workers, cache_dir, args.format, max_order)
+    return RunConfig(workers, cache_dir, args.format, max_order)
 
 
 def _cache(cfg: RunConfig) -> CountCache:
@@ -122,19 +122,15 @@ def cmd_count(args) -> int:
     spec = _spec(args)
     if args.m < 1:
         raise ValueError("--m must be >= 1")
-    cache = _cache(cfg)
-    modulus = make_field(spec.p, args.m).modulus
-    n = cache.lookup(spec, args.m, modulus)
-    provenance = "cached" if n is not None else "fresh"
-    if n is None:
-        n = point_count(
-            spec,
-            args.m,
-            workers=cfg.workers,
-            max_order=cfg.max_order,
-            progress=_progress(f"counting {spec.label} over GF({spec.p}^{args.m})"),
-        )
-        cache.store(spec, args.m, modulus, n)
+    n, provenance = count_field(
+        spec,
+        args.m,
+        workers=cfg.workers,
+        cache=_cache(cfg),
+        max_order=cfg.max_order,
+        progress=_progress(f"counting {spec.label} over GF({spec.p}^{args.m})"),
+    )
+    provenance = "fresh" if provenance == "counted" else provenance
     _emit(
         cfg,
         {
@@ -214,7 +210,6 @@ def cmd_verify_lmw(args) -> int:
         args.j,
         workers=cfg.workers,
         max_order=cfg.max_order,
-        progress=_progress(f"enumerating GF(2^{args.n})"),
     )
     agree = counted == predicted
     _emit(
@@ -282,10 +277,10 @@ def cmd_verify_as_image(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--workers", type=int, default=1, help="enumeration worker count")
+    parser.add_argument("--workers", type=int, default=1, help="table-walk worker count (at most the CPU count)")
     parser.add_argument("--cache-dir", default=None, help=f"count cache directory (default ${CACHE_ENV} or ~/.cache/lpolydiv)")
     parser.add_argument("--format", choices=("table", "records"), default="table", help="output mode")
-    parser.add_argument("--allow-large", action="store_true", help="raise the enumeration gate to 2^32 (multi-minute runs)")
+    parser.add_argument("--allow-large", action="store_true", help="raise the enumeration gate to 2^32")
     parser.add_argument("--max-bits", type=int, default=None, help="override the enumeration gate to 2^BITS")
 
 

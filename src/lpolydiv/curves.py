@@ -1,4 +1,4 @@
-"""Curve families and exhaustive point counting over extension towers.
+"""Curve families and exact point counting over extension towers.
 
 Four families over the prime field:
 
@@ -23,8 +23,8 @@ from ._kernels import ProgressFn, trace_zero_count
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
 
-# Enumerations above this order are rejected unless the caller raises the
-# gate explicitly; crossing it means multi-minute runs.
+# Counts above this order are rejected unless the caller raises the gate
+# explicitly.
 DEFAULT_MAX_ORDER = 1 << 26
 LARGE_MAX_ORDER = 1 << 32
 
@@ -91,7 +91,7 @@ class PointCounts:
 
 
 class CountIntegrityError(RuntimeError):
-    """A computed or cached count violates the Hasse-Weil bound."""
+    """A computed or cached count violates the Hasse-Weil bound, or a cache record is malformed."""
 
 
 def genus(spec: CurveSpec) -> int:
@@ -152,8 +152,38 @@ def point_count(
     return n + spec.n_inf
 
 
-def _hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
+def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
+    """|N_m - q^m - 1| <= 2 g q^(m/2), decided in exact integer arithmetic."""
     return (n - q**m - 1) ** 2 <= 4 * g * g * q**m
+
+
+def count_field(
+    spec: CurveSpec,
+    m: int,
+    *,
+    workers: int = 1,
+    cache=None,
+    max_order: int | None = None,
+    progress: ProgressFn | None = None,
+) -> tuple[int, str]:
+    """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
+
+    Every count, cached or fresh, must pass the Hasse-Weil bound before it is
+    returned or stored.
+    """
+    ctx = _field_for(spec.p, m, max_order)
+    n = cache.lookup(spec, m, ctx.modulus) if cache is not None else None
+    provenance = "cached"
+    if n is None:
+        n = point_count(spec, m, workers=workers, max_order=max_order, progress=progress)
+        provenance = "counted"
+    if not hasse_weil_ok(n, spec.p, m, spec.genus):
+        raise CountIntegrityError(
+            f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
+        )
+    if provenance == "counted" and cache is not None:
+        cache.store(spec, m, ctx.modulus, n)
+    return n, provenance
 
 
 def count_series(
@@ -165,27 +195,18 @@ def count_series(
     max_order: int | None = None,
     progress: ProgressFn | None = None,
 ) -> PointCounts:
-    """Directly counted N_1..N_upto, consulting/filling the cache when given."""
+    """N_1..N_upto by :func:`count_field`, one extension at a time."""
     if upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
-    counts = []
-    prov = []
-    for m in range(1, upto + 1):
-        ctx = _field_for(spec.p, m, max_order)
-        n = cache.lookup(spec, m, ctx.modulus) if cache is not None else None
-        if n is None:
-            n = point_count(spec, m, workers=workers, max_order=max_order, progress=progress)
-            if cache is not None:
-                cache.store(spec, m, ctx.modulus, n)
-            prov.append("counted")
-        else:
-            prov.append("cached")
-        if not _hasse_weil_ok(n, spec.p, m, spec.genus):
-            raise CountIntegrityError(
-                f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
+    counts, provenance = zip(
+        *(
+            count_field(
+                spec, m, workers=workers, cache=cache, max_order=max_order, progress=progress
             )
-        counts.append(n)
-    return PointCounts(spec, tuple(counts), tuple(prov))
+            for m in range(1, upto + 1)
+        )
+    )
+    return PointCounts(spec, counts, provenance)
 
 
 def lmw_zero_count(
@@ -197,7 +218,7 @@ def lmw_zero_count(
     max_order: int | None = None,
     progress: ProgressFn | None = None,
 ) -> int:
-    """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), by enumeration."""
+    """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
     if not 0 <= j < k:

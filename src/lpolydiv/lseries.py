@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curves import PointCounts
+from .curves import PointCounts, hasse_weil_ok
 
 
 class LSeriesError(ValueError):
@@ -74,7 +74,7 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     if len(seq) < g:
         raise LSeriesError(f"need at least g={g} counts, got {len(seq)}")
     for m, n in enumerate(seq, start=1):
-        if (n - q**m - 1) ** 2 > 4 * g * g * q**m:
+        if not hasse_weil_ok(n, q, m, g):
             raise LSeriesError(f"count N_{m} = {n} violates the Hasse-Weil bound")
     s = [0] * (g + 1)
     for m in range(1, g + 1):
@@ -174,20 +174,20 @@ def divides(denom, numer) -> DivisionResult:
     qlen = len(n) - len(d) + 1
     if qlen <= 0:
         return DivisionResult(False, None, 0)
-    quo: list[Fraction] = []
+    quo: list[int] = []
     for i in range(len(n)):
-        acc = Fraction(n[i])
+        acc = n[i]
         for j in range(1, min(i, len(d) - 1) + 1):
             if i - j < qlen and i - j < len(quo):
                 acc -= d[j] * quo[i - j]
         if i < qlen:
-            c = acc / d[0]
-            if c.denominator != 1:
+            c, rem = divmod(acc, d[0])
+            if rem:
                 return DivisionResult(False, None, i)
             quo.append(c)
         elif acc != 0:
             return DivisionResult(False, None, i)
-    result = tuple(int(c) for c in quo)
+    result = tuple(quo)
     # belt and braces: the product must reproduce the numerator exactly
     check = [0] * len(n)
     for i, dc in enumerate(d):
@@ -240,8 +240,7 @@ def hasse_weil_check(counts: PointCounts) -> HasseWeilResult:
     q = counts.base_q
     g = counts.spec.genus
     for i, n in enumerate(counts.counts):
-        m = i + 1
-        if (n - q**m - 1) ** 2 > 4 * g * g * q**m:
+        if not hasse_weil_ok(n, q, i + 1, g):
             return HasseWeilResult(False, i)
     return HasseWeilResult(True, None)
 

@@ -207,3 +207,41 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "L(C_1) = 2t^2+2t+1\n"
+
+
+def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):
+    from lpolydiv.cache import CountCache
+    from lpolydiv.curves import CurveSpec
+    from lpolydiv.gf import make_field
+
+    CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 1), 3, make_field(2, 3).modulus, 999)
+    code, out, err = run(
+        capsys, "count", "--family", "ck", "--k", "1", "--m", "3", "--cache-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert "Hasse-Weil" in err
+
+
+def test_malformed_cache_record_exits_1(tmp_path, capsys):
+    (tmp_path / "counts.jsonl").write_text("not json\n")
+    code, out, err = run(
+        capsys, "lpoly", "--family", "ck", "--k", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 1 and out == ""
+    assert "malformed" in err
+
+
+def test_commands_that_count_nothing_create_no_cache_dir(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, _, _ = run(capsys, "verify", "morphism", "--k", "4", "--l", "2", "--cache-dir", str(missing))
+    assert code == 0
+    assert not missing.exists()
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = cli.build_parser().parse_args(["count", "--family", "ck", "--k", "1", "--m", "3", "--workers", "1000000"])
+    assert cli._config(args).workers == 2
+    args.workers = 1
+    assert cli._config(args).workers == 1

@@ -237,3 +237,65 @@ def test_corrupted_cache_entry_rejected(tmp_path):
     cache.store(spec, 1, make_field(2, 1).modulus, 500)  # far outside Hasse-Weil
     with pytest.raises(CountIntegrityError):
         count_series(spec, 1, cache=cache)
+
+
+def _store_records(path, family, k, count):
+    cache = CountCache(path)
+    for m in range(1, count + 1):
+        cache.store(CurveSpec(family, k), m, (1,) * (m + 1), m)
+
+
+def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys):
+    path = tmp_path / "counts.jsonl"
+    spec = CurveSpec("ck", 1)
+    count_series(spec, 2, cache=CountCache(path))
+    intact = path.read_bytes()
+    path.write_bytes(intact + intact.splitlines(keepends=True)[0][:25])  # killed mid-write
+    again = count_series(spec, 3, cache=CountCache(path))
+    assert again.provenance == ("cached", "cached", "counted")
+    assert "torn final line" in capsys.readouterr().err
+    # the store cut the torn fragment off before appending
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert b"".join(lines[:2]) == intact and len(lines) == 3
+    assert all(json.loads(line)["family"] == "ck" for line in lines)
+
+
+@pytest.mark.parametrize("bad", [b"{\"family\": \"ck\", \"k\"\n", b"{\"family\": \"ck\"}\n", b"[1, 2]\n"])
+def test_malformed_interior_cache_record_is_an_integrity_error(tmp_path, bad):
+    from lpolydiv.curves import CountIntegrityError
+
+    path = tmp_path / "counts.jsonl"
+    count_series(CurveSpec("ck", 1), 2, cache=CountCache(path))
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + bad + second)
+    with pytest.raises(CountIntegrityError, match=r"counts\.jsonl:2: malformed"):
+        CountCache(path).lookup(CurveSpec("ck", 1), 1, make_field(2, 1).modulus)
+
+
+def test_concurrent_writers_append_whole_records(tmp_path):
+    import sys
+    import threading
+
+    # one handle, hence one open file per store, per writer; more writers
+    # than cores, switching often, so unlocked appends would interleave
+    path = tmp_path / "counts.jsonl"
+    families = ("ck", "ek", "ak", "ck")
+    writers = [
+        threading.Thread(target=_store_records, args=(path, family, k, 200))
+        for k, family in enumerate(families, start=1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in writers)
+    records = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert len(records) == 800
+    for k, family in enumerate(families, start=1):
+        mine = [r["m"] for r in records if (r["family"], r["k"]) == (family, k)]
+        assert sorted(mine) == list(range(1, 201))
