@@ -18,7 +18,6 @@ from .curves import (
     PointCounts,
     affine_count,
     count_series,
-    genus,
     lmw_formula,
     lmw_zero_count,
     point_count,
@@ -89,7 +88,6 @@ __all__ = [
     "format_poly_line",
     "format_terms",
     "frobenius",
-    "genus",
     "hasse_weil_check",
     "involution_search",
     "is_prime",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .gf import FieldContext, FieldLimitError, jacobi_symbol, make_field
 TABLE_ORDER_LIMIT = 1 << 20
 
 _BATCH = 1 << 20
-
-ProgressFn = Callable[[int, int], None]
 
 
 def _log_exact(p: int, n: int) -> int | None:
@@ -300,14 +298,12 @@ def trace_zero_count(
     *,
     exclude_zero: bool = False,
     workers: int = 1,
-    progress: ProgressFn | None = None,
 ) -> int:
     """Number of x in the field with Tr(sum_e x**e) = 0.
 
     Negative exponents mean inverse powers and force exclude_zero.  The zero
     element contributes iff every exponent is positive (f(0) = 0 there).
-    workers and progress apply to the table walk only; the qf count visits
-    no elements.
+    workers applies to the table walk only; the qf count visits no elements.
     """
     exponents = tuple(exponents)
     if any(e == 0 for e in exponents):
@@ -336,7 +332,5 @@ def trace_zero_count(
         args = [(ctx.p, ctx.m, exponents, lo, hi) for lo, hi in ranges]
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             count = sum(pool.map(_range_worker, args))
-        if progress is not None:
-            progress(total, total)
     # f(0) = 0 for positive exponents, so x = 0 satisfies the condition
     return count if exclude_zero else count + 1

@@ -2,10 +2,10 @@
 
 Subcommands: count, lpoly, conjecture, and verify {morphism,lmw,involution,
 as-image}.  Primary output goes to stdout in either human-readable table
-form or line-delimited JSON records (--format records); progress for long
-enumerations goes to stderr.  Exit codes are stable for scripting: 0 means
-success/verified, 1 means a verification or consistency failure, 2 means a
-usage error (bad parameters, oversize field).
+form or line-delimited JSON records (--format records); diagnostics go to stderr.
+Exit codes are stable for scripting: 0 means success/verified, 1 means a
+verification or consistency failure, 2 means a usage error (bad parameters,
+oversize field).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .sympoly import (
 )
 
 CACHE_ENV = "LPOLYDIV_CACHE_DIR"
-PROGRESS_INTERVAL = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -78,19 +77,6 @@ def _cache(cfg: RunConfig) -> CountCache:
     return CountCache(cfg.cache_dir / "counts.jsonl")
 
 
-def _progress(label: str):
-    state = {"next": PROGRESS_INTERVAL}
-
-    def callback(done: int, total: int):
-        if total < PROGRESS_INTERVAL:
-            return
-        if done >= state["next"] or done == total:
-            state["next"] = done + PROGRESS_INTERVAL
-            print(f"{label}: {done}/{total} elements", file=sys.stderr)
-
-    return callback
-
-
 def _emit(cfg: RunConfig, record: dict, table_line: str):
     if cfg.out_format == "records":
         print(json.dumps(record, separators=(",", ":")))
@@ -107,12 +93,7 @@ def _lpoly_for(spec: CurveSpec, cfg: RunConfig, cache: CountCache) -> LPolynomia
     if g == 0:
         return LPolynomial(spec.p, 0, (1,))
     series = count_series(
-        spec,
-        g,
-        workers=cfg.workers,
-        cache=cache,
-        max_order=cfg.max_order,
-        progress=_progress(f"counting {spec.label}"),
+        spec, g, workers=cfg.workers, cache=cache, max_order=cfg.max_order
     )
     return lpoly_from_counts(series)
 
@@ -128,7 +109,6 @@ def cmd_count(args) -> int:
         workers=cfg.workers,
         cache=_cache(cfg),
         max_order=cfg.max_order,
-        progress=_progress(f"counting {spec.label} over GF({spec.p}^{args.m})"),
     )
     provenance = "fresh" if provenance == "counted" else provenance
     _emit(
@@ -204,13 +184,7 @@ def cmd_verify_morphism(args) -> int:
 def cmd_verify_lmw(args) -> int:
     cfg = _config(args)
     predicted = lmw_formula(args.n, args.k, args.j)
-    counted = lmw_zero_count(
-        args.n,
-        args.k,
-        args.j,
-        workers=cfg.workers,
-        max_order=cfg.max_order,
-    )
+    counted = lmw_zero_count(args.n, args.k, args.j, max_order=cfg.max_order)
     agree = counted == predicted
     _emit(
         cfg,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import FieldContext, FieldLimitError, is_prime, jacobi_symbol, make_field
-from ._kernels import ProgressFn, trace_zero_count
+from ._kernels import trace_zero_count
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
 
@@ -59,11 +59,6 @@ class CurveSpec:
         return (self.p - 1) * self.p**self.k // 2
 
     @property
-    def n_inf(self) -> int:
-        """Degree-1 places at infinity on the smooth model (one for every family)."""
-        return 1
-
-    @property
     def label(self) -> str:
         if self.family == "ck":
             return f"C_{self.k}"
@@ -94,10 +89,6 @@ class CountIntegrityError(RuntimeError):
     """A computed or cached count violates the Hasse-Weil bound, or a cache record is malformed."""
 
 
-def genus(spec: CurveSpec) -> int:
-    return spec.genus
-
-
 def _field_for(spec_p: int, m: int, max_order: int | None) -> FieldContext:
     gate = DEFAULT_MAX_ORDER if max_order is None else max_order
     if spec_p**m > gate:
@@ -114,22 +105,20 @@ def affine_count(
     *,
     workers: int = 1,
     max_order: int | None = None,
-    progress: ProgressFn | None = None,
 ) -> int:
     """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     ctx = _field_for(spec.p, m, max_order)
-    kw = dict(workers=workers, progress=progress)
     if spec.family == "ck":
-        return 2 * trace_zero_count(ctx, ((1 << spec.k) + 1, 1), **kw)
+        return 2 * trace_zero_count(ctx, ((1 << spec.k) + 1, 1), workers=workers)
     if spec.family == "ak":
-        return 2 * trace_zero_count(ctx, (1 << spec.k, 1), **kw)
+        return 2 * trace_zero_count(ctx, (1 << spec.k, 1), workers=workers)
     if spec.family == "ckp":
-        return spec.p * trace_zero_count(ctx, (spec.p**spec.k + 1, 1), **kw)
+        return spec.p * trace_zero_count(ctx, (spec.p**spec.k + 1, 1), workers=workers)
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    nonzero = trace_zero_count(ctx, ((1 << spec.k) + 1, -1), exclude_zero=True, **kw)
+    nonzero = trace_zero_count(ctx, ((1 << spec.k) + 1, -1), exclude_zero=True, workers=workers)
     return 1 + 2 * nonzero
 
 
@@ -139,17 +128,17 @@ def point_count(
     *,
     workers: int = 1,
     max_order: int | None = None,
-    progress: ProgressFn | None = None,
 ) -> int:
     """N_m: points of the smooth model over GF(p^m)."""
-    n = affine_count(spec, m, workers=workers, max_order=max_order, progress=progress)
+    n = affine_count(spec, m, workers=workers, max_order=max_order)
     if spec.family == "ak":
         # The ak affine model factors as (y + B(x))(y + B(x) + 1) with
         # B(x) = x + x^2 + ... + x^(2^(k-1)), two disjoint rational components
         # each isomorphic to the x-line.  The smooth model is one component,
         # a projective line, hence half the affine solutions plus one.
         return n // 2 + 1
-    return n + spec.n_inf
+    # one degree-1 place at infinity on the smooth model of every family
+    return n + 1
 
 
 def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
@@ -164,7 +153,6 @@ def count_field(
     workers: int = 1,
     cache=None,
     max_order: int | None = None,
-    progress: ProgressFn | None = None,
 ) -> tuple[int, str]:
     """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
 
@@ -175,7 +163,7 @@ def count_field(
     n = cache.lookup(spec, m, ctx.modulus) if cache is not None else None
     provenance = "cached"
     if n is None:
-        n = point_count(spec, m, workers=workers, max_order=max_order, progress=progress)
+        n = point_count(spec, m, workers=workers, max_order=max_order)
         provenance = "counted"
     if not hasse_weil_ok(n, spec.p, m, spec.genus):
         raise CountIntegrityError(
@@ -193,16 +181,13 @@ def count_series(
     workers: int = 1,
     cache=None,
     max_order: int | None = None,
-    progress: ProgressFn | None = None,
 ) -> PointCounts:
     """N_1..N_upto by :func:`count_field`, one extension at a time."""
     if upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
     counts, provenance = zip(
         *(
-            count_field(
-                spec, m, workers=workers, cache=cache, max_order=max_order, progress=progress
-            )
+            count_field(spec, m, workers=workers, cache=cache, max_order=max_order)
             for m in range(1, upto + 1)
         )
     )
@@ -214,9 +199,7 @@ def lmw_zero_count(
     k: int,
     j: int = 0,
     *,
-    workers: int = 1,
     max_order: int | None = None,
-    progress: ProgressFn | None = None,
 ) -> int:
     """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
     if n < 1 or n % 2 == 0:
@@ -224,9 +207,7 @@ def lmw_zero_count(
     if not 0 <= j < k:
         raise ValueError(f"need 0 <= j < k, got k={k}, j={j}")
     ctx = _field_for(2, n, max_order)
-    return trace_zero_count(
-        ctx, ((1 << k) + 1, (1 << j) + 1), workers=workers, progress=progress
-    )
+    return trace_zero_count(ctx, ((1 << k) + 1, (1 << j) + 1))
 
 
 def lmw_formula(n: int, k: int, j: int = 0) -> int:

@@ -383,29 +383,56 @@ class FieldContext:
             )
         n = self.order - 1
         g = self.generator()
-        exp = np.empty(n, dtype=np.int64)
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            v = self.mul(v, g)
-        if v != 1:
+        # every element is below MAX_TABLE_ORDER <= 2^32
+        exp = np.empty(n, dtype="<u4")
+        if self.p == 2:
+            self._fill_powers_binary(exp, g)
+        else:
+            v = 1
+            for i in range(n):
+                exp[i] = v
+                v = self.mul(v, g)
+        if self.mul(int(exp[-1]), g) != 1:
             raise AssertionError("generator order mismatch")
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         if self.p == 2:
-            tr_exp = (np.bitwise_count(exp.astype(np.uint64) & np.uint64(self._trace_mask)) & 1).astype(np.uint8)
+            tr_exp = np.bitwise_count(exp & np.uint32(self._trace_mask)) & np.uint8(1)
         else:
-            trace_all = np.empty(self.order, dtype=np.uint8)
-            basis_tr = [self.trace(self._encode([0] * i + [1])) for i in range(self.m)]
-            for v in range(self.order):
-                w = v
-                t = 0
-                for i in range(self.m):
-                    w, d = divmod(w, self.p)
-                    t += d * basis_tr[i]
-                trace_all[v] = t % self.p
-            tr_exp = trace_all[exp]
+            # Tr is GF(p)-linear: Tr(v) = sum_i digit_i(v) Tr(p^i) mod p
+            v = np.arange(self.order, dtype=np.int64)
+            trace_all = np.zeros(self.order, dtype=np.int64)
+            for i in range(self.m):
+                trace_all += (v // self.p**i % self.p) * self.trace(self.p**i)
+            tr_exp = (trace_all % self.p).astype(np.uint8)[exp]
         return _Tables(exp, log, tr_exp)
+
+    def _fill_powers_binary(self, exp: np.ndarray, g: int) -> None:
+        """exp[i] = g^i for all i, p = 2, by doubling the filled prefix.
+
+        x -> c * x is GF(2)-linear on the bits of x, so with c = g^filled
+        the next block is exp[filled + j] = c * exp[j], the XOR over bytes b
+        of T_b[byte b of exp[j]] with T_b[v] = c * (v << 8b).  A doubling
+        costs m scalar multiplications and 8 slice steps per table.
+        """
+        n = exp.size
+        exp[0] = 1
+        filled = 1
+        nbytes = (self.m + 7) // 8
+        while filled < n:
+            step = min(filled, n - filled)
+            c = self.mul(int(exp[filled - 1]), g)
+            src = exp[:step].view(np.uint8).reshape(step, 4)
+            out = exp[filled : filled + step]
+            out[:] = 0
+            for b in range(nbytes):
+                tab = np.zeros(256, dtype=np.uint32)
+                for i in range(8):
+                    bit = 8 * b + i
+                    piece = self.mul(c, 1 << bit) if bit < self.m else 0
+                    tab[1 << i : 2 << i] = tab[: 1 << i] ^ np.uint32(piece)
+                out ^= tab[src[:, b]]
+            filled += step
 
 
 @functools.lru_cache(maxsize=None)

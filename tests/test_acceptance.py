@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 1 covers k = 1..5 in well under a minute; the k = 6 run
-(fields up to 2^32) is gated behind LPOLYDIV_LARGE=1 and budgeted at multiple
-minutes to an hour depending on worker count.
+(fields up to 2^32) is gated behind LPOLYDIV_LARGE=1 and takes a few seconds,
+since its counts come from the quadratic-form rank rather than enumeration.
 """
 
 import json
@@ -233,7 +233,7 @@ def test_criterion_10_property_suites():
 LARGE = os.environ.get("LPOLYDIV_LARGE") == "1"
 
 
-@pytest.mark.skipif(not LARGE, reason="set LPOLYDIV_LARGE=1 to run the 2^32 budget (minutes to an hour)")
+@pytest.mark.skipif(not LARGE, reason="set LPOLYDIV_LARGE=1 to run the 2^32 budget (a few seconds)")
 def test_criterion_1_and_2_gated_c6(tmp_path, capsys):
     with criterion("1+2 (gated)", "C_6 table entry and divisibility, fields to 2^32"):
         spec = CurveSpec("ck", 6)

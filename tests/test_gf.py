@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,3 +198,26 @@ def test_multiplicative_tables_odd_p():
     tables = ctx.multiplicative_tables()
     for i in (0, 1, 17, 50):
         assert tables.tr_exp[i] == ctx.trace(int(tables.exp[i]))
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_doubling_tables_match_sequential_powers(m):
+    ctx = make_field(2, m)
+    tables = ctx.multiplicative_tables()
+    g = ctx.generator()
+    n = ctx.order - 1
+    assert tables.exp.shape == (n,)
+    indices = sorted(random.Random(m).sample(range(n), min(n, 64)))
+    if m <= 16:
+        v = 1
+        for i in range(n):
+            assert tables.exp[i] == v, i
+            v = ctx.mul(v, g)
+        assert v == 1
+    else:
+        for i in indices:
+            assert tables.exp[i] == ctx.pow(g, i), i
+    for i in indices:
+        x = int(tables.exp[i])
+        assert tables.log[x] == i
+        assert tables.tr_exp[i] == ctx.trace(x)
