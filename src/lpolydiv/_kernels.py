@@ -10,11 +10,9 @@ between them:
   and type in O(m^3) operations, without visiting a single element
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
-* ``table`` for any other term list (ek's 1/x term): a walk over the
-  multiplicative group through discrete-log tables, up to
-  TABLE_ORDER_LIMIT.  Its work is partitioned into contiguous index ranges
-  so a worker pool can consume them; partial sums are combined in
-  partition order, which keeps results identical for every worker count.
+* ``table`` for any other term list (ek's 1/x term): one vectorized walk
+  over the whole multiplicative group through discrete-log tables, up to
+  :data:`gf.MAX_TABLE_ORDER`.
 
 The bit kernel :func:`_bit_count_range` enumerates GF(2^m) by writing
 Tr(x * x^(2^a)) as a bit-parity quadratic form evaluated with vectorized
@@ -24,17 +22,11 @@ exhaustive oracle that ``qf`` must agree with.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from .gf import FieldContext, FieldLimitError, jacobi_symbol, make_field
-
-# Largest field the discrete-log kernel will handle; term lists outside the
-# qf shape are refused beyond it.
-TABLE_ORDER_LIMIT = 1 << 20
+from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, jacobi_symbol
 
 _BATCH = 1 << 20
 
@@ -262,34 +254,16 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
     return p ** (m - rank) * _diagonal_count(p, rank, delta, -const % p)
 
 
-def _table_count_range(ctx: FieldContext, exponents: Sequence[int], lo: int, hi: int) -> int:
-    """Count i in [lo, hi) with Tr(sum_e g^(i*e)) = 0, g the table generator."""
+def _table_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
+    """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g the table generator."""
     tables = ctx.multiplicative_tables()
     n = ctx.order - 1
-    idx = np.arange(lo, hi, dtype=np.int64)
-    acc = np.zeros(hi - lo, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
     for e in exponents:
         stride = e % n if n > 1 else 0
         acc += tables.tr_exp[(idx * stride) % n]
     return int(np.count_nonzero(acc % ctx.p == 0))
-
-
-def _range_worker(args: tuple) -> int:
-    p, m, exponents, lo, hi = args
-    return _table_count_range(make_field(p, m), exponents, lo, hi)
-
-
-def _split(total: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous ranges covering [0, total), at most one per CPU and per element."""
-    parts = max(1, min(parts, total, os.cpu_count() or 1))
-    step, extra = divmod(total, parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
 
 
 def trace_zero_count(
@@ -297,40 +271,28 @@ def trace_zero_count(
     exponents: Sequence[int],
     *,
     exclude_zero: bool = False,
-    workers: int = 1,
 ) -> int:
     """Number of x in the field with Tr(sum_e x**e) = 0.
 
     Negative exponents mean inverse powers and force exclude_zero.  The zero
     element contributes iff every exponent is positive (f(0) = 0 there).
-    workers applies to the table walk only; the qf count visits no elements.
     """
     exponents = tuple(exponents)
     if any(e == 0 for e in exponents):
         raise ValueError("constant terms are not supported")
     if any(e < 0 for e in exponents) and not exclude_zero:
         raise ValueError("inverse powers require exclude_zero=True")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
     classified = _classify_terms(ctx.p, exponents)
     if classified is not None:
         qf_count = _qf_binary_count if ctx.p == 2 else _qf_odd_count
         count = qf_count(ctx, *classified)
         return count - 1 if exclude_zero else count
-    if ctx.order > TABLE_ORDER_LIMIT:
+    if ctx.order > MAX_TABLE_ORDER:
         raise FieldLimitError(
             f"{ctx!r} is too large for these terms: the table kernel stops at "
-            f"order 2^{TABLE_ORDER_LIMIT.bit_length() - 1}"
+            f"order 2^{MAX_TABLE_ORDER.bit_length() - 1} (MAX_TABLE_ORDER)"
         )
-
-    total = ctx.order - 1
-    ranges = _split(total, workers)
-    if len(ranges) == 1:
-        count = _table_count_range(ctx, exponents, 0, total)
-    else:
-        args = [(ctx.p, ctx.m, exponents, lo, hi) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            count = sum(pool.map(_range_worker, args))
+    count = _table_count(ctx, exponents)
     # f(0) = 0 for positive exponents, so x = 0 satisfies the condition
     return count if exclude_zero else count + 1

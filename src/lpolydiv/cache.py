@@ -25,6 +25,13 @@ from typing import Sequence
 from .curves import CountIntegrityError, CurveSpec
 
 
+def _int(value) -> int:
+    """value itself if it is a JSON integer; int() would accept 7.9, "7" and true."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -49,12 +56,12 @@ class CountCache:
                     rec = json.loads(line)
                     key = (
                         rec["family"],
-                        int(rec["k"]),
-                        int(rec["p"]),
-                        int(rec["m"]),
-                        tuple(int(c) for c in rec["modulus"]),
+                        _int(rec["k"]),
+                        _int(rec["p"]),
+                        _int(rec["m"]),
+                        tuple(_int(c) for c in rec["modulus"]),
                     )
-                    self._records[key] = int(rec["n"])
+                    self._records[key] = _int(rec["n"])
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CountIntegrityError(
                         f"{self.path}:{lineno}: malformed count record"

@@ -21,8 +21,6 @@ from .cache import CountCache
 from .curves import (
     CountIntegrityError,
     CurveSpec,
-    DEFAULT_MAX_ORDER,
-    LARGE_MAX_ORDER,
     count_field,
     count_series,
     lmw_formula,
@@ -50,27 +48,20 @@ CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
 @dataclass(frozen=True)
 class RunConfig:
-    workers: int
     cache_dir: Path
     out_format: str
-    max_order: int
 
 
 def _config(args) -> RunConfig:
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    workers = min(args.workers, os.cpu_count() or 1)
     # Created by the first store, so commands that count nothing leave no trace.
     cache_dir = Path(
         args.cache_dir
         or os.environ.get(CACHE_ENV)
         or Path.home() / ".cache" / "lpolydiv"
     )
-    if args.max_bits is not None:
-        max_order = 1 << args.max_bits
-    else:
-        max_order = LARGE_MAX_ORDER if args.allow_large else DEFAULT_MAX_ORDER
-    return RunConfig(workers, cache_dir, args.format, max_order)
+    return RunConfig(cache_dir, args.format)
 
 
 def _cache(cfg: RunConfig) -> CountCache:
@@ -92,10 +83,7 @@ def _lpoly_for(spec: CurveSpec, cfg: RunConfig, cache: CountCache) -> LPolynomia
     g = spec.genus
     if g == 0:
         return LPolynomial(spec.p, 0, (1,))
-    series = count_series(
-        spec, g, workers=cfg.workers, cache=cache, max_order=cfg.max_order
-    )
-    return lpoly_from_counts(series)
+    return lpoly_from_counts(count_series(spec, g, cache=cache))
 
 
 def cmd_count(args) -> int:
@@ -103,13 +91,7 @@ def cmd_count(args) -> int:
     spec = _spec(args)
     if args.m < 1:
         raise ValueError("--m must be >= 1")
-    n, provenance = count_field(
-        spec,
-        args.m,
-        workers=cfg.workers,
-        cache=_cache(cfg),
-        max_order=cfg.max_order,
-    )
+    n, provenance = count_field(spec, args.m, cache=_cache(cfg))
     provenance = "fresh" if provenance == "counted" else provenance
     _emit(
         cfg,
@@ -184,7 +166,7 @@ def cmd_verify_morphism(args) -> int:
 def cmd_verify_lmw(args) -> int:
     cfg = _config(args)
     predicted = lmw_formula(args.n, args.k, args.j)
-    counted = lmw_zero_count(args.n, args.k, args.j, max_order=cfg.max_order)
+    counted = lmw_zero_count(args.n, args.k, args.j)
     agree = counted == predicted
     _emit(
         cfg,
@@ -251,11 +233,12 @@ def cmd_verify_as_image(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--workers", type=int, default=1, help="table-walk worker count (at most the CPU count)")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility and ignored: every count runs in this process (must be >= 1)",
+    )
     parser.add_argument("--cache-dir", default=None, help=f"count cache directory (default ${CACHE_ENV} or ~/.cache/lpolydiv)")
     parser.add_argument("--format", choices=("table", "records"), default="table", help="output mode")
-    parser.add_argument("--allow-large", action="store_true", help="raise the enumeration gate to 2^32")
-    parser.add_argument("--max-bits", type=int, default=None, help="override the enumeration gate to 2^BITS")
 
 
 def _add_family(parser: argparse.ArgumentParser):

@@ -18,15 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import FieldContext, FieldLimitError, is_prime, jacobi_symbol, make_field
+from .gf import is_prime, jacobi_symbol, make_field
 from ._kernels import trace_zero_count
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
-
-# Counts above this order are rejected unless the caller raises the gate
-# explicitly.
-DEFAULT_MAX_ORDER = 1 << 26
-LARGE_MAX_ORDER = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -89,48 +84,26 @@ class CountIntegrityError(RuntimeError):
     """A computed or cached count violates the Hasse-Weil bound, or a cache record is malformed."""
 
 
-def _field_for(spec_p: int, m: int, max_order: int | None) -> FieldContext:
-    gate = DEFAULT_MAX_ORDER if max_order is None else max_order
-    if spec_p**m > gate:
-        raise FieldLimitError(
-            f"GF({spec_p}^{m}) exceeds the enumeration gate 2^{gate.bit_length() - 1}; "
-            "raise max_order (CLI: --allow-large) to run it anyway"
-        )
-    return make_field(spec_p, m)
-
-
-def affine_count(
-    spec: CurveSpec,
-    m: int,
-    *,
-    workers: int = 1,
-    max_order: int | None = None,
-) -> int:
+def affine_count(spec: CurveSpec, m: int) -> int:
     """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    ctx = _field_for(spec.p, m, max_order)
+    ctx = make_field(spec.p, m)
     if spec.family == "ck":
-        return 2 * trace_zero_count(ctx, ((1 << spec.k) + 1, 1), workers=workers)
+        return 2 * trace_zero_count(ctx, ((1 << spec.k) + 1, 1))
     if spec.family == "ak":
-        return 2 * trace_zero_count(ctx, (1 << spec.k, 1), workers=workers)
+        return 2 * trace_zero_count(ctx, (1 << spec.k, 1))
     if spec.family == "ckp":
-        return spec.p * trace_zero_count(ctx, (spec.p**spec.k + 1, 1), workers=workers)
+        return spec.p * trace_zero_count(ctx, (spec.p**spec.k + 1, 1))
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    nonzero = trace_zero_count(ctx, ((1 << spec.k) + 1, -1), exclude_zero=True, workers=workers)
+    nonzero = trace_zero_count(ctx, ((1 << spec.k) + 1, -1), exclude_zero=True)
     return 1 + 2 * nonzero
 
 
-def point_count(
-    spec: CurveSpec,
-    m: int,
-    *,
-    workers: int = 1,
-    max_order: int | None = None,
-) -> int:
+def point_count(spec: CurveSpec, m: int) -> int:
     """N_m: points of the smooth model over GF(p^m)."""
-    n = affine_count(spec, m, workers=workers, max_order=max_order)
+    n = affine_count(spec, m)
     if spec.family == "ak":
         # The ak affine model factors as (y + B(x))(y + B(x) + 1) with
         # B(x) = x + x^2 + ... + x^(2^(k-1)), two disjoint rational components
@@ -146,24 +119,17 @@ def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
     return (n - q**m - 1) ** 2 <= 4 * g * g * q**m
 
 
-def count_field(
-    spec: CurveSpec,
-    m: int,
-    *,
-    workers: int = 1,
-    cache=None,
-    max_order: int | None = None,
-) -> tuple[int, str]:
+def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
 
     Every count, cached or fresh, must pass the Hasse-Weil bound before it is
     returned or stored.
     """
-    ctx = _field_for(spec.p, m, max_order)
+    ctx = make_field(spec.p, m)
     n = cache.lookup(spec, m, ctx.modulus) if cache is not None else None
     provenance = "cached"
     if n is None:
-        n = point_count(spec, m, workers=workers, max_order=max_order)
+        n = point_count(spec, m)
         provenance = "counted"
     if not hasse_weil_ok(n, spec.p, m, spec.genus):
         raise CountIntegrityError(
@@ -174,40 +140,21 @@ def count_field(
     return n, provenance
 
 
-def count_series(
-    spec: CurveSpec,
-    upto: int,
-    *,
-    workers: int = 1,
-    cache=None,
-    max_order: int | None = None,
-) -> PointCounts:
+def count_series(spec: CurveSpec, upto: int, *, cache=None) -> PointCounts:
     """N_1..N_upto by :func:`count_field`, one extension at a time."""
     if upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
-    counts, provenance = zip(
-        *(
-            count_field(spec, m, workers=workers, cache=cache, max_order=max_order)
-            for m in range(1, upto + 1)
-        )
-    )
+    counts, provenance = zip(*(count_field(spec, m, cache=cache) for m in range(1, upto + 1)))
     return PointCounts(spec, counts, provenance)
 
 
-def lmw_zero_count(
-    n: int,
-    k: int,
-    j: int = 0,
-    *,
-    max_order: int | None = None,
-) -> int:
+def lmw_zero_count(n: int, k: int, j: int = 0) -> int:
     """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
     if not 0 <= j < k:
         raise ValueError(f"need 0 <= j < k, got k={k}, j={j}")
-    ctx = _field_for(2, n, max_order)
-    return trace_zero_count(ctx, ((1 << k) + 1, (1 << j) + 1))
+    return trace_zero_count(make_field(2, n), ((1 << k) + 1, (1 << j) + 1))
 
 
 def lmw_formula(n: int, k: int, j: int = 0) -> int:

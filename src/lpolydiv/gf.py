@@ -13,6 +13,7 @@ the modulus (and therefore every computation) is reproducible across runs and
 machines.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
+Discrete-log tables, and so the table walk, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 """
 
@@ -28,7 +29,7 @@ MAX_BINARY_DEGREE = 32
 MAX_ODD_ORDER = 1 << 22
 
 # Discrete-log tables above this size would dominate memory and build time.
-MAX_TABLE_ORDER = 1 << 22
+MAX_TABLE_ORDER = 1 << 20
 
 
 class FieldLimitError(ValueError):
@@ -176,13 +177,12 @@ def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class _Tables:
-    """Discrete-log tables for one field: exp, log, and trace-of-exp arrays."""
+    """Discrete-log tables for one field: exp and trace-of-exp arrays."""
 
-    __slots__ = ("exp", "log", "tr_exp")
+    __slots__ = ("exp", "tr_exp")
 
-    def __init__(self, exp: np.ndarray, log: np.ndarray, tr_exp: np.ndarray):
+    def __init__(self, exp: np.ndarray, tr_exp: np.ndarray):
         self.exp = exp
-        self.log = log
         self.tr_exp = tr_exp
 
 
@@ -292,7 +292,7 @@ class FieldContext:
         return s
 
     def elements(self, start: int = 0, stop: int | None = None) -> range:
-        """All elements in packed-int order; slice with start/stop to partition."""
+        """Elements in packed-int order, all of them or those in [start, stop)."""
         return range(start, self.order if stop is None else stop)
 
     # -- internals ----------------------------------------------------------
@@ -364,10 +364,10 @@ class FieldContext:
         raise AssertionError("no multiplicative generator found")
 
     def multiplicative_tables(self) -> _Tables:
-        """Build (once) and return exp/log/trace-of-exp tables.
+        """Build (once) and return exp/trace-of-exp tables.
 
         exp[i] = g**i for the smallest generator g, i in [0, order-1);
-        log is its inverse with log[0] = -1; tr_exp[i] = trace(exp[i]).
+        tr_exp[i] = trace(exp[i]).
         """
         if self._tables is None:
             with self._lock:
@@ -394,8 +394,6 @@ class FieldContext:
                 v = self.mul(v, g)
         if self.mul(int(exp[-1]), g) != 1:
             raise AssertionError("generator order mismatch")
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[exp] = np.arange(n, dtype=np.int64)
         if self.p == 2:
             tr_exp = np.bitwise_count(exp & np.uint32(self._trace_mask)) & np.uint8(1)
         else:
@@ -405,7 +403,7 @@ class FieldContext:
             for i in range(self.m):
                 trace_all += (v // self.p**i % self.p) * self.trace(self.p**i)
             tr_exp = (trace_all % self.p).astype(np.uint8)[exp]
-        return _Tables(exp, log, tr_exp)
+        return _Tables(exp, tr_exp)
 
     def _fill_powers_binary(self, exp: np.ndarray, g: int) -> None:
         """exp[i] = g^i for all i, p = 2, by doubling the filled prefix.

@@ -46,8 +46,9 @@ def _oracle_ek_wide(ctx, k):
     # Same literal pair check, vectorized over y for each x.
     q = ctx.order
     n = q - 1
-    tables = ctx.multiplicative_tables()
-    exp_t, log_t = tables.exp, tables.log
+    exp_t = ctx.multiplicative_tables().exp
+    log_t = np.full(q, -1, dtype=np.int64)
+    log_t[exp_t] = np.arange(n, dtype=np.int64)
     ysqr = np.fromiter((ctx.sqr(y) for y in range(q)), dtype=np.int64, count=q)
     log_nz = log_t[1:]
     count = 0

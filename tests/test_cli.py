@@ -167,21 +167,32 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "hypothesis" in err
 
 
-def test_oversize_field_rejected_without_gate(tmp_path, capsys):
-    code, _, err = run(
+def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
+    from lpolydiv.curves import CurveSpec, count_series
+    from lpolydiv.lseries import lpoly_from_counts, predicted_count
+
+    code, out, _ = run(
         capsys, "count", "--family", "ck", "--k", "1", "--m", "30",
-        "--cache-dir", str(tmp_path),
+        "--cache-dir", str(tmp_path), "--format", "records",
     )
-    assert code == 2
-    assert "allow-large" in err
+    assert code == 0
+    l_c1 = lpoly_from_counts(count_series(CurveSpec("ck", 1), 1))
+    assert json.loads(out)["n"] == predicted_count(l_c1, 30)
 
 
-def test_max_bits_override(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "count", "--family", "ck", "--k", "1", "--m", "8",
-        "--cache-dir", str(tmp_path), "--max-bits", "4",
+@pytest.mark.parametrize(
+    "family, m, limit",
+    [("ck", 33, "degree limit"), ("ek", 21, "MAX_TABLE_ORDER")],
+)
+def test_field_limits_refuse_before_any_work(tmp_path, capsys, family, m, limit):
+    cache_dir = tmp_path / "cache"
+    code, out, err = run(
+        capsys, "count", "--family", family, "--k", "1", "--m", str(m),
+        "--cache-dir", str(cache_dir),
     )
-    assert code == 2
+    assert code == 2 and out == ""
+    assert limit in err
+    assert not cache_dir.exists()
 
 
 def test_failure_exit_code(monkeypatch, capsys):
@@ -239,9 +250,10 @@ def test_commands_that_count_nothing_create_no_cache_dir(tmp_path, capsys):
     assert not missing.exists()
 
 
-def test_workers_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    args = cli.build_parser().parse_args(["count", "--family", "ck", "--k", "1", "--m", "3", "--workers", "1000000"])
-    assert cli._config(args).workers == 2
-    args.workers = 1
-    assert cli._config(args).workers == 1
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "count", "--family", "ck", "--k", "1", "--m", "3", "--workers", "0",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert "--workers" in err

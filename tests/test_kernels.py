@@ -13,8 +13,7 @@ from lpolydiv import _kernels
 from lpolydiv._kernels import (
     _bit_count_range,
     _diagonal_count,
-    _split,
-    _table_count_range,
+    _table_count,
     trace_zero_count,
 )
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
@@ -59,7 +58,7 @@ def test_qf_matches_table_walk_odd(p):
         if ctx.order > 3**8:
             break
         for terms in term_lists:
-            walk = _table_count_range(ctx, terms, 0, ctx.order - 1) + 1
+            walk = _table_count(ctx, terms) + 1
             assert trace_zero_count(ctx, terms) == walk, (m, terms)
 
 
@@ -82,9 +81,8 @@ def test_qf_dispatch_visits_no_elements(monkeypatch):
     def refuse(*args):
         raise AssertionError("an enumeration kernel ran")
 
-    monkeypatch.setattr(_kernels, "_table_count_range", refuse)
+    monkeypatch.setattr(_kernels, "_table_count", refuse)
     monkeypatch.setattr(_kernels, "_bit_count_range", refuse)
-    monkeypatch.setattr(_kernels, "ProcessPoolExecutor", refuse)
     # far past what enumeration reaches in a test run, checked against the closed form
     for n, k, j in ((31, 1, 0), (29, 3, 1)):
         terms = ((1 << k) + 1, (1 << j) + 1)
@@ -94,17 +92,3 @@ def test_qf_dispatch_visits_no_elements(monkeypatch):
     spec = CurveSpec("ckp", 1, 3)
     lp = lpoly_from_counts(count_series(spec, spec.genus))
     assert point_count(spec, 13) == predicted_count(lp, 13)
-    # workers has no effect on the qf path: no pool is started
-    ctx = make_field(2, 20)
-    assert trace_zero_count(ctx, (3, 1), workers=4) == trace_zero_count(ctx, (3, 1))
-
-
-def test_split_is_clamped_to_cpus_and_elements(monkeypatch):
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 4)
-    for total, parts, expected in ((100, 10**6, 4), (3, 10**6, 3), (100, 2, 2), (5, 1, 1)):
-        ranges = _split(total, parts)
-        assert len(ranges) == expected
-        assert ranges[0][0] == 0 and ranges[-1][1] == total
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: None)
-    assert _split(100, 8) == [(0, 100)]
