@@ -10,6 +10,8 @@ between them:
   and type in O(m^3) operations, without visiting a single element
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
+  Its Gram matrix comes from :func:`_trace_form`, the one builder of it,
+  which the bit-kernel oracle below shares.
 * ``table`` for any other term list (ek's 1/x term): one vectorized walk
   over the whole multiplicative group through discrete-log tables, up to
   :data:`gf.MAX_TABLE_ORDER`.
@@ -67,31 +69,30 @@ def _frobenius(ctx: FieldContext, x: int, a: int) -> int:
     return x
 
 
-def _bit_basis(ctx: FieldContext, quads: Sequence[int]) -> list[int]:
-    """Rows of the GF(2)-linear map B with sum_a Tr(x^(2^a) * x) = parity(x & B(x)).
+def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
+    """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p over the twists a, basis e_i = x^i.
 
-    Bit j of row i is sum_a Tr(e_j * e_i^(2^a)) for the basis e_i = x^i.
+    sum_a Tr(x^(p^a + 1)) = sum_ij x_i x_j G[i][j] in the coordinates of x.
     """
-    rows = []
-    for i in range(ctx.m):
+    basis = [ctx.p**i for i in range(ctx.m)]
+    form = []
+    for e in basis:
         w = 0
         for a in quads:
-            w ^= _frobenius(ctx, 1 << i, a)
-        u = 0
-        for j in range(ctx.m):
-            u |= ctx.trace(ctx.mul(w, 1 << j)) << j
-        rows.append(u)
-    return rows
+            w = ctx.add(w, _frobenius(ctx, e, a))
+        form.append([ctx.trace(ctx.mul(w, f)) for f in basis])
+    return form
 
 
 def _bit_tables(ctx: FieldContext, quads: Sequence[int], linear: int) -> list[np.ndarray]:
-    """Byte lookup tables for u(x) with Tr(f(x)) = parity(x & u(x)).
+    """Byte lookup tables for u(x) with Tr(f(x)) = parity(x & u(x)), p = 2.
 
-    u is the linear map of :func:`_bit_basis`; the constant trace mask for an
-    odd number of linear terms folds into the low byte table.
+    u is GF(2)-linear with u(e_i) the row i of :func:`_trace_form` packed into
+    bits; the constant trace mask for an odd number of linear terms folds into
+    the low byte table.
     """
     m = ctx.m
-    basis = _bit_basis(ctx, quads)
+    basis = [sum(bit << j for j, bit in enumerate(row)) for row in _trace_form(ctx, quads)]
     const = ctx.trace_mask if linear % 2 else 0
     nbytes = (m + 7) // 8
     tables = []
@@ -140,15 +141,9 @@ def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> in
     vanish on the radical), else (-1)^c 2^(m-h) with c the constant.
     """
     m = ctx.m
-    rows = _bit_basis(ctx, quads)
-    lin = ctx.trace_mask if linear % 2 else 0
-    alt = []
-    for i in range(m):
-        col = 0
-        for j in range(m):
-            col |= ((rows[j] >> i) & 1) << j
-        alt.append(rows[i] ^ col)
-        lin ^= rows[i] & (1 << i)
+    g = _trace_form(ctx, quads)
+    alt = [sum((g[i][j] ^ g[j][i]) << j for j in range(m)) for i in range(m)]
+    lin = (ctx.trace_mask if linear % 2 else 0) ^ sum(g[i][i] << i for i in range(m))
     const = 0
     h = 0
     for i in range(m):
@@ -202,24 +197,10 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
     is balanced, otherwise the diagonal form of rank r must equal -c.
     """
     p, m = ctx.p, ctx.m
-    basis = [p**i for i in range(m)]
-    tr = [ctx.trace(e) for e in basis]
-
-    def trace(v: int) -> int:
-        t = 0
-        for ti in tr:
-            v, d = divmod(v, p)
-            t += d * ti
-        return t % p
-
-    twisted = [0] * m
-    for i, e in enumerate(basis):
-        for a in quads:
-            twisted[i] = ctx.add(twisted[i], _frobenius(ctx, e, a))
     half = (p + 1) // 2
-    form = [[trace(ctx.mul(twisted[i], e)) for e in basis] for i in range(m)]
-    s = [[(form[i][j] + form[j][i]) * half % p for j in range(m)] for i in range(m)]
-    lin = [linear * t % p for t in tr]
+    g = _trace_form(ctx, quads)
+    s = [[(g[i][j] + g[j][i]) * half % p for j in range(m)] for i in range(m)]
+    lin = [linear * ctx.trace(p**i) % p for i in range(m)]
     const = 0
     delta = 1
     rank = 0

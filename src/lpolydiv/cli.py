@@ -79,7 +79,7 @@ def _spec(args) -> CurveSpec:
     return CurveSpec(args.family, args.k, args.p)
 
 
-def _lpoly_for(spec: CurveSpec, cfg: RunConfig, cache: CountCache) -> LPolynomial:
+def _lpoly_for(spec: CurveSpec, cache: CountCache) -> LPolynomial:
     g = spec.genus
     if g == 0:
         return LPolynomial(spec.p, 0, (1,))
@@ -112,7 +112,7 @@ def cmd_count(args) -> int:
 def cmd_lpoly(args) -> int:
     cfg = _config(args)
     spec = _spec(args)
-    lpoly = _lpoly_for(spec, cfg, _cache(cfg))
+    lpoly = _lpoly_for(spec, _cache(cfg))
     record = {"record": "lpoly", "family": spec.family, "k": spec.k, "p": spec.p}
     record.update(lpoly_to_record(lpoly))
     _emit(cfg, record, f"L({spec.label}) = {lpoly}")
@@ -125,11 +125,11 @@ def cmd_conjecture(args) -> int:
         raise ValueError("--kmax must be >= 2")
     cache = _cache(cfg)
     base = CurveSpec(args.family, 1, args.p)
-    l_base = _lpoly_for(base, cfg, cache)
+    l_base = _lpoly_for(base, cache)
     all_ok = True
     for k in range(2, args.kmax + 1):
         spec = CurveSpec(args.family, k, args.p)
-        l_k = _lpoly_for(spec, cfg, cache)
+        l_k = _lpoly_for(spec, cache)
         result = divides(l_base, l_k)
         all_ok = all_ok and result.divides
         quotient = format_int_poly(result.quotient) if result.divides else "-"

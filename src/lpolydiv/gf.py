@@ -12,6 +12,13 @@ That ordering coincides with the numeric order of the packed-int encoding, so
 the modulus (and therefore every computation) is reproducible across runs and
 machines.
 
+The absolute trace is GF(p)-linear, so each field keeps one vector
+t_i = Tr(x^i), i < m, and Tr(a) = sum_i digit_i(a) t_i mod p (for p = 2, the
+parity of a & trace_mask, the same vector packed into bits).  The t_i are the
+power sums of the modulus's roots and come from its coefficients by Newton's
+identities, with no field multiplication (Lidl-Niederreiter, *Finite Fields*,
+ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
+
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
 Discrete-log tables, and so the table walk, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
@@ -203,7 +210,6 @@ class FieldContext:
             for i, c in enumerate(modulus):
                 bits |= c << i
             self._mod_bits = bits
-            self._trace_mask = self._build_trace_mask()
         else:
             self._mod_digits = list(modulus)
         self._tables: _Tables | None = None
@@ -264,14 +270,14 @@ class FieldContext:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent; use inv() for inverses")
-        result = 1
-        base = a
+        result = None
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = a if result is None else self.mul(result, a)
             e >>= 1
-        return result
+            if e:
+                a = self.mul(a, a)
+        return 1 if result is None else result
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -281,15 +287,12 @@ class FieldContext:
     def trace(self, a: int) -> int:
         """Absolute trace into the prime subfield, as an int in [0, p)."""
         if self.p == 2:
-            return (a & self._trace_mask).bit_count() & 1
-        t = a
-        s = a
-        for _ in range(self.m - 1):
-            t = self.pow(t, self.p)
-            s = self.add(s, t)
-        if s >= self.p:
-            raise AssertionError("trace left the prime subfield")
-        return s
+            return (a & self.trace_mask).bit_count() & 1
+        t = 0
+        for ti in self._traces:
+            a, d = divmod(a, self.p)
+            t += d * ti
+        return t % self.p
 
     def elements(self, start: int = 0, stop: int | None = None) -> range:
         """Elements in packed-int order, all of them or those in [start, stop)."""
@@ -332,25 +335,28 @@ class FieldContext:
             mult *= self.p
         return out
 
-    def _build_trace_mask(self) -> int:
-        mask = 0
-        for i in range(self.m):
-            t = 1 << i
-            acc = t
-            for _ in range(self.m - 1):
-                t = self.mul(t, t)
-                acc ^= t
-            if acc not in (0, 1):
-                raise AssertionError("trace of a basis element left GF(2)")
-            mask |= acc << i
-        return mask
+    @functools.cached_property
+    def _traces(self) -> tuple[int, ...]:
+        """t_i = Tr(x^i) for i < m, x the residue class of X.
 
-    @property
+        Tr(x^i) is the i-th power sum of the roots of the modulus
+        X^m + c_(m-1) X^(m-1) + ... + c_0, so Newton's identities give it
+        from the coefficients: t_0 = m and
+        t_i = -(i c_(m-i) + sum_(0<j<i) c_(m-j) t_(i-j)).
+        """
+        p, m, c = self.p, self.m, self.modulus
+        t = [m % p]
+        for i in range(1, m):
+            acc = i * c[m - i] + sum(c[m - j] * t[i - j] for j in range(1, i))
+            t.append(-acc % p)
+        return tuple(t)
+
+    @functools.cached_property
     def trace_mask(self) -> int:
         """p = 2 only: trace(a) equals the parity of a & trace_mask."""
         if self.p != 2:
             raise AttributeError("trace_mask is only defined for p = 2")
-        return self._trace_mask
+        return sum(t << i for i, t in enumerate(self._traces))
 
     def generator(self) -> int:
         """Smallest multiplicative generator in packed-int order."""
@@ -395,14 +401,14 @@ class FieldContext:
         if self.mul(int(exp[-1]), g) != 1:
             raise AssertionError("generator order mismatch")
         if self.p == 2:
-            tr_exp = np.bitwise_count(exp & np.uint32(self._trace_mask)) & np.uint8(1)
+            tr_exp = np.bitwise_count(exp & np.uint32(self.trace_mask)) & np.uint8(1)
         else:
-            # Tr is GF(p)-linear: Tr(v) = sum_i digit_i(v) Tr(p^i) mod p
-            v = np.arange(self.order, dtype=np.int64)
-            trace_all = np.zeros(self.order, dtype=np.int64)
-            for i in range(self.m):
-                trace_all += (v // self.p**i % self.p) * self.trace(self.p**i)
-            tr_exp = (trace_all % self.p).astype(np.uint8)[exp]
+            v = exp.astype(np.int64)
+            acc = np.zeros(n, dtype=np.int64)
+            for t in self._traces:
+                v, d = np.divmod(v, self.p)
+                acc += d * t
+            tr_exp = (acc % self.p).astype(np.uint8)
         return _Tables(exp, tr_exp)
 
     def _fill_powers_binary(self, exp: np.ndarray, g: int) -> None:

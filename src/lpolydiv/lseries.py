@@ -59,6 +59,17 @@ def _as_counts(counts) -> tuple[Sequence[int], int | None, int | None]:
     return tuple(counts), None, None
 
 
+def _newton_coeffs(sums: Sequence[int], diagnosis: str) -> list[int]:
+    """a_0..a_n from the power sums s_1..s_n, by exact Newton division."""
+    a = [1]
+    for m in range(1, len(sums) + 1):
+        quot, rem = divmod(-sum(sums[i - 1] * a[m - i] for i in range(1, m + 1)), m)
+        if rem:
+            raise LSeriesError(f"Newton division not exact at m={m}: {diagnosis}")
+        a.append(quot)
+    return a
+
+
 def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPolynomial:
     """Reconstruct the L-polynomial from N_1..N_M, M >= g.
 
@@ -76,22 +87,9 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     for m, n in enumerate(seq, start=1):
         if not hasse_weil_ok(n, q, m, g):
             raise LSeriesError(f"count N_{m} = {n} violates the Hasse-Weil bound")
-    s = [0] * (g + 1)
-    for m in range(1, g + 1):
-        s[m] = q**m + 1 - seq[m - 1]
-    a = [0] * (2 * g + 1)
-    a[0] = 1
-    for m in range(1, g + 1):
-        acc = sum(s[i] * a[m - i] for i in range(1, m + 1))
-        quot, rem = divmod(-acc, m)
-        if rem:
-            raise LSeriesError(
-                f"Newton division not exact at m={m}: wrong genus, wrong point "
-                "at infinity, or corrupted counts"
-            )
-        a[m] = quot
-    for i in range(g + 1, 2 * g + 1):
-        a[i] = q ** (i - g) * a[2 * g - i]
+    s = [q**m + 1 - seq[m - 1] for m in range(1, g + 1)]
+    a = _newton_coeffs(s, "wrong genus, wrong point at infinity, or corrupted counts")
+    a += [q ** (i - g) * a[2 * g - i] for i in range(g + 1, 2 * g + 1)]
     lpoly = LPolynomial(q, g, tuple(a))
     for m in range(g + 1, len(seq) + 1):
         if predicted_count(lpoly, m) != seq[m - 1]:
@@ -132,15 +130,8 @@ def base_change(lpoly: LPolynomial, s: int) -> LPolynomial:
         return lpoly
     deg = 2 * lpoly.g
     long_sums = power_sums(lpoly, deg * s) if deg else []
-    sp = [0] + [long_sums[i * s - 1] for i in range(1, deg + 1)]
-    a = [0] * (deg + 1)
-    a[0] = 1
-    for m in range(1, deg + 1):
-        acc = sum(sp[i] * a[m - i] for i in range(1, m + 1))
-        quot, rem = divmod(-acc, m)
-        if rem:
-            raise LSeriesError(f"base change produced a non-exact division at m={m}")
-        a[m] = quot
+    sp = [long_sums[i * s - 1] for i in range(1, deg + 1)]
+    a = _newton_coeffs(sp, "base change of an invalid L-polynomial")
     return LPolynomial(lpoly.q**s, lpoly.g, tuple(a))
 
 

@@ -114,6 +114,48 @@ def test_trace_zero_cardinality(p, m):
     assert zeros == p ** (m - 1)
 
 
+def _frobenius_sum(ctx, a):
+    """a + a^p + ... + a^(p^(m-1)), the definition of the trace."""
+    total = term = a
+    for _ in range(ctx.m - 1):
+        term = ctx.pow(term, ctx.p)
+        total = ctx.add(total, term)
+    return total
+
+
+_TRACE_BASIS_FIELDS = (
+    [(2, m) for m in range(1, 33)]
+    + [(3, m) for m in range(1, 14)]
+    + [(5, m) for m in range(1, 10)]
+    + [(7, m) for m in range(1, 8)]
+    + [(11, m) for m in range(1, 6)]
+    + [(13, m) for m in range(1, 5)]
+)
+
+
+def test_trace_matches_frobenius_sum():
+    for p, m in _TRACE_BASIS_FIELDS:
+        ctx = make_field(p, m)
+        for i in range(m):
+            assert ctx.trace(p**i) == _frobenius_sum(ctx, p**i), (p, m, i)
+    for p, m in [(2, 8), (3, 5), (5, 3), (7, 2)]:
+        ctx = make_field(p, m)
+        for a in ctx.elements():
+            assert ctx.trace(a) == _frobenius_sum(ctx, a), (p, m, a)
+
+
+def test_pow_matches_repeated_multiplication():
+    for p, m in [(2, 5), (3, 3)]:
+        ctx = make_field(p, m)
+        for a in ctx.elements():
+            expected = 1
+            for e in range(40):
+                assert ctx.pow(a, e) == expected, (p, m, a, e)
+                expected = ctx.mul(expected, a)
+    with pytest.raises(ValueError):
+        make_field(2, 5).pow(3, -1)
+
+
 def test_enumerate():
     f4 = make_field(2, 2)
     assert list(f4.elements()) == [0, 1, 2, 3]
