@@ -10,27 +10,17 @@ between them:
   and type in O(m^3) operations, without visiting a single element
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
-  Its Gram matrix comes from :func:`_trace_form`, the one builder of it,
-  which the bit-kernel oracle below shares.
+  Its Gram matrix comes from :func:`_trace_form`, the one builder of it.
 * ``table`` for any other term list (ek's 1/x term): one vectorized walk
   over the whole multiplicative group through discrete-log tables, up to
   :data:`gf.MAX_TABLE_ORDER`.
-
-The bit kernel :func:`_bit_count_range` enumerates GF(2^m) by writing
-Tr(x * x^(2^a)) as a bit-parity quadratic form evaluated with vectorized
-byte-table lookups.  It is no longer dispatched to; the tests keep it as the
-exhaustive oracle that ``qf`` must agree with.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, jacobi_symbol
-
-_BATCH = 1 << 20
 
 
 def _log_exact(p: int, n: int) -> int | None:
@@ -82,50 +72,6 @@ def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
             w = ctx.add(w, _frobenius(ctx, e, a))
         form.append([ctx.trace(ctx.mul(w, f)) for f in basis])
     return form
-
-
-def _bit_tables(ctx: FieldContext, quads: Sequence[int], linear: int) -> list[np.ndarray]:
-    """Byte lookup tables for u(x) with Tr(f(x)) = parity(x & u(x)), p = 2.
-
-    u is GF(2)-linear with u(e_i) the row i of :func:`_trace_form` packed into
-    bits; the constant trace mask for an odd number of linear terms folds into
-    the low byte table.
-    """
-    m = ctx.m
-    basis = [sum(bit << j for j, bit in enumerate(row)) for row in _trace_form(ctx, quads)]
-    const = ctx.trace_mask if linear % 2 else 0
-    nbytes = (m + 7) // 8
-    tables = []
-    for b in range(nbytes):
-        tab = np.zeros(256, dtype=np.uint32)
-        for v in range(1, 256):
-            low = (v & -v).bit_length() - 1
-            bit = 8 * b + low
-            piece = basis[bit] if bit < m else 0
-            tab[v] = tab[v & (v - 1)] ^ np.uint32(piece)
-        tables.append(tab)
-    tables[0] ^= np.uint32(const)
-    return tables
-
-
-def _bit_count_range(ctx: FieldContext, exponents: Sequence[int], lo: int, hi: int) -> int:
-    """Count x in [lo, hi) with Tr(f(x)) = 0 by enumeration (p = 2 oracle)."""
-    classified = _classify_terms(2, exponents) if ctx.p == 2 else None
-    if classified is None:
-        raise ValueError(f"term exponents {exponents} unsupported by the bit kernel")
-    tables = _bit_tables(ctx, *classified)
-    zeros = 0
-    for start in range(lo, hi, _BATCH):
-        stop = min(hi, start + _BATCH)
-        # elements fit in 32 bits (m <= 32); byte b of x is column b of the view
-        x = np.arange(start, stop, dtype="<u4")
-        xbytes = x.view(np.uint8).reshape(-1, 4)
-        u = tables[0][xbytes[:, 0]]
-        for b in range(1, len(tables)):
-            u ^= tables[b][xbytes[:, b]]
-        odd = np.count_nonzero(np.bitwise_count(x & u) & np.uint8(1))
-        zeros += (stop - start) - int(odd)
-    return zeros
 
 
 def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
@@ -237,6 +183,8 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
 
 def _table_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g the table generator."""
+    import numpy as np
+
     tables = ctx.multiplicative_tables()
     n = ctx.order - 1
     idx = np.arange(n, dtype=np.int64)

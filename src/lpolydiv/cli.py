@@ -26,6 +26,7 @@ from .curves import (
     lmw_formula,
     lmw_zero_count,
 )
+from .gf import make_field
 from .lseries import (
     LPolynomial,
     LSeriesError,
@@ -123,6 +124,10 @@ def cmd_conjecture(args) -> int:
     cfg = _config(args)
     if args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
+    # The genus grows with k, so this refuses an oversize run before its
+    # first count, at the first k whose series needs too large a field.
+    for k in range(1, args.kmax + 1):
+        make_field(args.p, CurveSpec(args.family, k, args.p).genus)
     cache = _cache(cfg)
     base = CurveSpec(args.family, 1, args.p)
     l_base = _lpoly_for(base, cache)

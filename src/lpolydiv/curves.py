@@ -144,6 +144,7 @@ def count_series(spec: CurveSpec, upto: int, *, cache=None) -> PointCounts:
     """N_1..N_upto by :func:`count_field`, one extension at a time."""
     if upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
+    make_field(spec.p, upto)  # the largest field: refuse an oversize series before counting
     counts, provenance = zip(*(count_field(spec, m, cache=cache) for m in range(1, upto + 1)))
     return PointCounts(spec, counts, provenance)
 

@@ -30,8 +30,6 @@ import functools
 import threading
 from typing import Iterable
 
-import numpy as np
-
 MAX_BINARY_DEGREE = 32
 MAX_ODD_ORDER = 1 << 22
 
@@ -92,7 +90,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p, used only for modulus construction.
+# Dense polynomial arithmetic over F_p, for modulus construction and odd-p
+# field multiplication.
 # Polynomials are lists of ints in [0, p), ascending degree, no trailing zeros.
 
 
@@ -188,7 +187,7 @@ class _Tables:
 
     __slots__ = ("exp", "tr_exp")
 
-    def __init__(self, exp: np.ndarray, tr_exp: np.ndarray):
+    def __init__(self, exp, tr_exp):
         self.exp = exp
         self.tr_exp = tr_exp
 
@@ -301,23 +300,8 @@ class FieldContext:
     # -- internals ----------------------------------------------------------
 
     def _mul_odd(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da = self._decode(a)
-        db = self._decode(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self._mod_digits
-        for i in range(len(prod) - 1, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                off = i - m
-                for j in range(m):
-                    prod[off + j] = (prod[off + j] - c * mod[j]) % p
-        return self._encode(prod[:m])
+        p = self.p
+        return self._encode(_pmod(_pmul(self._decode(a), self._decode(b), p), self._mod_digits, p))
 
     def _decode(self, v: int) -> list[int]:
         p = self.p
@@ -387,6 +371,8 @@ class FieldContext:
                 f"{self!r} is too large for discrete-log tables "
                 f"(order limit 2^{MAX_TABLE_ORDER.bit_length() - 1})"
             )
+        import numpy as np
+
         n = self.order - 1
         g = self.generator()
         # every element is below MAX_TABLE_ORDER <= 2^32
@@ -411,7 +397,7 @@ class FieldContext:
             tr_exp = (acc % self.p).astype(np.uint8)
         return _Tables(exp, tr_exp)
 
-    def _fill_powers_binary(self, exp: np.ndarray, g: int) -> None:
+    def _fill_powers_binary(self, exp, g: int) -> None:
         """exp[i] = g^i for all i, p = 2, by doubling the filled prefix.
 
         x -> c * x is GF(2)-linear on the bits of x, so with c = g^filled
@@ -419,6 +405,8 @@ class FieldContext:
         of T_b[byte b of exp[j]] with T_b[v] = c * (v << 8b).  A doubling
         costs m scalar multiplications and 8 slice steps per table.
         """
+        import numpy as np
+
         n = exp.size
         exp[0] = 1
         filled = 1
@@ -452,6 +440,8 @@ def make_field(p: int, m: int) -> FieldContext:
     if p == 2:
         if m > MAX_BINARY_DEGREE:
             raise FieldLimitError(f"GF(2^{m}) exceeds the degree limit {MAX_BINARY_DEGREE}")
-    elif p**m > MAX_ODD_ORDER:
+    # p**m > 2**m, so m > 22 is over the limit before p**m, which a huge m
+    # makes slower than any count, is computed
+    elif m > 22 or p**m > MAX_ODD_ORDER:
         raise FieldLimitError(f"GF({p}^{m}) exceeds the odd-characteristic order limit 2^22")
     return FieldContext(p, m, _lex_smallest_irreducible(p, m))

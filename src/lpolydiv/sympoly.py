@@ -180,18 +180,6 @@ def build_g(k: int, l: int) -> SparsePoly:
     return SparsePoly(2, terms)
 
 
-def _build_g_fixed_scale(k: int, l: int) -> SparsePoly:
-    # Variant with every cross term scaled by the constant 2^l instead of the
-    # telescoping 2^s.  It fails the covering identity; kept as the regression
-    # anchor for choosing the telescoping scale.
-    q, r = _tower(k, l)
-    terms = [(q**j, 1) for j in range(1, r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            terms.append(((1 << l) * (q**i + q**j), 1))
-    return SparsePoly(2, terms)
-
-
 def covering_defect(k: int, l: int, g: SparsePoly | None = None) -> SparsePoly:
     """f^(q+1) + f + x^(q^r + 1) + x + g^2 + g over GF(2); zero iff the identity holds."""
     q, r = _tower(k, l)

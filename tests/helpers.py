@@ -2,9 +2,10 @@
 
 Everything here recomputes expected values from first principles, staying off
 the code paths under test: solution counting enumerates (x, y) pairs against
-the raw curve equations, count prediction expands the zeta function's
-logarithmic derivative as a power series, and irreducibility is decided by
-trial division over all low-degree monic polynomials.
+the raw curve equations, the bit oracle enumerates GF(2^m) against trace
+forms built from field arithmetic alone, count prediction expands the zeta
+function's logarithmic derivative as a power series, and irreducibility is
+decided by trial division over all low-degree monic polynomials.
 """
 
 from collections import Counter
@@ -13,6 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from lpolydiv.gf import make_field
+from lpolydiv.sympoly import SparsePoly
+
+_BATCH = 1 << 20
 
 
 def oracle_affine_count(spec, m):
@@ -62,6 +66,75 @@ def _oracle_ek_wide(ctx, k):
             xy[1:] = exp_t[(int(log_t[x]) + log_nz) % n]
         count += int(np.count_nonzero((ysqr ^ xy) == rhs))
     return count
+
+
+def _bit_tables(ctx, exponents):
+    """Byte lookup tables for u(x) with Tr(f(x)) = parity(x & u(x)), p = 2.
+
+    f is a sum of terms x^(2^a) (each contributes Tr(x)) and x^(2^a + 1)
+    (each contributes sum_ij x_i x_j Tr(e_i^(2^a) e_j)), so u is GF(2)-linear
+    with u(e_i) the packed row i of that Gram matrix, plus the trace mask
+    when the count of linear terms is odd.  Every entry comes from ctx.pow,
+    ctx.mul and ctx.trace.
+    """
+    m = ctx.m
+    basis = [1 << i for i in range(m)]
+    twists = []
+    linear = 0
+    for e in exponents:
+        if e > 0 and e & (e - 1) == 0:
+            linear += 1
+        elif e > 1 and (e - 1) & (e - 2) == 0:
+            twists.append(e - 1)
+        else:
+            raise ValueError(f"term exponent {e} is neither 2^a nor 2^a + 1")
+    rows = []
+    for ei in basis:
+        w = 0
+        for q in twists:
+            w ^= ctx.pow(ei, q)
+        rows.append(sum(ctx.trace(ctx.mul(w, ej)) << j for j, ej in enumerate(basis)))
+    const = sum(ctx.trace(ej) << j for j, ej in enumerate(basis)) if linear % 2 else 0
+    tables = []
+    for b in range((m + 7) // 8):
+        tab = np.zeros(256, dtype=np.uint32)
+        for v in range(1, 256):
+            bit = 8 * b + (v & -v).bit_length() - 1
+            tab[v] = tab[v & (v - 1)] ^ np.uint32(rows[bit] if bit < m else 0)
+        tables.append(tab)
+    tables[0] ^= np.uint32(const)
+    return tables
+
+
+def bit_zero_count(m, exponents):
+    """Elements x of GF(2^m), m <= 32, with Tr(f(x)) = 0, by enumerating them all."""
+    ctx = make_field(2, m)
+    tables = _bit_tables(ctx, exponents)
+    zeros = 0
+    for start in range(0, ctx.order, _BATCH):
+        stop = min(ctx.order, start + _BATCH)
+        # elements fit in 32 bits; byte b of x is column b of the view
+        x = np.arange(start, stop, dtype="<u4")
+        xbytes = x.view(np.uint8).reshape(-1, 4)
+        u = tables[0][xbytes[:, 0]]
+        for b in range(1, len(tables)):
+            u ^= tables[b][xbytes[:, b]]
+        odd = np.count_nonzero(np.bitwise_count(x & u) & np.uint8(1))
+        zeros += (stop - start) - int(odd)
+    return zeros
+
+
+def build_g_fixed_scale(k, l):
+    """build_g with every cross term scaled by the constant 2^l, not the telescoping 2^s.
+
+    It fails the covering identity: the regression anchor for the choice of scale.
+    """
+    q, r = 1 << l, k // l
+    terms = [(q**j, 1) for j in range(1, r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            terms.append(((1 << l) * (q**i + q**j), 1))
+    return SparsePoly(2, terms)
 
 
 def zeta_oracle_counts(coeffs, q, upto):

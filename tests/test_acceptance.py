@@ -33,7 +33,6 @@ from lpolydiv.lseries import (
 )
 from lpolydiv.sympoly import (
     SparsePoly,
-    _build_g_fixed_scale,
     artin_schreier_image,
     covering_defect,
     frobenius,
@@ -42,7 +41,7 @@ from lpolydiv.sympoly import (
     verify_covering,
     x_pow,
 )
-from helpers import CK_FACTORED, expand_factors, oracle_affine_count
+from helpers import CK_FACTORED, build_g_fixed_scale, expand_factors, oracle_affine_count
 
 
 @contextmanager
@@ -115,7 +114,7 @@ def test_criterion_4_morphism_identity():
         for k, l in pairs:
             assert verify_covering(k, l), (k, l)
         # regression pin: constant cross-term scale breaks the identity
-        assert not covering_defect(2, 1, _build_g_fixed_scale(2, 1)).is_zero()
+        assert not covering_defect(2, 1, build_g_fixed_scale(2, 1)).is_zero()
 
 
 @pytest.mark.parametrize(

@@ -181,18 +181,56 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "family, m, limit",
-    [("ck", 33, "degree limit"), ("ek", 21, "MAX_TABLE_ORDER")],
+    "argv, limit",
+    [
+        pytest.param(
+            ("count", "--family", "ck", "--k", "1", "--m", "33"), "degree limit",
+            id="ck-33-degree limit",
+        ),
+        pytest.param(
+            ("count", "--family", "ek", "--k", "1", "--m", "21"), "MAX_TABLE_ORDER",
+            id="ek-21-MAX_TABLE_ORDER",
+        ),
+        # p**m at this m takes tens of seconds to compute, so the degree is checked first
+        pytest.param(
+            ("count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "30000000"),
+            "order limit", id="ckp-30000000-order limit",
+        ),
+        # the series needs GF(2^64); its first 32 counts fit
+        pytest.param(("lpoly", "--family", "ck", "--k", "7"), "degree limit", id="lpoly-ck-7"),
+        # k = 2 fits, k = 3 needs GF(3^27)
+        pytest.param(
+            ("conjecture", "--family", "ckp", "--p", "3", "--kmax", "3"), "order limit",
+            id="conjecture-ckp-3",
+        ),
+    ],
 )
-def test_field_limits_refuse_before_any_work(tmp_path, capsys, family, m, limit):
+def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
     cache_dir = tmp_path / "cache"
-    code, out, err = run(
-        capsys, "count", "--family", family, "--k", "1", "--m", str(m),
-        "--cache-dir", str(cache_dir),
-    )
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
     assert code == 2 and out == ""
     assert limit in err
     assert not cache_dir.exists()
+
+
+def test_numpy_is_loaded_only_by_the_table_walk(tmp_path):
+    argvs = [
+        ["count", "--family", "ck", "--k", "6", "--m", "26"],
+        ["verify", "involution", "--k", "4"],
+        ["count", "--family", "ek", "--k", "2", "--m", "5"],
+    ]
+    script = f"""
+import json, sys
+from lpolydiv import cli
+loaded = ["numpy" in sys.modules]
+for argv in {argvs!r}:
+    assert cli.main(argv + ["--cache-dir", {str(tmp_path)!r}]) == 0
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
 def test_failure_exit_code(monkeypatch, capsys):

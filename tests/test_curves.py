@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lpolydiv._kernels import _bit_count_range, _table_count, trace_zero_count
+from lpolydiv._kernels import _table_count, trace_zero_count
 from lpolydiv.cache import CountCache
 from lpolydiv.curves import (
     CurveSpec,
@@ -14,7 +14,7 @@ from lpolydiv.curves import (
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
-from helpers import oracle_affine_count
+from helpers import bit_zero_count, oracle_affine_count
 
 
 def test_spec_validation():
@@ -154,7 +154,7 @@ def test_lmw_equality_small_grid():
 def test_kernel_paths_agree():
     ctx = make_field(2, 10)
     terms = (2**3 + 1, 1)
-    bit = _bit_count_range(ctx, terms, 0, ctx.order)
+    bit = bit_zero_count(10, terms)
     table = _table_count(ctx, terms) + 1
     assert bit == table == trace_zero_count(ctx, terms)
 

@@ -1,8 +1,9 @@
-"""The rank-based quadratic-form count (qf) against the enumeration kernels.
+"""The rank-based quadratic-form count (qf) against enumeration.
 
-Enumeration stays the oracle: the bit kernel visits every element of
-GF(2^m) and the table kernel walks every nonzero element of GF(p^m); qf must
-agree with them wherever they are affordable.
+Enumeration stays the oracle: the bit oracle in ``helpers`` visits every
+element of GF(2^m), with a trace form built from field arithmetic alone, and
+the table kernel walks every nonzero element of GF(p^m); qf must agree with
+them wherever they are affordable.
 """
 
 import itertools
@@ -10,15 +11,11 @@ import itertools
 import pytest
 
 from lpolydiv import _kernels
-from lpolydiv._kernels import (
-    _bit_count_range,
-    _diagonal_count,
-    _table_count,
-    trace_zero_count,
-)
+from lpolydiv._kernels import _diagonal_count, _table_count, trace_zero_count
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
 from lpolydiv.gf import make_field
 from lpolydiv.lseries import lpoly_from_counts, predicted_count
+from helpers import bit_zero_count
 
 CK_TERMS = [((1 << k) + 1, 1) for k in range(1, 7)]
 AK_TERMS = [(1 << k, 1) for k in (1, 2)]
@@ -26,21 +23,16 @@ AK_TERMS = [(1 << k, 1) for k in (1, 2)]
 LMW_TERMS = [(3, 2), (9, 3), (17, 5)]
 
 
-def _bit_oracle(m, terms):
-    ctx = make_field(2, m)
-    return _bit_count_range(ctx, terms, 0, ctx.order)
-
-
 @pytest.mark.parametrize("terms", CK_TERMS + AK_TERMS + LMW_TERMS)
 def test_qf_matches_bit_enumeration(terms):
     for m in range(1, 21):
-        assert trace_zero_count(make_field(2, m), terms) == _bit_oracle(m, terms), m
+        assert trace_zero_count(make_field(2, m), terms) == bit_zero_count(m, terms), m
 
 
 @pytest.mark.parametrize("terms", [CK_TERMS[5], LMW_TERMS[1]])
 def test_qf_matches_bit_enumeration_to_2_24(terms):
     for m in range(21, 25):
-        assert trace_zero_count(make_field(2, m), terms) == _bit_oracle(m, terms), m
+        assert trace_zero_count(make_field(2, m), terms) == bit_zero_count(m, terms), m
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -82,7 +74,6 @@ def test_qf_dispatch_visits_no_elements(monkeypatch):
         raise AssertionError("an enumeration kernel ran")
 
     monkeypatch.setattr(_kernels, "_table_count", refuse)
-    monkeypatch.setattr(_kernels, "_bit_count_range", refuse)
     # far past what enumeration reaches in a test run, checked against the closed form
     for n, k, j in ((31, 1, 0), (29, 3, 1)):
         terms = ((1 << k) + 1, (1 << j) + 1)
