@@ -41,19 +41,41 @@ class FieldLimitError(ValueError):
     """Field parameters outside the supported size limits."""
 
 
+# Miller-Rabin with every prime base up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check, meant for small n."""
+    """Deterministic primality by Miller-Rabin on the prime bases up to 41.
+
+    Raises ValueError for n >= MAX_PRIME_TEST, where those bases no longer
+    decide primality.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MAX_PRIME_TEST:
+        raise ValueError(f"primality of a number >= {MAX_PRIME_TEST} is not decided")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -427,6 +449,14 @@ class FieldContext:
             filled += step
 
 
+def _field_name(p: int, m: int) -> str:
+    # Python refuses to format ints past 4300 decimal digits; a genus such as
+    # 2^(k-1) for a huge k is named by its bit length instead.
+    if m.bit_length() > 64:
+        return f"GF({p}^m), m of {m.bit_length()} bits,"
+    return f"GF({p}^{m})"
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int) -> FieldContext:
     """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
@@ -439,9 +469,11 @@ def make_field(p: int, m: int) -> FieldContext:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if p == 2:
         if m > MAX_BINARY_DEGREE:
-            raise FieldLimitError(f"GF(2^{m}) exceeds the degree limit {MAX_BINARY_DEGREE}")
+            raise FieldLimitError(f"{_field_name(p, m)} exceeds the degree limit {MAX_BINARY_DEGREE}")
     # p**m > 2**m, so m > 22 is over the limit before p**m, which a huge m
     # makes slower than any count, is computed
     elif m > 22 or p**m > MAX_ODD_ORDER:
-        raise FieldLimitError(f"GF({p}^{m}) exceeds the odd-characteristic order limit 2^22")
+        raise FieldLimitError(
+            f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^22"
+        )
     return FieldContext(p, m, _lex_smallest_irreducible(p, m))

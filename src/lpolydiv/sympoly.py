@@ -8,8 +8,14 @@ parameters that would overflow it.
 On top of the ring arithmetic sit the checks this package exists for: the
 covering identity f^(q+1) + f = x^(q^r + 1) + x + g^2 + g behind the tower
 morphisms of the ck family, the trace morphism identity for the ak family,
-the additive-image decision procedure for h = g^p - g, and the exhaustive
-search for translation involutions (x, y) -> (x + 1, y + B(x)).
+the additive-image decision procedure for h = g^p - g, and the search for
+translation involutions (x, y) -> (x + 1, y + B(x)), which is solved as a
+division in GF(2)[x] rather than searched.
+
+Powers are taken by the base-p digits of the exponent: a^p is the Frobenius
+image sum of c x^(p e), exact over GF(p), so only the digits cost schoolbook
+products.  The covering identity's g^2 and f^(q+1) are one dict pass and one
+r x r product rather than a square of g's O(r^2 l) terms.
 """
 
 from __future__ import annotations
@@ -108,17 +114,23 @@ class SparsePoly:
         return _raw(p, out)
 
     def __pow__(self, e: int) -> "SparsePoly":
+        """a^e from the base-p digits of e: a^(sum d_i p^i) = prod_i Frob^i(a)^(d_i).
+
+        Frobenius is exact over GF(p), so only the digit powers take
+        schoolbook products.
+        """
         if e < 0:
             raise ValueError("negative power")
-        result = _raw(self.p, {0: 1})
+        p = self.p
+        result = _raw(p, {0: 1})
         base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        while True:
+            e, digit = divmod(e, p)
+            if digit:
+                result = result * _digit_power(base, digit)
+            if not e:
+                return result
+            base = frobenius(base)
 
     def __repr__(self) -> str:
         return f"SparsePoly(p={self.p}, {format_terms(self)})"
@@ -144,6 +156,16 @@ def frobenius(a: SparsePoly) -> SparsePoly:
             raise OverflowError(f"Frobenius exponent {ep} exceeds the 64-bit term bound")
         out[ep] = c
     return _raw(a.p, out)
+
+
+def _digit_power(a: SparsePoly, d: int) -> SparsePoly:
+    """a^d for a base-p digit 0 < d < p, by schoolbook square-and-multiply."""
+    result = a
+    for bit in bin(d)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * a
+    return result
 
 
 # -- tower morphism identity --------------------------------------------------
@@ -187,7 +209,7 @@ def covering_defect(k: int, l: int, g: SparsePoly | None = None) -> SparsePoly:
     if g is None:
         g = build_g(k, l)
     lhs = f ** (q + 1) + f
-    rhs = x_pow(2, q**r + 1) + x_pow(2, 1) + g * g + g
+    rhs = x_pow(2, q**r + 1) + x_pow(2, 1) + g**2 + g
     return lhs + rhs
 
 
@@ -203,10 +225,7 @@ def verify_trace_morphism(n: int, k: int) -> bool:
     if n * k > 63:
         raise ValueError(f"n*k = {n * k} would overflow the 64-bit exponent bound")
     t = SparsePoly(2, ((1 << (i * k), 1) for i in range(n)))
-    lhs = t
-    for _ in range(k):
-        lhs = frobenius(lhs)
-    lhs = lhs + t
+    lhs = t ** (1 << k) + t
     rhs = x_pow(2, 1 << (n * k)) + x_pow(2, 1)
     return lhs == rhs
 
@@ -265,30 +284,37 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
 # -- involution search ---------------------------------------------------------
 
 
+def _clmul_divmod(n: int, d: int) -> tuple[int, int]:
+    """Quotient and remainder of n by d > 0 in GF(2)[x], bit i <-> x^i."""
+    top = d.bit_length() - 1
+    quotient = 0
+    shift = n.bit_length() - 1 - top
+    while shift >= 0:
+        if (n >> (shift + top)) & 1:
+            n ^= d << shift
+            quotient |= 1 << shift
+        shift -= 1
+    return quotient, n
+
+
 def involution_search(k: int) -> SparsePoly | None:
     """Linearized B with B^2 + B = x^(2^k) + x and B(1) = 0, or None.
 
-    Exhausts all 2^k candidates B = sum of a_i x^(2^i), i < k.  In the bit
-    mask encoding (bit i <-> a_i) the first condition reads
-    (mask << 1) ^ mask == 2^k + 1 and the second asks for even popcount.
+    In the bit mask encoding of B = sum of a_i x^(2^i), i < k (bit i <-> a_i),
+    the first condition reads (mask << 1) ^ mask == 2^k + 1: the product of
+    mask by 1 + x in GF(2)[x].  That product is injective, so carry-less
+    division of x^k + 1 by x + 1 gives the only candidate.  B(1) = 0 asks for
+    even popcount.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > 62:
         raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
-    target = (1 << k) | 1
-    hits = [
-        mask
-        for mask in range(1 << k)
-        if ((mask << 1) ^ mask) == target and mask.bit_count() % 2 == 0
-    ]
-    if not hits:
+    mask, rem = _clmul_divmod((1 << k) | 1, 0b11)
+    if rem or mask.bit_count() % 2:
         return None
-    if len(hits) > 1:
-        raise AssertionError("translation involution is not unique")
-    mask = hits[0]
     b = SparsePoly(2, ((1 << i, 1) for i in range(k) if (mask >> i) & 1))
-    if b * b + b != x_pow(2, 1 << k) + x_pow(2, 1):
+    if b**2 + b != x_pow(2, 1 << k) + x_pow(2, 1):
         raise AssertionError("involution candidate does not re-verify")
     return b
 

@@ -4,8 +4,10 @@ Everything here recomputes expected values from first principles, staying off
 the code paths under test: solution counting enumerates (x, y) pairs against
 the raw curve equations, the bit oracle enumerates GF(2^m) against trace
 forms built from field arithmetic alone, count prediction expands the zeta
-function's logarithmic derivative as a power series, and irreducibility is
-decided by trial division over all low-degree monic polynomials.
+function's logarithmic derivative as a power series, irreducibility is
+decided by trial division over all low-degree monic polynomials, and so is
+primality.  The covering-defect oracle takes every power by SparsePoly's
+schoolbook product, and the involution oracle scans all 2^k candidates.
 """
 
 from collections import Counter
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from lpolydiv.gf import make_field
-from lpolydiv.sympoly import SparsePoly
+from lpolydiv.sympoly import SparsePoly, build_f, build_g, x_pow
 
 _BATCH = 1 << 20
 
@@ -135,6 +137,40 @@ def build_g_fixed_scale(k, l):
         for j in range(i + 1, r):
             terms.append(((1 << l) * (q**i + q**j), 1))
     return SparsePoly(2, terms)
+
+
+def schoolbook_covering_defect(k, l, g=None):
+    """covering_defect with g * g and f^(q+1) as q + 1 repeated products."""
+    q, r = 1 << l, k // l
+    f = build_f(k, l)
+    if g is None:
+        g = build_g(k, l)
+    f_power = SparsePoly(2, {0: 1})
+    for _ in range(q + 1):
+        f_power = f_power * f
+    return f_power + f + x_pow(2, q**r + 1) + x_pow(2, 1) + g * g + g
+
+
+def involution_scan(k):
+    """Every mask with (mask << 1) ^ mask == 2^k + 1 and even popcount, of all 2^k."""
+    target = (1 << k) | 1
+    return [
+        mask
+        for mask in range(1 << k)
+        if ((mask << 1) ^ mask) == target and mask.bit_count() % 2 == 0
+    ]
+
+
+def trial_division_is_prime(n):
+    """Primality by trying every factor up to sqrt(n)."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def zeta_oracle_counts(coeffs, q, upto):

@@ -198,6 +198,11 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
         ),
         # the series needs GF(2^64); its first 32 counts fit
         pytest.param(("lpoly", "--family", "ck", "--k", "7"), "degree limit", id="lpoly-ck-7"),
+        # the genus 2^(k-1) is too long to print in decimal
+        pytest.param(
+            ("lpoly", "--family", "ck", "--k", "100000000"), "degree limit",
+            id="lpoly-ck-100000000",
+        ),
         # k = 2 fits, k = 3 needs GF(3^27)
         pytest.param(
             ("conjecture", "--family", "ckp", "--p", "3", "--kmax", "3"), "order limit",
@@ -211,6 +216,24 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
     assert code == 2 and out == ""
     assert limit in err
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "involution", "--k", "62"), 0),
+        # p = 2^61 - 1 is prime: x^(p^2 + p) is past the 64-bit term bound
+        (("verify", "as-image", "--p", "2305843009213693951"), 2),
+        (("count", "--family", "ckp", "--p", "2305843009213693951", "--k", "1", "--m", "1"), 2),
+    ],
+    ids=["involution-62", "as-image-p61", "count-ckp-p61"],
+)
+def test_large_parameters_finish_in_two_seconds(tmp_path, argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpolydiv", *argv, "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=2,
+    )
+    assert proc.returncode == code, proc.stderr
 
 
 def test_numpy_is_loaded_only_by_the_table_walk(tmp_path):

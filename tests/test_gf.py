@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpolydiv.gf import (
+    MAX_PRIME_TEST,
     FieldLimitError,
     is_prime,
     jacobi_symbol,
     make_field,
 )
-from helpers import brute_smallest_irreducible
+from helpers import brute_smallest_irreducible, trial_division_is_prime
 
 
 def test_modulus_examples():
@@ -220,6 +221,20 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # smallest strong pseudoprimes to the prime bases 2; 2..7; 2..23; and 2..37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime((1 << 61) - 1)
+    with pytest.raises(ValueError):
+        is_prime(MAX_PRIME_TEST)
 
 
 def test_multiplicative_tables_consistency():

@@ -18,7 +18,7 @@ from lpolydiv.sympoly import (
     verify_trace_morphism,
     x_pow,
 )
-from helpers import build_g_fixed_scale
+from helpers import build_g_fixed_scale, involution_scan, schoolbook_covering_defect
 
 
 def test_frobenius_square_char2():
@@ -57,9 +57,9 @@ def test_zero_coefficients_dropped():
 _PRIMES = (2, 3, 5)
 
 
-def _polys(p):
+def _polys(p, max_size=12):
     return st.dictionaries(
-        st.integers(0, 1 << 20), st.integers(1, p - 1) if p > 2 else st.just(1), max_size=12
+        st.integers(0, 1 << 20), st.integers(1, p - 1) if p > 2 else st.just(1), max_size=max_size
     ).map(lambda d: SparsePoly(p, d))
 
 
@@ -85,6 +85,24 @@ def test_frobenius_is_a_homomorphism(pi, data):
     assert frobenius(a + b) == frobenius(a) + frobenius(b)
     assert frobenius(a * b) == frobenius(a) * frobenius(b)
     assert frobenius(a) == a**p
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+def test_power_matches_repeated_products(p, data):
+    # few terms: a^e has up to C(e + 3, 3) of them
+    a = data.draw(_polys(p, max_size=4))
+    e = data.draw(st.integers(0, 3 * p + 2))
+    expected = SparsePoly(p, {0: 1})
+    for _ in range(e):
+        expected = expected * a
+    assert a**e == expected
+
+
+def test_power_overflow_is_raised_by_frobenius():
+    with pytest.raises(OverflowError, match="Frobenius"):
+        x_pow(3, 1 << 63) ** 3
+    assert x_pow(2, 1 << 62) ** 2 == x_pow(2, 1 << 63)
 
 
 def test_build_f_examples():
@@ -114,6 +132,21 @@ def test_covering_sides_match_known_expansion():
     f = build_f(2, 1)
     lhs = f**3 + f
     assert lhs == SparsePoly(2, {e: 1 for e in range(1, 7)})
+
+
+def test_covering_defect_matches_schoolbook():
+    pairs = [(k, l) for k in range(2, 17) for l in range(1, k) if k % l == 0]
+    for k, l in pairs:
+        assert covering_defect(k, l) == schoolbook_covering_defect(k, l), (k, l)
+        g = build_g_fixed_scale(k, l)
+        assert covering_defect(k, l, g) == schoolbook_covering_defect(k, l, g), (k, l)
+
+
+def test_covering_identity_every_pair_to_63():
+    pairs = [(k, l) for k in range(2, 64) for l in range(1, k) if k % l == 0]
+    assert len(pairs) == 210
+    for k, l in pairs:
+        assert verify_covering(k, l), (k, l)
 
 
 def test_fixed_scale_variant_fails():
@@ -180,6 +213,17 @@ def test_involution_examples():
     assert involution_search(2) == SparsePoly(2, {1: 1, 2: 1})
     assert involution_search(3) is None
     assert involution_search(4) == SparsePoly(2, {1: 1, 2: 1, 4: 1, 8: 1})
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_involution_matches_exhaustive_scan(k):
+    hits = involution_scan(k)
+    assert len(hits) <= 1
+    b = involution_search(k)
+    if not hits:
+        assert b is None
+    else:
+        assert b == SparsePoly(2, {1 << i: 1 for i in range(k) if (hits[0] >> i) & 1})
 
 
 @pytest.mark.parametrize("k", range(1, 13))
