@@ -11,13 +11,17 @@ between them:
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
   Its Gram matrix comes from :func:`_trace_form`, the one builder of it.
-* ``table`` for any other term list (ek's 1/x term): one vectorized walk
-  over the whole multiplicative group through discrete-log tables, up to
-  :data:`gf.MAX_TABLE_ORDER`.
+* ``recurrence`` for any other term list (ek's 1/x term): along the powers
+  of a generator g, Tr(f(g^i)) is a linear recurring sequence of order at
+  most r m for r terms.  Berlekamp-Massey finds its recurrence from 2 r m
+  computed terms, and the recurrence expands it over the whole
+  multiplicative group (for p = 2 by doubling a packed prefix), up to
+  :data:`gf.MAX_TABLE_ORDER`.  No table is built.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, jacobi_symbol
@@ -181,18 +185,124 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
     return p ** (m - rank) * _diagonal_count(p, rank, delta, -const % p)
 
 
-def _table_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
-    """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g the table generator."""
-    import numpy as np
+def _berlekamp_massey(seq: Sequence[int], p: int) -> list[int]:
+    """Shortest recurrence s_i = sum_(j=1..L) c_j s_(i-j) mod p generating seq.
 
-    tables = ctx.multiplicative_tables()
-    n = ctx.order - 1
-    idx = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for e in exponents:
-        stride = e % n if n > 1 else 0
-        acc += tables.tr_exp[(idx * stride) % n]
-    return int(np.count_nonzero(acc % ctx.p == 0))
+    Returns [c_1, ..., c_L], L = 0 for an all-zero seq (Massey, IEEE Trans.
+    IT-15, 1969).  conn holds the connection polynomial 1 - sum c_j z^j and
+    prev the one before the last length change, with its discrepancy prev_d.
+    """
+    conn, prev = [1], [1]
+    length, shift, prev_d = 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(c * seq[n - j] for j, c in enumerate(conn[: length + 1])) % p
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(prev_d, -1, p) % p
+        new = conn + [0] * (len(prev) + shift - len(conn))
+        for j, c in enumerate(prev):
+            new[j + shift] = (new[j + shift] - coef * c) % p
+        if 2 * length <= n:
+            prev, prev_d, length, shift = conn, d, n + 1 - length, 1
+        else:
+            shift += 1
+        conn = new
+    conn += [0] * (length + 1 - len(conn))
+    return [-c % p for c in conn[1 : length + 1]]
+
+
+def _gf2_mod(a: int, poly: int) -> int:
+    """a mod poly, both GF(2)[z] polynomials packed into bits."""
+    deg = poly.bit_length() - 1
+    while a.bit_length() > deg:
+        a ^= poly << (a.bit_length() - 1 - deg)
+    return a
+
+
+def _gf2_mulmod(a: int, b: int, poly: int) -> int:
+    r = 0
+    while b:
+        r ^= a << ((b & -b).bit_length() - 1)
+        b &= b - 1
+    return _gf2_mod(r, poly)
+
+
+def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
+    """w_0..w_(total-1) of a GF(2) recurrence packed into an int, bit i = w_i.
+
+    start holds w_0..w_(L-1).  With P(z) = z^L + c_1 z^(L-1) + ... + c_L,
+    w_(i+t) = sum_k a_k w_(i+k) for z^t = sum_k a_k z^k mod P.  Once the first
+    s = u + L - 1 terms are known, t = s gives the next u of them as an XOR
+    of shifted copies of the known prefix, one per nonzero a_k, so u doubles
+    each round and z^u mod P is updated by squaring.
+    """
+    size = len(rec)
+    if size == 0:
+        return 0
+    poly = (1 << size) | sum(c << (size - j) for j, c in enumerate(rec, 1))
+    bits, known, step = start, size, 1
+    z_step = _gf2_mod(0b10, poly)
+    while known < total:
+        width = min(step, total - known)
+        a = _gf2_mod(z_step << (size - 1), poly)  # z^known
+        block = 0
+        while a:
+            block ^= bits >> ((a & -a).bit_length() - 1)
+            a &= a - 1
+        bits |= (block & ((1 << width) - 1)) << known
+        known += width
+        step *= 2
+        z_step = _gf2_mulmod(z_step, z_step, poly)
+    return bits
+
+
+def _expand_odd(rec: Sequence[int], start: Sequence[int], total: int, p: int) -> list[int]:
+    """w_0..w_(total-1) of a GF(p) recurrence, one length-L dot product per term."""
+    size = len(rec)
+    w = list(start[:size])
+    rev = rec[::-1]
+    for i in range(size, total):
+        w.append(sum(map(operator.mul, rev, w[i - size : i])) % p)
+    return w
+
+
+def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
+    """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g = ctx.generator().
+
+    w_i = Tr(f(g^i)) = sum_e Tr(h_e^i) with h_e = g^e, and i -> Tr(h^i) is
+    annihilated by the minimal polynomial of h over GF(p), of degree <= m, so
+    w is a linear recurring sequence of order L <= r m for r terms
+    (Lidl-Niederreiter, *Finite Fields*, ch. 8).  Berlekamp-Massey recovers
+    its minimal recurrence from the first 2 r m terms, computed with r
+    running products, and the recurrence expands the first L terms to all
+    n = order - 1.  The expansion must reproduce the computed terms and, as
+    g^n = 1, repeat its first L terms after n.
+    """
+    p, n = ctx.p, ctx.order - 1
+    g = ctx.generator()
+    steps = [ctx.pow(g, e % n) for e in exponents]
+    powers = [1] * len(steps)
+    known = []
+    for _ in range(2 * len(steps) * ctx.m):
+        known.append(sum(ctx.trace(x) for x in powers) % p)
+        powers = [ctx.mul(x, h) for x, h in zip(powers, steps)]
+    rec = _berlekamp_massey(known, p)
+    size = len(rec)
+    total = max(n + size, len(known))
+    if p == 2:
+        bits = _expand_binary(rec, sum(b << i for i, b in enumerate(known[:size])), total)
+        low, high = bits & ((1 << len(known)) - 1), bits >> n
+        head = [(low >> i) & 1 for i in range(len(known))]
+        wrap = [(high >> i) & 1 for i in range(size)]
+        zeros = n - (bits & ((1 << n) - 1)).bit_count()
+    else:
+        w = _expand_odd(rec, known, total, p)
+        head, wrap = w[: len(known)], w[n : n + size]
+        zeros = w[:n].count(0)
+    if head != known or wrap != known[:size]:
+        raise AssertionError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
+    return zeros
 
 
 def trace_zero_count(
@@ -222,6 +332,6 @@ def trace_zero_count(
             f"{ctx!r} is too large for these terms: the table kernel stops at "
             f"order 2^{MAX_TABLE_ORDER.bit_length() - 1} (MAX_TABLE_ORDER)"
         )
-    count = _table_count(ctx, exponents)
+    count = _recurrence_count(ctx, exponents)
     # f(0) = 0 for positive exponents, so x = 0 satisfies the condition
     return count if exclude_zero else count + 1

@@ -81,7 +81,9 @@ def _spec(args) -> CurveSpec:
 
 
 def _lpoly_for(spec: CurveSpec, cache: CountCache) -> LPolynomial:
-    g = spec.genus
+    # Every field limit lies far below 2^64, so count_series refuses a capped
+    # genus before the true one (p^k for ckp) is formed.
+    g = spec.genus_at_most(1 << 64)
     if g == 0:
         return LPolynomial(spec.p, 0, (1,))
     return lpoly_from_counts(count_series(spec, g, cache=cache))

@@ -20,7 +20,8 @@ identities, with no field multiplication (Lidl-Niederreiter, *Finite Fields*,
 ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
-Discrete-log tables, and so the table walk, stop at order 2**20.
+Discrete-log tables stop at order 2**20, and so does the recurrence kernel,
+which builds none.  Only the tables import numpy; the test oracles read them.
 Element enumeration order is the packed-int encoding, ascending.
 """
 
@@ -450,10 +451,11 @@ class FieldContext:
 
 
 def _field_name(p: int, m: int) -> str:
-    # Python refuses to format ints past 4300 decimal digits; a genus such as
-    # 2^(k-1) for a huge k is named by its bit length instead.
+    # Python refuses to format ints past 4300 decimal digits, and a series for
+    # a huge genus asks for its field with the genus capped at 2^64; a degree
+    # that large is named by that bound.
     if m.bit_length() > 64:
-        return f"GF({p}^m), m of {m.bit_length()} bits,"
+        return f"GF({p}^m), m >= 2^64,"
     return f"GF({p}^{m})"
 
 

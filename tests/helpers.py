@@ -126,6 +126,21 @@ def bit_zero_count(m, exponents):
     return zeros
 
 
+def walk_zero_count(ctx, exponents):
+    """Nonzero x = g^i with Tr(sum_e x^e) = 0, by walking the discrete-log tables.
+
+    One vectorized pass over every i in [0, order - 1), g the table generator.
+    """
+    tables = ctx.multiplicative_tables()
+    n = ctx.order - 1
+    idx = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for e in exponents:
+        stride = e % n if n > 1 else 0
+        acc += tables.tr_exp[(idx * stride) % n]
+    return int(np.count_nonzero(acc % ctx.p == 0))
+
+
 def build_g_fixed_scale(k, l):
     """build_g with every cross term scaled by the constant 2^l, not the telescoping 2^s.
 

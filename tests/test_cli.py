@@ -225,8 +225,19 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
         # p = 2^61 - 1 is prime: x^(p^2 + p) is past the 64-bit term bound
         (("verify", "as-image", "--p", "2305843009213693951"), 2),
         (("count", "--family", "ckp", "--p", "2305843009213693951", "--k", "1", "--m", "1"), 2),
+        # the twist p^k is taken mod m, and the genus is not formed
+        (("count", "--family", "ck", "--k", "100000000", "--m", "3"), 0),
+        (("count", "--family", "ek", "--k", "100000000", "--m", "3"), 0),
+        (("count", "--family", "ckp", "--p", "3", "--k", "100000000", "--m", "3"), 0),
+        (("count", "--family", "ck", "--k", "100000", "--m", "3"), 0),
+        (("verify", "lmw", "--n", "7", "--k", "100000000"), 0),
+        # the genus 2 * 3^k / 2 is refused before it is formed
+        (("lpoly", "--family", "ckp", "--p", "3", "--k", "100000000"), 2),
     ],
-    ids=["involution-62", "as-image-p61", "count-ckp-p61"],
+    ids=[
+        "involution-62", "as-image-p61", "count-ckp-p61", "count-ck-k1e8", "count-ek-k1e8",
+        "count-ckp-k1e8", "count-ck-k1e5", "lmw-k1e8", "lpoly-ckp-k1e8",
+    ],
 )
 def test_large_parameters_finish_in_two_seconds(tmp_path, argv, code):
     proc = subprocess.run(
@@ -236,11 +247,12 @@ def test_large_parameters_finish_in_two_seconds(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
 
 
-def test_numpy_is_loaded_only_by_the_table_walk(tmp_path):
+def test_count_commands_leave_numpy_unloaded(tmp_path):
     argvs = [
         ["count", "--family", "ck", "--k", "6", "--m", "26"],
         ["verify", "involution", "--k", "4"],
         ["count", "--family", "ek", "--k", "2", "--m", "5"],
+        ["conjecture", "--family", "ek", "--kmax", "3"],
     ]
     script = f"""
 import json, sys
@@ -253,7 +265,7 @@ print(json.dumps(loaded))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 5
 
 
 def test_failure_exit_code(monkeypatch, capsys):

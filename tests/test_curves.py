@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lpolydiv._kernels import _table_count, trace_zero_count
+from lpolydiv._kernels import trace_zero_count
 from lpolydiv.cache import CountCache
 from lpolydiv.curves import (
     CurveSpec,
@@ -14,7 +14,7 @@ from lpolydiv.curves import (
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
-from helpers import bit_zero_count, oracle_affine_count
+from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
 
 def test_spec_validation():
@@ -36,6 +36,14 @@ def test_genus_examples():
     assert CurveSpec("ckp", 2, 3).genus == 9
     assert CurveSpec("ak", 5).genus == 0
     assert CurveSpec("ck", 1).genus == 1
+
+
+def test_genus_at_most_is_the_capped_genus():
+    specs = [CurveSpec(f, k) for f in ("ck", "ek", "ak") for k in range(1, 12)]
+    specs += [CurveSpec("ckp", k, p) for p in (3, 5) for k in range(1, 12)]
+    for spec in specs:
+        for cap in (0, 1, 5, 100, 1 << 64):
+            assert spec.genus_at_most(cap) == min(spec.genus, cap), (spec, cap)
 
 
 def test_labels():
@@ -82,6 +90,27 @@ ORACLE_GRID = (
 def test_trace_counting_matches_pair_oracle(family, k, p, m):
     spec = CurveSpec(family, k, p)
     assert affine_count(spec, m) == oracle_affine_count(spec, m)
+
+
+@pytest.mark.parametrize("family, p", [("ck", 2), ("ek", 2), ("ak", 2), ("ckp", 3)])
+def test_twist_counts_equal_mod_the_degree(family, p):
+    # x^(p^m) = x on GF(p^m): k and k + 10^8 m count alike, and the pair
+    # oracle, which raises x to the unreduced p^k, agrees, k = m and 2m included
+    for m in range(1, 5 if p == 2 else 3):
+        for k in range(1, 2 * m + 1):
+            spec = CurveSpec(family, k, p)
+            count = affine_count(spec, m)
+            assert count == affine_count(CurveSpec(family, k + 10**8 * m, p), m), (k, m)
+            assert count == oracle_affine_count(spec, m), (k, m)
+
+
+def test_lmw_twists_equal_mod_the_degree():
+    for n in (1, 3, 5, 7):
+        for k in range(1, 2 * n + 1):
+            for j in {0, min(n, k) - 1, k - 1}:
+                terms = ((1 << k) + 1, (1 << j) + 1)
+                assert lmw_zero_count(n, k, j) == bit_zero_count(n, terms), (n, k, j)
+    assert lmw_zero_count(7, 1 + 7 * 10**8) == lmw_zero_count(7, 1)
 
 
 def test_count_series_examples():
@@ -155,7 +184,7 @@ def test_kernel_paths_agree():
     ctx = make_field(2, 10)
     terms = (2**3 + 1, 1)
     bit = bit_zero_count(10, terms)
-    table = _table_count(ctx, terms) + 1
+    table = walk_zero_count(ctx, terms) + 1
     assert bit == table == trace_zero_count(ctx, terms)
 
 
@@ -165,7 +194,7 @@ def test_field_gate():
         point_count(CurveSpec("ck", 1), 33)
     with pytest.raises(FieldLimitError):
         point_count(CurveSpec("ckp", 1, 3), 14)
-    # ek needs discrete-log tables, unavailable past their limit
+    # ek's recurrence kernel keeps the discrete-log table order limit
     with pytest.raises(FieldLimitError):
         affine_count(CurveSpec("ek", 1), 21)
 

@@ -1,21 +1,27 @@
-"""The rank-based quadratic-form count (qf) against enumeration.
+"""The rank-based (qf) and recurrence counts against enumeration.
 
 Enumeration stays the oracle: the bit oracle in ``helpers`` visits every
 element of GF(2^m), with a trace form built from field arithmetic alone, and
-the table kernel walks every nonzero element of GF(p^m); qf must agree with
-them wherever they are affordable.
+the walk oracle visits every nonzero element of GF(p^m) through discrete-log
+tables; both kernels must agree with them wherever they are affordable.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lpolydiv import _kernels
-from lpolydiv._kernels import _diagonal_count, _table_count, trace_zero_count
+from lpolydiv._kernels import (
+    _berlekamp_massey,
+    _diagonal_count,
+    _recurrence_count,
+    trace_zero_count,
+)
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
 from lpolydiv.gf import make_field
 from lpolydiv.lseries import lpoly_from_counts, predicted_count
-from helpers import bit_zero_count
+from helpers import bit_zero_count, walk_zero_count
 
 CK_TERMS = [((1 << k) + 1, 1) for k in range(1, 7)]
 AK_TERMS = [(1 << k, 1) for k in (1, 2)]
@@ -50,7 +56,7 @@ def test_qf_matches_table_walk_odd(p):
         if ctx.order > 3**8:
             break
         for terms in term_lists:
-            walk = _table_count(ctx, terms) + 1
+            walk = walk_zero_count(ctx, terms) + 1
             assert trace_zero_count(ctx, terms) == walk, (m, terms)
 
 
@@ -71,9 +77,9 @@ def test_diagonal_count_matches_brute_force():
 
 def test_qf_dispatch_visits_no_elements(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an enumeration kernel ran")
+        raise AssertionError("the recurrence kernel ran")
 
-    monkeypatch.setattr(_kernels, "_table_count", refuse)
+    monkeypatch.setattr(_kernels, "_recurrence_count", refuse)
     # far past what enumeration reaches in a test run, checked against the closed form
     for n, k, j in ((31, 1, 0), (29, 3, 1)):
         terms = ((1 << k) + 1, (1 << j) + 1)
@@ -83,3 +89,53 @@ def test_qf_dispatch_visits_no_elements(monkeypatch):
     spec = CurveSpec("ckp", 1, 3)
     lp = lpoly_from_counts(count_series(spec, spec.genus))
     assert point_count(spec, 13) == predicted_count(lp, 13)
+
+
+# ek's terms (2^k + 1, -1) for k = 1..6, and three terms at once
+EK_TERMS = [((1 << k) + 1, -1) for k in range(1, 7)] + [(5, 3, -1)]
+
+
+@pytest.mark.parametrize("terms", EK_TERMS)
+def test_recurrence_matches_walk_binary(terms):
+    for m in range(1, 21):
+        ctx = make_field(2, m)
+        assert _recurrence_count(ctx, terms) == walk_zero_count(ctx, terms), m
+
+
+@pytest.mark.parametrize("p, max_order", [(3, 3**8), (5, 5**5), (7, 7**4)])
+def test_recurrence_matches_walk_odd(p, max_order):
+    for m in itertools.takewhile(lambda m: p**m <= max_order, itertools.count(1)):
+        ctx = make_field(p, m)
+        for terms in ((p + 1, -1), (3,)):
+            assert _recurrence_count(ctx, terms) == walk_zero_count(ctx, terms), (m, terms)
+
+
+def test_recurrence_count_checks_its_expansion(monkeypatch):
+    ctx = make_field(2, 10)
+    expand = _kernels._expand_binary
+    # a wrong bit at i = n: the computed terms still match, the wrap-around does not
+    monkeypatch.setattr(
+        _kernels, "_expand_binary", lambda *args: expand(*args) ^ (1 << (ctx.order - 1))
+    )
+    with pytest.raises(AssertionError, match="does not reproduce"):
+        _recurrence_count(ctx, EK_TERMS[0])
+    # w_i = w_(i-1) holds for no ek trace sequence on GF(2^10)
+    monkeypatch.setattr(_kernels, "_berlekamp_massey", lambda seq, p: [1])
+    with pytest.raises(AssertionError, match="does not reproduce"):
+        _recurrence_count(ctx, EK_TERMS[0])
+
+
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+def test_berlekamp_massey_recovers_random_lfsr(p, data):
+    size = data.draw(st.integers(1, 8))
+    digits = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+    rec, seq = data.draw(digits), data.draw(digits)
+    for i in range(size, 4 * size):
+        seq.append(sum(c * seq[i - j] for j, c in enumerate(rec, 1)) % p)
+    found = _berlekamp_massey(seq[: 2 * size], p)
+    # a generator of length <= size is unique past 2 * size terms
+    assert len(found) <= size
+    regenerated = seq[: len(found)]
+    for i in range(len(found), 4 * size):
+        regenerated.append(sum(c * regenerated[i - j] for j, c in enumerate(found, 1)) % p)
+    assert regenerated == seq
