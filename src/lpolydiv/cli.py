@@ -6,6 +6,10 @@ form or line-delimited JSON records (--format records); diagnostics go to stderr
 Exit codes are stable for scripting: 0 means success/verified, 1 means a
 verification or consistency failure, 2 means a usage error (bad parameters,
 oversize field).
+
+Commands call the library through its modules (``sympoly.verify_covering``),
+which the package registers lazily, so each command runs only the modules it
+uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``.
 """
 
 from __future__ import annotations
@@ -14,90 +18,48 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
-from .cache import CountCache
-from .curves import (
-    CountIntegrityError,
-    CurveSpec,
-    count_field,
-    count_series,
-    lmw_formula,
-    lmw_zero_count,
-)
-from .gf import make_field
-from .lseries import (
-    LPolynomial,
-    LSeriesError,
-    divides,
-    format_int_poly,
-    lpoly_from_counts,
-    lpoly_to_record,
-)
-from .sympoly import (
-    artin_schreier_image,
-    format_terms,
-    involution_search,
-    parse_terms,
-    tower_obstruction,
-    verify_covering,
-)
+from . import cache, curves, gf, lseries, sympoly
 
 CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    cache_dir: Path
-    out_format: str
-
-
-def _config(args) -> RunConfig:
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
+def _cache(args) -> cache.CountCache:
     # Created by the first store, so commands that count nothing leave no trace.
-    cache_dir = Path(
-        args.cache_dir
-        or os.environ.get(CACHE_ENV)
-        or Path.home() / ".cache" / "lpolydiv"
+    cache_dir = (
+        args.cache_dir or os.environ.get(CACHE_ENV) or os.path.expanduser("~/.cache/lpolydiv")
     )
-    return RunConfig(cache_dir, args.format)
+    return cache.CountCache(os.path.join(cache_dir, "counts.jsonl"))
 
 
-def _cache(cfg: RunConfig) -> CountCache:
-    return CountCache(cfg.cache_dir / "counts.jsonl")
-
-
-def _emit(cfg: RunConfig, record: dict, table_line: str):
-    if cfg.out_format == "records":
+def _emit(args, record: dict, table_line: str):
+    if args.format == "records":
         print(json.dumps(record, separators=(",", ":")))
     else:
         print(table_line)
 
 
-def _spec(args) -> CurveSpec:
-    return CurveSpec(args.family, args.k, args.p)
+def _spec(args) -> curves.CurveSpec:
+    return curves.CurveSpec(args.family, args.k, args.p)
 
 
-def _lpoly_for(spec: CurveSpec, cache: CountCache) -> LPolynomial:
+def _lpoly_for(spec: curves.CurveSpec, store: cache.CountCache) -> lseries.LPolynomial:
     # Every field limit lies far below 2^64, so count_series refuses a capped
     # genus before the true one (p^k for ckp) is formed.
     g = spec.genus_at_most(1 << 64)
     if g == 0:
-        return LPolynomial(spec.p, 0, (1,))
-    return lpoly_from_counts(count_series(spec, g, cache=cache))
+        return lseries.LPolynomial(spec.p, 0, (1,))
+    return lseries.lpoly_from_counts(curves.count_series(spec, g, cache=store))
 
 
 def cmd_count(args) -> int:
-    cfg = _config(args)
     spec = _spec(args)
     if args.m < 1:
         raise ValueError("--m must be >= 1")
-    n, provenance = count_field(spec, args.m, cache=_cache(cfg))
+    n, provenance = curves.count_field(spec, args.m, cache=_cache(args))
     provenance = "fresh" if provenance == "counted" else provenance
     _emit(
-        cfg,
+        args,
         {
             "record": "count",
             "family": spec.family,
@@ -113,35 +75,33 @@ def cmd_count(args) -> int:
 
 
 def cmd_lpoly(args) -> int:
-    cfg = _config(args)
     spec = _spec(args)
-    lpoly = _lpoly_for(spec, _cache(cfg))
+    lpoly = _lpoly_for(spec, _cache(args))
     record = {"record": "lpoly", "family": spec.family, "k": spec.k, "p": spec.p}
-    record.update(lpoly_to_record(lpoly))
-    _emit(cfg, record, f"L({spec.label}) = {lpoly}")
+    record.update(lseries.lpoly_to_record(lpoly))
+    _emit(args, record, f"L({spec.label}) = {lpoly}")
     return 0
 
 
 def cmd_conjecture(args) -> int:
-    cfg = _config(args)
     if args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
     # The genus grows with k, so this refuses an oversize run before its
     # first count, at the first k whose series needs too large a field.
     for k in range(1, args.kmax + 1):
-        make_field(args.p, CurveSpec(args.family, k, args.p).genus)
-    cache = _cache(cfg)
-    base = CurveSpec(args.family, 1, args.p)
-    l_base = _lpoly_for(base, cache)
+        gf.make_field(args.p, curves.CurveSpec(args.family, k, args.p).genus)
+    store = _cache(args)
+    base = curves.CurveSpec(args.family, 1, args.p)
+    l_base = _lpoly_for(base, store)
     all_ok = True
     for k in range(2, args.kmax + 1):
-        spec = CurveSpec(args.family, k, args.p)
-        l_k = _lpoly_for(spec, cache)
-        result = divides(l_base, l_k)
+        spec = curves.CurveSpec(args.family, k, args.p)
+        l_k = _lpoly_for(spec, store)
+        result = lseries.divides(l_base, l_k)
         all_ok = all_ok and result.divides
-        quotient = format_int_poly(result.quotient) if result.divides else "-"
+        quotient = lseries.format_int_poly(result.quotient) if result.divides else "-"
         _emit(
-            cfg,
+            args,
             {
                 "record": "conjecture",
                 "family": args.family,
@@ -154,16 +114,15 @@ def cmd_conjecture(args) -> int:
             f"k={k}: L({base.label}) divides L({spec.label}): "
             f"{'yes, quotient ' + quotient if result.divides else 'NO (fails at coefficient ' + str(result.fail_index) + ')'}",
         )
-    if cfg.out_format == "table":
+    if args.format == "table":
         print(f"all divisible: {'yes' if all_ok else 'no'}")
     return 0 if all_ok else 1
 
 
 def cmd_verify_morphism(args) -> int:
-    cfg = _config(args)
-    holds = verify_covering(args.k, args.l)
+    holds = sympoly.verify_covering(args.k, args.l)
     _emit(
-        cfg,
+        args,
         {"record": "verify", "check": "morphism", "k": args.k, "l": args.l, "holds": holds},
         f"covering identity (k={args.k}, l={args.l}): {'holds' if holds else 'FAILS'}",
     )
@@ -171,12 +130,11 @@ def cmd_verify_morphism(args) -> int:
 
 
 def cmd_verify_lmw(args) -> int:
-    cfg = _config(args)
-    predicted = lmw_formula(args.n, args.k, args.j)
-    counted = lmw_zero_count(args.n, args.k, args.j)
+    predicted = curves.lmw_formula(args.n, args.k, args.j)
+    counted = curves.lmw_zero_count(args.n, args.k, args.j)
     agree = counted == predicted
     _emit(
-        cfg,
+        args,
         {
             "record": "verify",
             "check": "lmw",
@@ -194,44 +152,42 @@ def cmd_verify_lmw(args) -> int:
 
 
 def cmd_verify_involution(args) -> int:
-    cfg = _config(args)
-    b = involution_search(args.k)
+    b = sympoly.involution_search(args.k)
     expected = args.k % 2 == 0
     found = b is not None
     _emit(
-        cfg,
+        args,
         {
             "record": "verify",
             "check": "involution",
             "k": args.k,
             "found": found,
-            "b": format_terms(b) if found else None,
+            "b": sympoly.format_terms(b) if found else None,
         },
-        f"involution search k={args.k}: {'B = ' + format_terms(b) if found else 'none exists'}",
+        f"involution search k={args.k}: {'B = ' + sympoly.format_terms(b) if found else 'none exists'}",
     )
     return 0 if found == expected else 1
 
 
 def cmd_verify_as_image(args) -> int:
-    cfg = _config(args)
     if args.poly is not None:
-        h = parse_terms(args.poly, args.p)
+        h = sympoly.parse_terms(args.poly, args.p)
     else:
-        h = tower_obstruction(args.p)
-    decision = artin_schreier_image(h)
+        h = sympoly.tower_obstruction(args.p)
+    decision = sympoly.artin_schreier_image(h)
     if decision.in_image:
-        table = f"p={args.p}: in image, witness g = {format_terms(decision.witness)}"
+        table = f"p={args.p}: in image, witness g = {sympoly.format_terms(decision.witness)}"
     else:
         table = f"p={args.p}: not an additive image (stuck at degree {decision.stuck_degree})"
     _emit(
-        cfg,
+        args,
         {
             "record": "verify",
             "check": "as-image",
             "p": args.p,
-            "h": format_terms(h),
+            "h": sympoly.format_terms(h),
             "in_image": decision.in_image,
-            "witness": format_terms(decision.witness) if decision.in_image else None,
+            "witness": sympoly.format_terms(decision.witness) if decision.in_image else None,
             "stuck_degree": decision.stuck_degree,
         },
         table,
@@ -314,8 +270,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
         return args.func(args)
-    except (CountIntegrityError, LSeriesError) as exc:
+    except (curves.CountIntegrityError, lseries.LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, hasse_weil_ok
@@ -189,7 +188,9 @@ def divides(denom, numer) -> DivisionResult:
     return DivisionResult(True, result, None)
 
 
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _frac_gcd(a: list, b: list) -> list:
+    """A gcd of two polynomials given as ascending lists of Fractions."""
+
     def trim(c):
         while c and c[-1] == 0:
             c.pop()
@@ -213,6 +214,8 @@ def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def squarefree(poly) -> bool:
     """True iff gcd(f, f') is constant, over the rationals with exact arithmetic."""
+    from fractions import Fraction
+
     c = _as_coeffs(poly)
     if len(c) <= 1:
         return True

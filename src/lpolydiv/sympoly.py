@@ -21,9 +21,8 @@ r x r product rather than a square of g's O(r^2 l) terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .gf import is_prime
 
@@ -233,8 +232,7 @@ def verify_trace_morphism(n: int, k: int) -> bool:
 # -- additive image decision --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArtinSchreierDecision:
+class ArtinSchreierDecision(NamedTuple):
     """Outcome of deciding h = g^p - g for g in GF(p)[x]."""
 
     in_image: bool

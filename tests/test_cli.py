@@ -268,8 +268,58 @@ print(json.dumps(loaded))
     assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 5
 
 
+LIBRARY = ("gf", "_kernels", "curves", "cache", "lseries", "sympoly")
+
+
+@pytest.mark.parametrize(
+    "argvs, idle, unloaded",
+    [
+        pytest.param([], LIBRARY, ("dataclasses", "fractions", "numpy"), id="import"),
+        pytest.param(
+            [
+                ["verify", "morphism", "--k", "6", "--l", "2"],
+                ["verify", "involution", "--k", "4"],
+                ["verify", "as-image", "--p", "3"],
+            ],
+            ("curves", "lseries", "_kernels", "cache"),
+            ("dataclasses", "fractions", "numpy"),
+            id="verify",
+        ),
+        pytest.param(
+            [
+                ["count", "--family", "ck", "--k", "3", "--m", "5"],
+                ["count", "--family", "ek", "--k", "2", "--m", "5"],
+            ],
+            ("sympoly", "lseries"),
+            ("fractions", "numpy"),
+            id="count",
+        ),
+    ],
+)
+def test_commands_run_only_the_modules_they_use(tmp_path, argvs, idle, unloaded):
+    script = f"""
+import json, sys, types
+before = set(sys.modules)
+from lpolydiv import cli
+for argv in {argvs!r}:
+    assert cli.main(argv + ["--cache-dir", {str(tmp_path)!r}]) == 0
+
+def ran(name):
+    # A lazily registered module keeps the loader's module subclass until its body runs.
+    return type(sys.modules.get("lpolydiv." + name)) is types.ModuleType
+
+print(json.dumps({{
+    "ran": [name for name in {idle!r} if ran(name)],
+    "loaded": [name for name in {unloaded!r} if name in sys.modules and name not in before],
+}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"ran": [], "loaded": []}
+
+
 def test_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_covering", lambda k, l: False)
+    monkeypatch.setattr("lpolydiv.sympoly.verify_covering", lambda k, l: False)
     code, out, _ = run(capsys, "verify", "morphism", "--k", "4", "--l", "2")
     assert code == 1
     assert "FAILS" in out
@@ -291,6 +341,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "L(C_1) = 2t^2+2t+1\n"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    (tmp_path / "counts.jsonl").write_text("not json\n")
+    for argv, code, message in [
+        (["lpoly", "--family", "ck", "--k", "1", "--cache-dir", str(tmp_path)], 1, "malformed"),
+        (["verify", "as-image", "--p", "4"], 2, "not prime"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpolydiv", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == "" and message in proc.stderr
 
 
 def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):
