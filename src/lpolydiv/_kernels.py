@@ -10,12 +10,14 @@ between them:
   and type in O(m^3) operations, without visiting a single element
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
-  Its Gram matrix comes from :func:`_trace_form`, the one builder of it.
+  Its Gram matrix comes from :func:`_trace_form`, the one builder of it,
+  which takes each twist x^(p^a) by ``ctx.pow``.
 * ``recurrence`` for any other term list (ek's 1/x term): along the powers
   of a generator g, Tr(f(g^i)) is a linear recurring sequence of order at
   most r m for r terms.  Berlekamp-Massey finds its recurrence from 2 r m
   computed terms, and the recurrence expands it over the whole
-  multiplicative group (for p = 2 by doubling a packed prefix), up to
+  multiplicative group (for p = 2 by doubling a packed prefix, with the
+  carry-less multiply and reduce of :mod:`gf`), up to
   :data:`gf.MAX_TABLE_ORDER`.  No table is built.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import operator
 from typing import Sequence
 
-from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, jacobi_symbol
+from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, _clmod, _clmul, jacobi_symbol
 
 
 def _log_exact(p: int, n: int) -> int | None:
@@ -56,24 +58,18 @@ def _classify_terms(p: int, exponents: Sequence[int]) -> tuple[list[int], int] |
     return quads, linear
 
 
-def _frobenius(ctx: FieldContext, x: int, a: int) -> int:
-    """x^(p^a), by a % m applications of the p-th power map."""
-    for _ in range(a % ctx.m):
-        x = ctx.pow(x, ctx.p)
-    return x
-
-
 def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
     """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p over the twists a, basis e_i = x^i.
 
     sum_a Tr(x^(p^a + 1)) = sum_ij x_i x_j G[i][j] in the coordinates of x.
     """
-    basis = [ctx.p**i for i in range(ctx.m)]
+    p, m = ctx.p, ctx.m
+    basis = [p**i for i in range(m)]
     form = []
     for e in basis:
         w = 0
         for a in quads:
-            w = ctx.add(w, _frobenius(ctx, e, a))
+            w = ctx.add(w, ctx.pow(e, p ** (a % m)))
         form.append([ctx.trace(ctx.mul(w, f)) for f in basis])
     return form
 
@@ -212,22 +208,6 @@ def _berlekamp_massey(seq: Sequence[int], p: int) -> list[int]:
     return [-c % p for c in conn[1 : length + 1]]
 
 
-def _gf2_mod(a: int, poly: int) -> int:
-    """a mod poly, both GF(2)[z] polynomials packed into bits."""
-    deg = poly.bit_length() - 1
-    while a.bit_length() > deg:
-        a ^= poly << (a.bit_length() - 1 - deg)
-    return a
-
-
-def _gf2_mulmod(a: int, b: int, poly: int) -> int:
-    r = 0
-    while b:
-        r ^= a << ((b & -b).bit_length() - 1)
-        b &= b - 1
-    return _gf2_mod(r, poly)
-
-
 def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
     """w_0..w_(total-1) of a GF(2) recurrence packed into an int, bit i = w_i.
 
@@ -242,10 +222,10 @@ def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
         return 0
     poly = (1 << size) | sum(c << (size - j) for j, c in enumerate(rec, 1))
     bits, known, step = start, size, 1
-    z_step = _gf2_mod(0b10, poly)
+    z_step = _clmod(0b10, poly)
     while known < total:
         width = min(step, total - known)
-        a = _gf2_mod(z_step << (size - 1), poly)  # z^known
+        a = _clmod(z_step << (size - 1), poly)  # z^known
         block = 0
         while a:
             block ^= bits >> ((a & -a).bit_length() - 1)
@@ -253,7 +233,7 @@ def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
         bits |= (block & ((1 << width) - 1)) << known
         known += width
         step *= 2
-        z_step = _gf2_mulmod(z_step, z_step, poly)
+        z_step = _clmod(_clmul(z_step, z_step), poly)
     return bits
 
 
@@ -305,33 +285,24 @@ def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     return zeros
 
 
-def trace_zero_count(
-    ctx: FieldContext,
-    exponents: Sequence[int],
-    *,
-    exclude_zero: bool = False,
-) -> int:
+def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     """Number of x in the field with Tr(sum_e x**e) = 0.
 
-    Negative exponents mean inverse powers and force exclude_zero.  The zero
-    element contributes iff every exponent is positive (f(0) = 0 there).
+    Negative exponents mean inverse powers, and then x = 0 is left out.
     """
     exponents = tuple(exponents)
     if any(e == 0 for e in exponents):
         raise ValueError("constant terms are not supported")
-    if any(e < 0 for e in exponents) and not exclude_zero:
-        raise ValueError("inverse powers require exclude_zero=True")
 
+    # a negative exponent fits neither quadratic-form shape
     classified = _classify_terms(ctx.p, exponents)
     if classified is not None:
         qf_count = _qf_binary_count if ctx.p == 2 else _qf_odd_count
-        count = qf_count(ctx, *classified)
-        return count - 1 if exclude_zero else count
+        return qf_count(ctx, *classified)
     if ctx.order > MAX_TABLE_ORDER:
         raise FieldLimitError(
             f"{ctx!r} is too large for these terms: the table kernel stops at "
             f"order 2^{MAX_TABLE_ORDER.bit_length() - 1} (MAX_TABLE_ORDER)"
         )
-    count = _recurrence_count(ctx, exponents)
-    # f(0) = 0 for positive exponents, so x = 0 satisfies the condition
-    return count if exclude_zero else count + 1
+    # the kernel counts the nonzero x; x = 0 is a zero when f(0) = 0
+    return _recurrence_count(ctx, exponents) + all(e > 0 for e in exponents)

@@ -5,7 +5,7 @@ as-image}.  Primary output goes to stdout in either human-readable table
 form or line-delimited JSON records (--format records); diagnostics go to stderr.
 Exit codes are stable for scripting: 0 means success/verified, 1 means a
 verification or consistency failure, 2 means a usage error (bad parameters,
-oversize field).
+oversize field, unusable cache directory).
 
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
@@ -276,7 +276,8 @@ def main(argv=None) -> int:
     except (curves.CountIntegrityError, lseries.LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OSError: an unusable cache directory; its message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,7 +105,7 @@ def affine_count(spec: CurveSpec, m: int) -> int:
         return spec.p * trace_zero_count(ctx, (twist + 1, 1))
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    nonzero = trace_zero_count(ctx, (twist + 1, -1), exclude_zero=True)
+    nonzero = trace_zero_count(ctx, (twist + 1, -1))
     return 1 + 2 * nonzero
 
 

@@ -10,7 +10,8 @@ The reduction modulus is the lexicographically smallest monic irreducible of
 its degree, comparing coefficients from degree m-1 down to the constant term.
 That ordering coincides with the numeric order of the packed-int encoding, so
 the modulus (and therefore every computation) is reproducible across runs and
-machines.
+machines.  Each candidate is tested by Ben-Or's criterion (FOCS 1981), with
+the powers x^(p^i) taken by a context over the candidate itself.
 
 The absolute trace is GF(p)-linear, so each field keeps one vector
 t_i = Tr(x^i), i < m, and Tr(a) = sum_i digit_i(a) t_i mod p (for p = 2, the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Iterable
+from typing import Sequence
 
 MAX_BINARY_DEGREE = 32
 MAX_ODD_ORDER = 1 << 22
@@ -113,9 +114,42 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p, for modulus construction and odd-p
-# field multiplication.
-# Polynomials are lists of ints in [0, p), ascending degree, no trailing zeros.
+# Polynomials over F_p, for modulus construction and field multiplication.
+# Dense ones are lists of ints in [0, p), ascending degree, no trailing zeros;
+# over GF(2) they are also packed into the bits of an int, bit i <-> x^i.
+
+
+def _digits(v: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def _undigits(digits: Sequence[int], p: int) -> int:
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
+def _clmul(a: int, b: int) -> int:
+    """Product in GF(2)[x] of packed a and b (carry-less multiplication)."""
+    r = 0
+    while b:
+        r ^= a * (b & -b)
+        b &= b - 1
+    return r
+
+
+def _clmod(a: int, f: int) -> int:
+    """a mod f in GF(2)[x], both packed, f nonzero."""
+    deg = f.bit_length() - 1
+    while a.bit_length() > deg:
+        a ^= f << (a.bit_length() - 1 - deg)
+    return a
 
 
 def _ptrim(a: list[int]) -> list[int]:
@@ -135,7 +169,7 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
+def _pmod(a: list[int], f: Sequence[int], p: int) -> list[int]:
     # f must be monic
     a = a[:]
     df = len(f) - 1
@@ -149,17 +183,6 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     return _ptrim(a)
 
 
-def _ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = a[:], b[:]
     while b:
@@ -170,19 +193,18 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Degree-m monic f is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2."""
+    """Ben-Or: degree-m monic f is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2.
+
+    x^(p^i) is taken in the ring GF(p)[x]/(f), by a context over f.
+    """
     m = len(f) - 1
     if m == 1:
         return True
-    r = [0, 1]
+    ring = FieldContext(p, m, tuple(f))
+    x = r = p  # the residue class of x
     for _ in range(m // 2):
-        r = _ppowmod(r, p, f, p)
-        diff = r[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _ptrim(diff), p)
-        if len(g) != 1:
+        r = ring.pow(r, p)
+        if len(_pgcd(f, _ptrim(_digits(ring.sub(r, x), p, m)), p)) != 1:
             return False
     return True
 
@@ -191,12 +213,7 @@ def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     # Scanning the packed encoding in ascending numeric order compares the
     # coefficient tuple (a_{m-1}, ..., a_0) lexicographically.
     for v in range(p**m):
-        coeffs = []
-        w = v
-        for _ in range(m):
-            w, d = divmod(w, p)
-            coeffs.append(d)
-        coeffs.append(1)
+        coeffs = _digits(v, p, m) + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")
@@ -216,10 +233,13 @@ class _Tables:
 
 
 class FieldContext:
-    """Immutable arithmetic context for GF(p^m).
+    """Immutable arithmetic context for GF(p)[x]/(f), f the monic modulus.
 
-    Not meant to be constructed directly; use :func:`make_field`, which also
-    caches contexts so repeated lookups share their tables.
+    Any monic f of degree m gives ring arithmetic (add, mul, pow) on the
+    residues.  Only :func:`make_field`, which picks an irreducible f, promises
+    the field GF(p^m) that inv, trace, generator and the tables need.  Use it
+    rather than the constructor: it also caches contexts so repeated lookups
+    share their tables.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -228,12 +248,7 @@ class FieldContext:
         self.order = p**m
         self.modulus = modulus
         if p == 2:
-            bits = 0
-            for i, c in enumerate(modulus):
-                bits |= c << i
-            self._mod_bits = bits
-        else:
-            self._mod_digits = list(modulus)
+            self._mod_bits = _undigits(modulus, 2)
         self._tables: _Tables | None = None
         self._lock = threading.Lock()
 
@@ -276,15 +291,9 @@ class FieldContext:
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
-            r = 0
-            while b:
-                r ^= a * (b & -b)
-                b &= b - 1
-            m, bits = self.m, self._mod_bits
-            while r.bit_length() > m:
-                r ^= bits << (r.bit_length() - 1 - m)
-            return r
-        return self._mul_odd(a, b)
+            return _clmod(_clmul(a, b), self._mod_bits)
+        p, m = self.p, self.m
+        return _undigits(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self.modulus, p), p)
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -321,26 +330,6 @@ class FieldContext:
         return range(start, self.order if stop is None else stop)
 
     # -- internals ----------------------------------------------------------
-
-    def _mul_odd(self, a: int, b: int) -> int:
-        p = self.p
-        return self._encode(_pmod(_pmul(self._decode(a), self._decode(b), p), self._mod_digits, p))
-
-    def _decode(self, v: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            v, d = divmod(v, p)
-            out.append(d)
-        return out
-
-    def _encode(self, digits: Iterable[int]) -> int:
-        out = 0
-        mult = 1
-        for d in digits:
-            out += d * mult
-            mult *= self.p
-        return out
 
     @functools.cached_property
     def _traces(self) -> tuple[int, ...]:

@@ -8,9 +8,9 @@ parameters that would overflow it.
 On top of the ring arithmetic sit the checks this package exists for: the
 covering identity f^(q+1) + f = x^(q^r + 1) + x + g^2 + g behind the tower
 morphisms of the ck family, the trace morphism identity for the ak family,
-the additive-image decision procedure for h = g^p - g, and the search for
-translation involutions (x, y) -> (x + 1, y + B(x)), which is solved as a
-division in GF(2)[x] rather than searched.
+the additive-image decision procedure for h = g^p - g, and the translation
+involutions (x, y) -> (x + 1, y + B(x)), which have a closed form and are
+not searched.
 
 Powers are taken by the base-p digits of the exponent: a^p is the Frobenius
 image sum of c x^(p e), exact over GF(p), so only the digits cost schoolbook
@@ -282,36 +282,23 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
 # -- involution search ---------------------------------------------------------
 
 
-def _clmul_divmod(n: int, d: int) -> tuple[int, int]:
-    """Quotient and remainder of n by d > 0 in GF(2)[x], bit i <-> x^i."""
-    top = d.bit_length() - 1
-    quotient = 0
-    shift = n.bit_length() - 1 - top
-    while shift >= 0:
-        if (n >> (shift + top)) & 1:
-            n ^= d << shift
-            quotient |= 1 << shift
-        shift -= 1
-    return quotient, n
-
-
 def involution_search(k: int) -> SparsePoly | None:
     """Linearized B with B^2 + B = x^(2^k) + x and B(1) = 0, or None.
 
     In the bit mask encoding of B = sum of a_i x^(2^i), i < k (bit i <-> a_i),
     the first condition reads (mask << 1) ^ mask == 2^k + 1: the product of
-    mask by 1 + x in GF(2)[x].  That product is injective, so carry-less
-    division of x^k + 1 by x + 1 gives the only candidate.  B(1) = 0 asks for
-    even popcount.
+    mask by 1 + x in GF(2)[x] is x^k + 1.  That product is injective and
+    x^k + 1 = (1 + x)(1 + x + ... + x^(k-1)), so mask = 2^k - 1 is the only
+    solution: B = sum of x^(2^i), i < k.  B(1) = k mod 2, so B exists iff k
+    is even.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > 62:
         raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
-    mask, rem = _clmul_divmod((1 << k) | 1, 0b11)
-    if rem or mask.bit_count() % 2:
+    if k % 2:
         return None
-    b = SparsePoly(2, ((1 << i, 1) for i in range(k) if (mask >> i) & 1))
+    b = SparsePoly(2, ((1 << i, 1) for i in range(k)))
     if b**2 + b != x_pow(2, 1 << k) + x_pow(2, 1):
         raise AssertionError("involution candidate does not re-verify")
     return b

@@ -348,12 +348,16 @@ def test_module_entry_point_exit_codes(tmp_path):
     for argv, code, message in [
         (["lpoly", "--family", "ck", "--k", "1", "--cache-dir", str(tmp_path)], 1, "malformed"),
         (["verify", "as-image", "--p", "4"], 2, "not prime"),
+        # a regular file given as the cache directory
+        (["count", "--family", "ck", "--k", "1", "--m", "3",
+          "--cache-dir", str(tmp_path / "counts.jsonl")], 2, "counts.jsonl/counts.jsonl"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "lpolydiv", *argv], capture_output=True, text=True
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == "" and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):

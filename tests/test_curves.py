@@ -203,8 +203,8 @@ def test_trace_zero_count_validation():
     ctx = make_field(2, 4)
     with pytest.raises(ValueError):
         trace_zero_count(ctx, (0, 1))
-    with pytest.raises(ValueError):
-        trace_zero_count(ctx, (-1,))
+    # an inverse power leaves x = 0 out: nonzero x with Tr(1/x) = 0
+    assert trace_zero_count(ctx, (-1,)) == 7
 
 
 def test_count_cache_round_trip(tmp_path):

@@ -27,6 +27,31 @@ def test_modulus_matches_bruteforce(p, m):
     assert make_field(p, m).modulus == brute_smallest_irreducible(p, m)
 
 
+# make_field(p, m).modulus for m = 1, 2, ... up to the field limit, as the
+# packed int sum c_i p^i.  Count cache keys contain the modulus, so a changed
+# modulus would orphan every cached count of its field.
+_PINNED_MODULI = {
+    2: (
+        0x2, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B, 0x203, 0x409, 0x805, 0x1009,
+        0x201B, 0x4021, 0x8003, 0x1002B, 0x20009, 0x40009, 0x80027, 0x100009,
+        0x200005, 0x400003, 0x800021, 0x100001B, 0x2000009, 0x400001B, 0x8000027,
+        0x10000003, 0x20000005, 0x40000003, 0x80000009, 0x10000008D,
+    ),
+    3: (3, 10, 34, 86, 250, 734, 2198, 6572, 19747, 59068, 177158, 531452, 1594330),
+    5: (5, 27, 131, 627, 3146, 15632, 78131, 390627, 1953163),
+    7: (7, 50, 345, 2409, 16817, 117651, 823586),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_PINNED_MODULI))
+def test_modulus_pinned_for_every_supported_degree(p):
+    pinned = _PINNED_MODULI[p]
+    moduli = [make_field(p, m).modulus for m in range(1, len(pinned) + 1)]
+    assert tuple(sum(c * p**i for i, c in enumerate(f)) for f in moduli) == pinned
+    with pytest.raises(FieldLimitError):
+        make_field(p, len(pinned) + 1)
+
+
 def test_gf4_multiplication():
     f4 = make_field(2, 2)
     w = 2  # residue class of x
