@@ -301,7 +301,7 @@ def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
         return qf_count(ctx, *classified)
     if ctx.order > MAX_TABLE_ORDER:
         raise FieldLimitError(
-            f"{ctx!r} is too large for these terms: the table kernel stops at "
+            f"{ctx!r} is too large for these terms: the recurrence kernel stops at "
             f"order 2^{MAX_TABLE_ORDER.bit_length() - 1} (MAX_TABLE_ORDER)"
         )
     # the kernel counts the nonzero x; x = 0 is a zero when f(0) = 0

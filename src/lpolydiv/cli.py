@@ -3,9 +3,9 @@
 Subcommands: count, lpoly, conjecture, and verify {morphism,lmw,involution,
 as-image}.  Primary output goes to stdout in either human-readable table
 form or line-delimited JSON records (--format records); diagnostics go to stderr.
-Exit codes are stable for scripting: 0 means success/verified, 1 means a
-verification or consistency failure, 2 means a usage error (bad parameters,
-oversize field, unusable cache directory).
+Exit codes are stable for scripting: 0 means success/verified, 1 a
+verification or consistency failure, 2 a usage error (bad parameters,
+oversize field, unusable cache directory), 141 a stdout reader gone away.
 
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
@@ -272,10 +272,17 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a block-buffered pipe meets a gone reader here, not at exit
+        return code
     except (curves.CountIntegrityError, lseries.LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader went away (`| head`): exit quietly, as a filter killed by
+        # SIGPIPE does, with fd 1 discarding so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError, OSError) as exc:
         # OSError: an unusable cache directory; its message names the path
         print(f"error: {exc}", file=sys.stderr)

@@ -159,22 +159,23 @@ def count_series(spec: CurveSpec, upto: int, *, cache=None) -> PointCounts:
     return PointCounts(spec, counts, provenance)
 
 
-def lmw_zero_count(n: int, k: int, j: int = 0) -> int:
-    """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
+def _check_lmw(n: int, k: int, j: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
     if not 0 <= j < k:
         raise ValueError(f"need 0 <= j < k, got k={k}, j={j}")
+
+
+def lmw_zero_count(n: int, k: int, j: int = 0) -> int:
+    """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
+    _check_lmw(n, k, j)
     # x^(2^n) = x on GF(2^n), so only the twists mod n matter
     return trace_zero_count(make_field(2, n), ((1 << (k % n)) + 1, (1 << (j % n)) + 1))
 
 
 def lmw_formula(n: int, k: int, j: int = 0) -> int:
     """Predicted zero count 2^(n-1) + (2/n) 2^((n-1)/2), n odd, gcd(k +- j, n) = 1."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd and positive, got {n}")
-    if not 0 <= j < k:
-        raise ValueError(f"need 0 <= j < k, got k={k}, j={j}")
+    _check_lmw(n, k, j)
     if math.gcd(k + j, n) != 1 or math.gcd(k - j, n) != 1:
         raise ValueError(
             f"hypothesis gcd(k+j, n) = gcd(k-j, n) = 1 fails for k={k}, j={j}, n={n}; "

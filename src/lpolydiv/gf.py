@@ -22,12 +22,13 @@ ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
 Discrete-log tables stop at order 2**20, and so does the recurrence kernel,
-which builds none.  Only the tables import numpy; the test oracles read them.
+which builds none; only the test oracles read the tables.
 Element enumeration order is the packed-int encoding, ascending.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 from typing import Sequence
@@ -222,14 +223,7 @@ def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Tables:
-    """Discrete-log tables for one field: exp and trace-of-exp arrays."""
-
-    __slots__ = ("exp", "tr_exp")
-
-    def __init__(self, exp, tr_exp):
-        self.exp = exp
-        self.tr_exp = tr_exp
+_Tables = collections.namedtuple("_Tables", "exp tr_exp")  # one field's discrete-log tables
 
 
 class FieldContext:
@@ -368,8 +362,8 @@ class FieldContext:
     def multiplicative_tables(self) -> _Tables:
         """Build (once) and return exp/trace-of-exp tables.
 
-        exp[i] = g**i for the smallest generator g, i in [0, order-1);
-        tr_exp[i] = trace(exp[i]).
+        exp[i] = g**i in a stdlib ``array("L")``, g the smallest generator, i in
+        [0, order-1); tr_exp[i] = trace(exp[i]) in ``bytes``.  Test oracles read them.
         """
         if self._tables is None:
             with self._lock:
@@ -383,60 +377,18 @@ class FieldContext:
                 f"{self!r} is too large for discrete-log tables "
                 f"(order limit 2^{MAX_TABLE_ORDER.bit_length() - 1})"
             )
-        import numpy as np
+        import array
 
-        n = self.order - 1
         g = self.generator()
-        # every element is below MAX_TABLE_ORDER <= 2^32
-        exp = np.empty(n, dtype="<u4")
-        if self.p == 2:
-            self._fill_powers_binary(exp, g)
-        else:
-            v = 1
-            for i in range(n):
-                exp[i] = v
-                v = self.mul(v, g)
-        if self.mul(int(exp[-1]), g) != 1:
+        # "L" items are at least 32 bits wide, and every element is below MAX_TABLE_ORDER
+        exp = array.array("L")
+        v = 1
+        for _ in range(self.order - 1):
+            exp.append(v)
+            v = self.mul(v, g)
+        if v != 1:
             raise AssertionError("generator order mismatch")
-        if self.p == 2:
-            tr_exp = np.bitwise_count(exp & np.uint32(self.trace_mask)) & np.uint8(1)
-        else:
-            v = exp.astype(np.int64)
-            acc = np.zeros(n, dtype=np.int64)
-            for t in self._traces:
-                v, d = np.divmod(v, self.p)
-                acc += d * t
-            tr_exp = (acc % self.p).astype(np.uint8)
-        return _Tables(exp, tr_exp)
-
-    def _fill_powers_binary(self, exp, g: int) -> None:
-        """exp[i] = g^i for all i, p = 2, by doubling the filled prefix.
-
-        x -> c * x is GF(2)-linear on the bits of x, so with c = g^filled
-        the next block is exp[filled + j] = c * exp[j], the XOR over bytes b
-        of T_b[byte b of exp[j]] with T_b[v] = c * (v << 8b).  A doubling
-        costs m scalar multiplications and 8 slice steps per table.
-        """
-        import numpy as np
-
-        n = exp.size
-        exp[0] = 1
-        filled = 1
-        nbytes = (self.m + 7) // 8
-        while filled < n:
-            step = min(filled, n - filled)
-            c = self.mul(int(exp[filled - 1]), g)
-            src = exp[:step].view(np.uint8).reshape(step, 4)
-            out = exp[filled : filled + step]
-            out[:] = 0
-            for b in range(nbytes):
-                tab = np.zeros(256, dtype=np.uint32)
-                for i in range(8):
-                    bit = 8 * b + i
-                    piece = self.mul(c, 1 << bit) if bit < self.m else 0
-                    tab[1 << i : 2 << i] = tab[: 1 << i] ^ np.uint32(piece)
-                out ^= tab[src[:, b]]
-            filled += step
+        return _Tables(exp, bytes(map(self.trace, exp)))
 
 
 def _field_name(p: int, m: int) -> str:

@@ -8,6 +8,10 @@ function's logarithmic derivative as a power series, irreducibility is
 decided by trial division over all low-degree monic polynomials, and so is
 primality.  The covering-defect oracle takes every power by SparsePoly's
 schoolbook product, and the involution oracle scans all 2^k candidates.
+
+The table walk and the wide ek pair check read the field's discrete-log
+tables (a stdlib array and bytes) through zero-copy numpy views.  numpy is a
+test dependency only, from the ``test`` extra; the package itself needs none.
 """
 
 from collections import Counter
@@ -52,7 +56,8 @@ def _oracle_ek_wide(ctx, k):
     # Same literal pair check, vectorized over y for each x.
     q = ctx.order
     n = q - 1
-    exp_t = ctx.multiplicative_tables().exp
+    tables = ctx.multiplicative_tables()
+    exp_t = np.frombuffer(tables.exp, dtype=f"u{tables.exp.itemsize}")
     log_t = np.full(q, -1, dtype=np.int64)
     log_t[exp_t] = np.arange(n, dtype=np.int64)
     ysqr = np.fromiter((ctx.sqr(y) for y in range(q)), dtype=np.int64, count=q)
@@ -131,13 +136,13 @@ def walk_zero_count(ctx, exponents):
 
     One vectorized pass over every i in [0, order - 1), g the table generator.
     """
-    tables = ctx.multiplicative_tables()
+    tr_exp = np.frombuffer(ctx.multiplicative_tables().tr_exp, dtype=np.uint8)
     n = ctx.order - 1
     idx = np.arange(n, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)
     for e in exponents:
         stride = e % n if n > 1 else 0
-        acc += tables.tr_exp[(idx * stride) % n]
+        acc += tr_exp[(idx * stride) % n]
     return int(np.count_nonzero(acc % ctx.p == 0))
 
 

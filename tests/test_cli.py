@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -358,6 +359,24 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == "" and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "block-buffered"])
+def test_closed_stdout_reader_exits_141_quietly(unbuffered):
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpolydiv", "verify", "involution", "--k", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):

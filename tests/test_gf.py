@@ -282,13 +282,19 @@ def test_multiplicative_tables_odd_p():
         assert tables.tr_exp[i] == ctx.trace(int(tables.exp[i]))
 
 
+def test_tables_refused_above_the_order_limit():
+    # refused before the generator search or any power is taken
+    with pytest.raises(FieldLimitError, match=r"order limit 2\^20"):
+        make_field(2, 21).multiplicative_tables()
+
+
 @pytest.mark.parametrize("m", range(1, 21))
 def test_doubling_tables_match_sequential_powers(m):
     ctx = make_field(2, m)
     tables = ctx.multiplicative_tables()
     g = ctx.generator()
     n = ctx.order - 1
-    assert tables.exp.shape == (n,)
+    assert len(tables.exp) == n
     indices = sorted(random.Random(m).sample(range(n), min(n, 64)))
     if m <= 16:
         v = 1
