@@ -16,7 +16,6 @@ y = xz turns the fiber condition into Tr(x^(2^k + 1) + 1/x) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gf import is_prime, jacobi_symbol, make_field
 from ._kernels import trace_zero_count
@@ -24,15 +23,50 @@ from ._kernels import trace_zero_count
 FAMILIES = ("ck", "ek", "ak", "ckp")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class _Value:
+    """Immutable record of its ``__slots__``: equal and hashed by field tuple, within one class.
+
+    Not a frozen dataclass, which would load ``dataclasses`` and ``inspect`` in every command.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class CurveSpec(_Value):
     """One curve of the four families: family tag, parameter k, characteristic p."""
 
-    family: str
-    k: int
-    p: int = 2
+    __slots__ = ("family", "k", "p")
 
-    def __post_init__(self):
+    def __init__(self, family: str, k: int, p: int = 2):
+        self._set(family, k, p)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.k < 1:
@@ -70,13 +104,13 @@ class CurveSpec:
         return f"C_{self.k}^({self.p})"
 
 
-@dataclass(frozen=True)
-class PointCounts:
+class PointCounts(_Value):
     """N_1..N_M for one curve, with per-entry provenance ('counted'/'cached')."""
 
-    spec: CurveSpec
-    counts: tuple[int, ...]
-    provenance: tuple[str, ...]
+    __slots__ = ("spec", "counts", "provenance")
+
+    def __init__(self, spec: CurveSpec, counts: tuple[int, ...], provenance: tuple[str, ...]):
+        self._set(spec, counts, provenance)
 
     @property
     def base_q(self) -> int:

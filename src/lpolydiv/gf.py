@@ -10,8 +10,9 @@ The reduction modulus is the lexicographically smallest monic irreducible of
 its degree, comparing coefficients from degree m-1 down to the constant term.
 That ordering coincides with the numeric order of the packed-int encoding, so
 the modulus (and therefore every computation) is reproducible across runs and
-machines.  Each candidate is tested by Ben-Or's criterion (FOCS 1981), with
-the powers x^(p^i) taken by a context over the candidate itself.
+machines.  Each candidate is tested by Ben-Or's criterion (FOCS 1981): for
+p = 2 on packed ints, powers and gcd alike by shift-XOR; for odd p with the
+powers x^(p^i) taken by a context over the candidate itself.
 
 The absolute trace is GF(p)-linear, so each field keeps one vector
 t_i = Tr(x^i), i < m, and Tr(a) = sum_i digit_i(a) t_i mod p (for p = 2, the
@@ -193,19 +194,30 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or: degree-m monic f is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2.
+def _is_irreducible(f: int, p: int, m: int) -> bool:
+    """Ben-Or: monic f of degree m is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2.
 
-    x^(p^i) is taken in the ring GF(p)[x]/(f), by a context over f.
+    f is packed with its leading digit.  For p = 2 powers and gcd are shift-XOR
+    on packed ints; odd p takes x^(p^i) by a context over f, gcd on digit lists.
     """
-    m = len(f) - 1
     if m == 1:
         return True
-    ring = FieldContext(p, m, tuple(f))
+    if p == 2:
+        r = 2  # the residue class of x
+        for _ in range(m // 2):
+            r = _clmod(_clmul(r, r), f)
+            a, b = f, r ^ 2
+            while b:
+                a, b = b, _clmod(a, b)
+            if a != 1:
+                return False
+        return True
+    coeffs = _digits(f, p, m + 1)
+    ring = FieldContext(p, m, tuple(coeffs))
     x = r = p  # the residue class of x
     for _ in range(m // 2):
         r = ring.pow(r, p)
-        if len(_pgcd(f, _ptrim(_digits(ring.sub(r, x), p, m)), p)) != 1:
+        if len(_pgcd(coeffs, _ptrim(_digits(ring.sub(r, x), p, m)), p)) != 1:
             return False
     return True
 
@@ -213,10 +225,9 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     # Scanning the packed encoding in ascending numeric order compares the
     # coefficient tuple (a_{m-1}, ..., a_0) lexicographically.
-    for v in range(p**m):
-        coeffs = _digits(v, p, m) + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    for f in range(p**m, 2 * p**m):
+        if _is_irreducible(f, p, m):
+            return tuple(_digits(f, p, m + 1))
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")
 
 

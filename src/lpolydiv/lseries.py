@@ -17,25 +17,22 @@ arithmetic is arbitrary-precision integer (or exact rational), never float.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .curves import PointCounts, hasse_weil_ok
+from .curves import PointCounts, _Value, hasse_weil_ok
 
 
 class LSeriesError(ValueError):
     """Inconsistent counts, non-exact Newton division, or a bad polynomial."""
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(_Value):
     """Degree-2g integer polynomial over ground size q, coefficients ascending."""
 
-    q: int
-    g: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("q", "g", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, q: int, g: int, coeffs: tuple[int, ...]):
+        self._set(q, g, coeffs)
         if self.g < 0 or self.q < 2:
             raise LSeriesError(f"bad parameters q={self.q}, g={self.g}")
         if len(self.coeffs) != 2 * self.g + 1:

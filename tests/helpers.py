@@ -250,55 +250,41 @@ CK_FACTORED = {
 }
 
 
-def brute_smallest_irreducible(p, m):
-    """Lex-smallest monic irreducible by trial division against all low degrees."""
+def monic_polys(p, d):
+    """Monic degree-d polynomials over GF(p), as ascending digit lists in packed-int order."""
+    for v in range(p**d):
+        coeffs = []
+        for _ in range(d):
+            v, r = divmod(v, p)
+            coeffs.append(r)
+        yield coeffs + [1]
 
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-        return out
 
-    def rem(a, f):
+def trial_division_is_irreducible(f, p):
+    """Whether monic f (ascending digit list) has no monic factor of degree 1..deg(f)/2."""
+
+    def rem(a, g):
         a = a[:]
-        while len(a) >= len(f) and any(a):
+        while len(a) >= len(g) and any(a):
             while a and a[-1] == 0:
                 a.pop()
-            if len(a) < len(f):
+            if len(a) < len(g):
                 break
             c = a[-1]
-            off = len(a) - len(f)
-            for i in range(len(f)):
-                a[off + i] = (a[off + i] - c * f[i]) % p
+            off = len(a) - len(g)
+            for i in range(len(g)):
+                a[off + i] = (a[off + i] - c * g[i]) % p
             while a and a[-1] == 0:
                 a.pop()
         return a
 
-    def monics(d):
-        for v in range(p**d):
-            coeffs = []
-            w = v
-            for _ in range(d):
-                w, r = divmod(w, p)
-                coeffs.append(r)
-            yield coeffs + [1]
+    m = len(f) - 1
+    return all(rem(f, g) for d in range(1, m // 2 + 1) for g in monic_polys(p, d))
 
-    for v in range(p**m):
-        coeffs = []
-        w = v
-        for _ in range(m):
-            w, r = divmod(w, p)
-            coeffs.append(r)
-        f = coeffs + [1]
-        reducible = False
-        for d in range(1, m // 2 + 1):
-            for g in monics(d):
-                if not rem(f, g):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
+
+def brute_smallest_irreducible(p, m):
+    """Lex-smallest monic irreducible by trial division against all low degrees."""
+    for f in monic_polys(p, m):
+        if trial_division_is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible found")

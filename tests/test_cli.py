@@ -290,10 +290,20 @@ LIBRARY = ("gf", "_kernels", "curves", "cache", "lseries", "sympoly")
             [
                 ["count", "--family", "ck", "--k", "3", "--m", "5"],
                 ["count", "--family", "ek", "--k", "2", "--m", "5"],
+                ["verify", "lmw", "--n", "7", "--k", "1"],
             ],
             ("sympoly", "lseries"),
-            ("fractions", "numpy"),
+            ("dataclasses", "inspect", "fractions", "numpy"),
             id="count",
+        ),
+        pytest.param(
+            [
+                ["lpoly", "--family", "ek", "--k", "3"],
+                ["conjecture", "--family", "ck", "--kmax", "3"],
+            ],
+            ("sympoly",),
+            ("dataclasses", "inspect", "fractions", "numpy"),
+            id="lseries",
         ),
     ],
 )

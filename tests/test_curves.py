@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -7,6 +9,7 @@ from lpolydiv._kernels import trace_zero_count
 from lpolydiv.cache import CountCache
 from lpolydiv.curves import (
     CurveSpec,
+    PointCounts,
     affine_count,
     count_series,
     lmw_formula,
@@ -14,20 +17,68 @@ from lpolydiv.curves import (
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
+from lpolydiv.lseries import LPolynomial
 from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        CurveSpec("xx", 1)
-    with pytest.raises(ValueError):
-        CurveSpec("ck", 0)
-    with pytest.raises(ValueError):
-        CurveSpec("ck", 1, 3)
-    with pytest.raises(ValueError):
-        CurveSpec("ckp", 1, 2)
-    with pytest.raises(ValueError):
-        CurveSpec("ckp", 1, 9)
+    for args, message in [
+        (("xx", 1), "unknown family 'xx'; expected one of ('ck', 'ek', 'ak', 'ckp')"),
+        (("ck", 0), "k must be >= 1, got 0"),
+        (("ck", 1, 3), "family ck is defined over GF(2), got p=3"),
+        (("ckp", 1, 2), "family ckp needs an odd prime p, got 2"),
+        (("ckp", 1), "family ckp needs an odd prime p, got 2"),
+        (("ckp", 1, 9), "family ckp needs an odd prime p, got 9"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            CurveSpec(*args)
+        assert str(caught.value) == message
+
+
+_C1_3 = CurveSpec("ckp", 1, 3)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other, text",
+    [
+        (CurveSpec, {"family": "ck", "k": 3, "p": 2}, ("ck", 4), "CurveSpec(family='ck', k=3, p=2)"),
+        (
+            PointCounts,
+            {"spec": _C1_3, "counts": (3, 9), "provenance": ("counted", "cached")},
+            (_C1_3, (3, 9), ("counted", "counted")),
+            "PointCounts(spec=CurveSpec(family='ckp', k=1, p=3), counts=(3, 9), "
+            "provenance=('counted', 'cached'))",
+        ),
+        (
+            LPolynomial,
+            {"q": 2, "g": 1, "coeffs": (1, 2, 2)},
+            (2, 1, (1, 0, 2)),
+            "LPolynomial(q=2, g=1, coeffs=(1, 2, 2))",
+        ),
+    ],
+)
+def test_value_classes_are_frozen_records(cls, fields, other, text):
+    value = cls(*fields.values())
+    assert value == cls(**fields) and hash(value) == hash(cls(**fields))
+    assert len({value, cls(**fields), cls(*other)}) == 2
+    assert value != cls(*other)
+    assert value != tuple(fields.values())
+    assert value != type("Sub", (cls,), {})(**fields)
+    assert repr(value) == text
+    for name in fields:
+        assert getattr(value, name) == fields[name]
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_value_class_defaults_and_derived_fields():
+    assert CurveSpec("ck", 3) == CurveSpec(family="ck", k=3, p=2)
+    assert CurveSpec(k=3, family="ck").p == 2
+    counts = PointCounts(_C1_3, (3, 9, 27), ("counted",) * 3)
+    assert len(counts) == 3 and counts.base_q == 3
 
 
 def test_genus_examples():

@@ -6,11 +6,17 @@ from hypothesis import given, settings, strategies as st
 from lpolydiv.gf import (
     MAX_PRIME_TEST,
     FieldLimitError,
+    _is_irreducible,
     is_prime,
     jacobi_symbol,
     make_field,
 )
-from helpers import brute_smallest_irreducible, trial_division_is_prime
+from helpers import (
+    brute_smallest_irreducible,
+    monic_polys,
+    trial_division_is_irreducible,
+    trial_division_is_prime,
+)
 
 
 def test_modulus_examples():
@@ -50,6 +56,34 @@ def test_modulus_pinned_for_every_supported_degree(p):
     assert tuple(sum(c * p**i for i, c in enumerate(f)) for f in moduli) == pinned
     with pytest.raises(FieldLimitError):
         make_field(p, len(pinned) + 1)
+
+
+def _mobius(n):
+    out = 1
+    for f in range(2, n + 1):
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+    return out
+
+
+# Every monic candidate of each degree, not only those below the smallest
+# irreducible that the modulus search reaches.
+@pytest.mark.parametrize("p, nmax", [(2, 12), (3, 6)])
+def test_ben_or_accepts_gauss_count_of_monic_irreducibles(p, nmax):
+    for n in range(1, nmax + 1):
+        accepted = sum(_is_irreducible(f, p, n) for f in range(p**n, 2 * p**n))
+        gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert accepted == gauss, n
+
+
+@pytest.mark.parametrize("p, nmax", [(2, 8), (3, 6)])
+def test_ben_or_agrees_with_trial_division(p, nmax):
+    for n in range(1, nmax + 1):
+        for f, digits in enumerate(monic_polys(p, n), start=p**n):
+            assert _is_irreducible(f, p, n) == trial_division_is_irreducible(digits, p), digits
 
 
 def test_gf4_multiplication():

@@ -53,12 +53,16 @@ def test_surplus_counts_accepted_when_consistent():
 
 
 def test_constructor_validation():
-    with pytest.raises(LSeriesError):
-        LPolynomial(2, 1, (2, 2, 2))  # constant term
-    with pytest.raises(LSeriesError):
-        LPolynomial(2, 1, (1, 2))  # wrong length
-    with pytest.raises(LSeriesError):
-        LPolynomial(2, 1, (1, 2, 3))  # functional equation
+    for args, message in [
+        ((1, 1, (1, 0, 1)), "bad parameters q=1, g=1"),
+        ((2, -1, ()), "bad parameters q=2, g=-1"),
+        ((2, 1, (2, 2, 2)), "constant term must be 1, got 2"),
+        ((2, 1, (1, 2)), "genus 1 needs 3 coefficients, got 2"),
+        ((2, 1, (1, 2, 3)), "functional equation fails at index 0"),
+    ]:
+        with pytest.raises(LSeriesError) as caught:
+            LPolynomial(*args)
+        assert str(caught.value) == message
 
 
 def test_predicted_count_examples():
