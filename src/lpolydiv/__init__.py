@@ -18,7 +18,7 @@ of its attributes; ``import lpolydiv.curves`` alone does not run it.  The
 names of ``__all__`` are served from their modules, so ``from lpolydiv import
 CurveSpec`` runs only ``curves`` and what it imports, and ``from lpolydiv
 import *`` runs everything.  A CLI command runs only the modules it calls:
-``verify morphism`` runs ``sympoly`` and ``gf`` alone.
+``verify morphism`` runs ``sympoly`` alone.
 
 The first read of a lazy module is not thread-safe on Python 3.10 to 3.12
 (3.10.13, 3.11.7 and 3.12.1 were checked; 3.13 adds a lock).  The loader

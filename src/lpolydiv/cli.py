@@ -7,17 +7,22 @@ Exit codes are stable for scripting: 0 means success/verified, 1 a
 verification or consistency failure, 2 a usage error (bad parameters,
 oversize field, unusable cache directory), 141 a stdout reader gone away.
 
+``COMMANDS`` maps each command path to its handler and options; ``parse_args`` reads
+argv by it as argparse did (``--opt value``, ``--opt=value``, unique prefixes, the last
+repeat winning, ``-h`` at every level) without importing argparse, and ``_help`` prints it.
+
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
-uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``.
+uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
+a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from . import cache, curves, gf, lseries, sympoly
 
@@ -195,80 +200,138 @@ def cmd_verify_as_image(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted for compatibility and ignored: every count runs in this process (must be >= 1)",
-    )
-    parser.add_argument("--cache-dir", default=None, help=f"count cache directory (default ${CACHE_ENV} or ~/.cache/lpolydiv)")
-    parser.add_argument("--format", choices=("table", "records"), default="table", help="output mode")
+REQUIRED = object()  # the default of an option that must be given
+
+# An option is (flag, type, default, help), its type int, str or a tuple of choices.
+_COMMON = (
+    ("--workers", int, 1, "accepted and ignored: every count runs in this process (must be >= 1)"),
+    ("--cache-dir", str, None, f"count cache directory (default ${CACHE_ENV} or ~/.cache/lpolydiv)"),
+    ("--format", ("table", "records"), "table", "output mode"),
+)
+_P = ("--p", int, 2, "characteristic (odd prime for ckp)")
+_CURVE = (("--family", ("ck", "ek", "ak", "ckp"), REQUIRED, "curve family"), ("--k", int, REQUIRED, "index"), _P)
+
+# Command path -> (handler, summary, options besides _COMMON and -h); a group has no handler.
+COMMANDS = {
+    "": (None, "Count points on Artin-Schreier curve families, rebuild L-polynomials, "
+         "and verify divisibility and morphism identities.", ()),
+    "count": (cmd_count, "print N_m for one curve and extension", (*_CURVE, ("--m", int, REQUIRED, "degree"))),
+    "lpoly": (cmd_lpoly, "count through m = genus and print the L-polynomial", _CURVE),
+    "conjecture": (cmd_conjecture, "check L(k=1) | L(k) for k = 2..kmax", (
+        ("--family", ("ck", "ek", "ckp"), REQUIRED, "curve family"), ("--kmax", int, REQUIRED, "largest k"), _P)),
+    "verify": (None, "symbolic and enumerative identity checks", ()),
+    "verify morphism": (cmd_verify_morphism, "tower covering identity for l | k", (
+        ("--k", int, REQUIRED, "level of the cover"), ("--l", int, REQUIRED, "level of the base, dividing k"))),
+    "verify lmw": (cmd_verify_lmw, "trace-form zero count vs closed formula", (
+        ("--n", int, REQUIRED, "odd degree"), ("--k", int, REQUIRED, "twist"), ("--j", int, 0, "twist below k"))),
+    "verify involution": (cmd_verify_involution, "search translation involutions", (("--k", int, REQUIRED, "level"),)),
+    "verify as-image": (cmd_verify_as_image, "decide h = g^p - g by leading-term peeling", (
+        ("--p", int, 3, "characteristic"),
+        ("--poly", str, None, "polynomial text (default: the degree-p tower obstruction)"))),
+}
 
 
-def _add_family(parser: argparse.ArgumentParser):
-    parser.add_argument("--family", required=True, choices=("ck", "ek", "ak", "ckp"))
-    parser.add_argument("--k", required=True, type=int)
-    parser.add_argument("--p", type=int, default=2, help="characteristic (odd prime for ckp)")
+def _children(path: str) -> list[str]:
+    return [key.rpartition(" ")[2] for key in COMMANDS if key and key.rpartition(" ")[0] == path]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lpolydiv",
-        description="Count points on Artin-Schreier curve families, rebuild "
-        "L-polynomials, and verify divisibility and morphism identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _options(path: str) -> tuple:
+    return (*COMMANDS[path][2], *_COMMON) if COMMANDS[path][0] else ()
 
-    p_count = sub.add_parser("count", help="print N_m for one curve and extension")
-    _add_family(p_count)
-    p_count.add_argument("--m", required=True, type=int)
-    _add_common(p_count)
-    p_count.set_defaults(func=cmd_count)
 
-    p_lpoly = sub.add_parser("lpoly", help="count through m = genus and print the L-polynomial")
-    _add_family(p_lpoly)
-    _add_common(p_lpoly)
-    p_lpoly.set_defaults(func=cmd_lpoly)
+def _usage(path: str) -> str:
+    tail = "{" + ",".join(_children(path)) + "} ..." if _children(path) else "[options]"
+    return " ".join(filter(None, ("usage: lpolydiv", path, "[-h]", tail)))
 
-    p_conj = sub.add_parser("conjecture", help="check L(k=1) | L(k) for k = 2..kmax")
-    p_conj.add_argument("--family", required=True, choices=("ck", "ek", "ckp"))
-    p_conj.add_argument("--kmax", required=True, type=int)
-    p_conj.add_argument("--p", type=int, default=2)
-    _add_common(p_conj)
-    p_conj.set_defaults(func=cmd_conjecture)
 
-    p_verify = sub.add_parser("verify", help="symbolic and enumerative identity checks")
-    vsub = p_verify.add_subparsers(dest="check", required=True)
+def _help(path: str) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(name, COMMANDS[f"{path} {name}".lstrip()][1]) for name in _children(path)]
+    for flag, kind, default, text in _options(path):
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].replace("-", "_").upper()
+        note = " (required)" if default is REQUIRED else "" if default is None else f" (default: {default})"
+        rows.append((f"{flag} {value}", text + note))
+    return "\n".join([_usage(path), "", COMMANDS[path][1], "", *(f"  {a:<25} {b}" for a, b in rows)])
 
-    v_mor = vsub.add_parser("morphism", help="tower covering identity for l | k")
-    v_mor.add_argument("--k", required=True, type=int)
-    v_mor.add_argument("--l", required=True, type=int)
-    _add_common(v_mor)
-    v_mor.set_defaults(func=cmd_verify_morphism)
 
-    v_lmw = vsub.add_parser("lmw", help="trace-form zero count vs closed formula")
-    v_lmw.add_argument("--n", required=True, type=int)
-    v_lmw.add_argument("--k", required=True, type=int)
-    v_lmw.add_argument("--j", type=int, default=0)
-    _add_common(v_lmw)
-    v_lmw.set_defaults(func=cmd_verify_lmw)
+def _fail(path: str, message: str):
+    print(_usage(path), f"lpolydiv {path}".rstrip() + f": error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    v_inv = vsub.add_parser("involution", help="search translation involutions")
-    v_inv.add_argument("--k", required=True, type=int)
-    _add_common(v_inv)
-    v_inv.set_defaults(func=cmd_verify_involution)
 
-    v_asi = vsub.add_parser("as-image", help="decide h = g^p - g by leading-term peeling")
-    v_asi.add_argument("--p", type=int, default=3)
-    v_asi.add_argument("--poly", default=None, help="polynomial text (default: the degree-p tower obstruction)")
-    _add_common(v_asi)
-    v_asi.set_defaults(func=cmd_verify_as_image)
+def _read(path: str, token: str, flags) -> str | None:
+    """As argparse reads `token`: the flag (or --help, also as -h) named in full or by unique
+    prefix before any "=", else a value (None) if it is no option, "-", a negative number or
+    text with a space, else "?", an unknown option."""
+    name = token.partition("=")[0]
+    name = "--help" if name == "-h" else name
+    named = [flag for flag in (*flags, "--help") if name[:2] == "--" != name and flag.startswith(name)]
+    if len(named) > 1 and name not in named:
+        _fail(path, f"ambiguous option: {name} could match {', '.join(named)}")
+    if named:
+        return name if name in named else named[0]
+    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    return None if not token.startswith("-") or token == "-" or number or " " in token else "?"
 
-    return parser
+
+def _exit_with_help(path: str, token: str):
+    if "=" in token:
+        _fail(path, f"argument -h/--help: ignored explicit argument {token.partition('=')[2]!r}")
+    print(_help(path))
+    raise SystemExit(0)
+
+
+def parse_args(argv: list[str]) -> types.SimpleNamespace:
+    """The namespace argparse gave for `argv`: a field per option, `command` (and `check`), `func`."""
+    path, rest, values, strays = "", list(argv), {}, []
+    while not COMMANDS[path][0]:
+        field, names = ("command", "check")[len(path.split())], _children(path)
+        if not rest:
+            _fail(path, f"the following arguments are required: {field}")
+        token = rest.pop(0)
+        read = _read(path, token, ())
+        if token in names:
+            values[field], path = token, f"{path} {token}".lstrip()
+        elif read is None or token == "--":
+            _fail(path, f"argument {field}: invalid choice: {token!r} (choose from {', '.join(names)})")
+        elif read == "--help":
+            _exit_with_help(path, token)
+        else:
+            strays.append(token)
+    kinds = {flag: kind for flag, kind, _, _ in _options(path)}
+    given = {flag: default for flag, _, default, _ in _options(path)}
+    # Nothing from "--" on is an option.  As argparse does, read every token before any
+    # value, so that an ambiguous prefix is refused first.
+    cut = rest.index("--") if "--" in rest else len(rest)
+    named = [(_read(path, token, kinds), token) for token in rest[:cut]]
+    while named:
+        flag, token = named.pop(0)
+        _, eq, value = token.partition("=")
+        if flag == "--help":
+            _exit_with_help(path, token)
+        if flag in (None, "?"):
+            strays.append(token)
+            continue
+        if not eq:
+            if not named or named[0][0] is not None:
+                _fail(path, f"argument {flag}: expected one argument")
+            value = named.pop(0)[1]
+        try:
+            given[flag] = int(value) if kinds[flag] is int else value
+            if kinds[flag] not in (int, str) and value not in kinds[flag]:
+                raise ValueError
+        except ValueError:
+            _fail(path, f"argument {flag}: invalid {'int value' if kinds[flag] is int else 'choice'}: {value!r}")
+    missing, strays = [flag for flag, value in given.items() if value is REQUIRED], strays + rest[cut:]
+    if missing or strays:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(strays)}")
+    values.update((flag[2:].replace("-", "_"), value) for flag, value in given.items())
+    return types.SimpleNamespace(**values, func=COMMANDS[path][0])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")

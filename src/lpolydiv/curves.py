@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .gf import is_prime, jacobi_symbol, make_field
-from ._kernels import trace_zero_count
+from . import _kernels  # by module, so that reading cached counts never runs it
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
 
@@ -132,14 +132,14 @@ def affine_count(spec: CurveSpec, m: int) -> int:
     # x^(p^m) = x on GF(p^m), so the twist p^k acts as p^(k mod m)
     twist = spec.p ** (spec.k % m)
     if spec.family == "ck":
-        return 2 * trace_zero_count(ctx, (twist + 1, 1))
+        return 2 * _kernels.trace_zero_count(ctx, (twist + 1, 1))
     if spec.family == "ak":
-        return 2 * trace_zero_count(ctx, (twist, 1))
+        return 2 * _kernels.trace_zero_count(ctx, (twist, 1))
     if spec.family == "ckp":
-        return spec.p * trace_zero_count(ctx, (twist + 1, 1))
+        return spec.p * _kernels.trace_zero_count(ctx, (twist + 1, 1))
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    nonzero = trace_zero_count(ctx, (twist + 1, -1))
+    nonzero = _kernels.trace_zero_count(ctx, (twist + 1, -1))
     return 1 + 2 * nonzero
 
 
@@ -204,7 +204,7 @@ def lmw_zero_count(n: int, k: int, j: int = 0) -> int:
     """Zeros of Tr(x^(2^k + 1) + x^(2^j + 1)) in GF(2^n), counted from the quadratic form."""
     _check_lmw(n, k, j)
     # x^(2^n) = x on GF(2^n), so only the twists mod n matter
-    return trace_zero_count(make_field(2, n), ((1 << (k % n)) + 1, (1 << (j % n)) + 1))
+    return _kernels.trace_zero_count(make_field(2, n), ((1 << (k % n)) + 1, (1 << (j % n)) + 1))
 
 
 def lmw_formula(n: int, k: int, j: int = 0) -> int:

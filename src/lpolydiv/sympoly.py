@@ -24,7 +24,7 @@ import re
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .gf import is_prime
+from . import gf
 
 MAX_EXPONENT = (1 << 64) - 1
 
@@ -35,7 +35,7 @@ class SparsePoly:
     __slots__ = ("p", "_terms")
 
     def __init__(self, p: int, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if not is_prime(p):
+        if p != 2 and not gf.is_prime(p):  # 2 is prime: GF(2) checks never run gf
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         acc: dict[int, int] = {}

@@ -8,17 +8,20 @@ function's logarithmic derivative as a power series, irreducibility is
 decided by trial division over all low-degree monic polynomials, and so is
 primality.  The covering-defect oracle takes every power by SparsePoly's
 schoolbook product, and the involution oracle scans all 2^k candidates.
+The command-line oracle is the argparse parser the CLI's table parser replaced.
 
 The table walk and the wide ek pair check read the field's discrete-log
 tables (a stdlib array and bytes) through zero-copy numpy views.  numpy is a
 test dependency only, from the ``test`` extra; the package itself needs none.
 """
 
+import argparse
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from lpolydiv import cli
 from lpolydiv.gf import make_field
 from lpolydiv.sympoly import SparsePoly, build_f, build_g, x_pow
 
@@ -288,3 +291,68 @@ def brute_smallest_irreducible(p, m):
         if trial_division_is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible found")
+
+
+def _add_common(parser):
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--cache-dir", default=None)
+    parser.add_argument("--format", choices=("table", "records"), default="table")
+
+
+def _add_family(parser):
+    parser.add_argument("--family", required=True, choices=("ck", "ek", "ak", "ckp"))
+    parser.add_argument("--k", required=True, type=int)
+    parser.add_argument("--p", type=int, default=2)
+
+
+def build_parser():
+    """The argparse grammar of the CLI, which cli.parse_args must read argv as."""
+    parser = argparse.ArgumentParser(prog="lpolydiv")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_count = sub.add_parser("count")
+    _add_family(p_count)
+    p_count.add_argument("--m", required=True, type=int)
+    _add_common(p_count)
+    p_count.set_defaults(func=cli.cmd_count)
+
+    p_lpoly = sub.add_parser("lpoly")
+    _add_family(p_lpoly)
+    _add_common(p_lpoly)
+    p_lpoly.set_defaults(func=cli.cmd_lpoly)
+
+    p_conj = sub.add_parser("conjecture")
+    p_conj.add_argument("--family", required=True, choices=("ck", "ek", "ckp"))
+    p_conj.add_argument("--kmax", required=True, type=int)
+    p_conj.add_argument("--p", type=int, default=2)
+    _add_common(p_conj)
+    p_conj.set_defaults(func=cli.cmd_conjecture)
+
+    p_verify = sub.add_parser("verify")
+    vsub = p_verify.add_subparsers(dest="check", required=True)
+
+    v_mor = vsub.add_parser("morphism")
+    v_mor.add_argument("--k", required=True, type=int)
+    v_mor.add_argument("--l", required=True, type=int)
+    _add_common(v_mor)
+    v_mor.set_defaults(func=cli.cmd_verify_morphism)
+
+    v_lmw = vsub.add_parser("lmw")
+    v_lmw.add_argument("--n", required=True, type=int)
+    v_lmw.add_argument("--k", required=True, type=int)
+    v_lmw.add_argument("--j", type=int, default=0)
+    _add_common(v_lmw)
+    v_lmw.set_defaults(func=cli.cmd_verify_lmw)
+
+    v_inv = vsub.add_parser("involution")
+    v_inv.add_argument("--k", required=True, type=int)
+    _add_common(v_inv)
+    v_inv.set_defaults(func=cli.cmd_verify_involution)
+
+    v_asi = vsub.add_parser("as-image")
+    v_asi.add_argument("--p", type=int, default=3)
+    v_asi.add_argument("--poly", default=None)
+    _add_common(v_asi)
+    v_asi.set_defaults(func=cli.cmd_verify_as_image)
+
+    return parser

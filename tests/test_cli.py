@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 
 import pytest
+from helpers import build_parser
 
 from lpolydiv import cli
 
@@ -168,6 +173,111 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "hypothesis" in err
 
 
+VALID_ARGV = [
+    "count --family ck --k 3 --m 5",
+    "count --family=ckp --p=3 --k=1 --m=4 --workers 2 --cache-dir /tmp/c --format records",
+    "count --fam ek --k 2 --m 5 --m 6 --form=records",
+    "count --m 1 --k -1 --family ak",
+    "lpoly --family ek --k 5",
+    "lpoly --family ck --k 1 --k 2 --cache /x --for table",
+    "conjecture --family ck --kmax 3",
+    "conjecture --family=ckp --p 3 --km 2 --workers=-1",
+    "verify morphism --k 6 --l 2",
+    "verify morphism --l=-2 --k 62 --format records",
+    "verify lmw --n 7 --k 1",
+    "verify lmw --n 25 --k 1 --j 0 --j 3",
+    "verify involution --k 4",
+    "verify involution --k -1 --w 3",
+    "verify as-image",
+    "verify as-image --p 2 --poly x^6+x^3+x^2+x",
+    "verify as-image --po=x^2 --p 5 --c ''",
+    "verify as-image '--poly=x^6 + x^3 + x' --p 2",
+    "verify as-image '--po=x^2 + 1' '--cache-dir=/a b'",
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV)
+def test_parser_reads_argv_as_argparse_did(argv):
+    argv = shlex.split(argv)
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _outcome(parse, argv):
+    """The namespace `parse` gives for argv, or its exit code; its output is discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_parser_agrees_with_argparse_on_random_argv():
+    # Every command and flag, unique prefixes of them, valid and invalid values, "-h", "--"
+    # and negative numbers, drawn in any order after a random command path.  An ambiguous
+    # prefix is left to test_usage_error_exits_2_with_usage_and_error: argparse in Python
+    # 3.13 reads a -h before one as help, while 3.10.13, 3.11.7 and 3.12.1 refuse the line
+    # before reading any option, as cli does.
+    words = [
+        *{word for path in cli.COMMANDS for word in path.split()},
+        *{flag for _, _, options in cli.COMMANDS.values() for flag, *_ in (*options, *cli._COMMON)},
+        "--fam", "--km", "--po", "--w", "--c", "--form", "--he", "--help", "-h", "--zz",
+        "--k=3", "--family=ck", "--m=", "--format=records", "--help=x", "--", "-", "-x",
+        "ck", "ek", "ak", "ckp", "zz", "table", "records", "1", "2", "-1", "-1.5", "x", "x^2+1", "a b", "--poly=a b",
+    ]
+    paths = [[], *(path.split() for path, (handler, _, _) in cli.COMMANDS.items() if handler)]
+    rng, oracle = random.Random(20261018), build_parser()
+    for _ in range(2000):
+        argv = rng.choice(paths) + [rng.choice(words) for _ in range(rng.randint(0, 9))]
+        assert _outcome(cli.parse_args, argv) == _outcome(oracle.parse_args, argv), argv
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "verify alone": ["verify"],
+    "unknown command": ["counts", "--family", "ck", "--k", "1", "--m", "1"],
+    "unknown check": ["verify", "morph", "--k", "6", "--l", "2"],
+    "unknown option": ["count", "--family", "ck", "--k", "1", "--m", "1", "--mm", "2"],
+    "unknown option before the command": ["--mm", "verify", "involution", "--k", "4"],
+    "ambiguous prefix": ["count", "--f", "ck", "--k", "1", "--m", "1"],
+    "missing value": ["count", "--family", "ck", "--k", "1", "--m"],
+    "option as value": ["count", "--family", "ck", "--k", "--m", "1"],
+    "non-int": ["count", "--family", "ck", "--k", "x", "--m", "1"],
+    "bad choice": ["count", "--family", "zz", "--k", "1", "--m", "1"],
+    "bad format": ["verify", "involution", "--k", "4", "--format=json"],
+    "missing required": ["count", "--family", "ck", "--k", "1"],
+    "stray positional": ["verify", "involution", "--k", "4", "extra"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_2_with_usage_and_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: lpolydiv")
+    assert error.startswith("lpolydiv") and ": error: " in error
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["-h"], ""), (["verify", "--help"], "verify"), (["count", "-h"], "count"),
+    (["count", "--family", "ck", "--he"], "count"), (["verify", "as-image", "-h"], "verify as-image"),
+])
+def test_help_lists_every_option_and_exits_0(argv, path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(f"usage: lpolydiv {path}".rstrip() + " [-h]")
+    listed = cli._children(path) + [flag for flag, *_ in cli._options(path)]
+    assert cli.COMMANDS[path][1] in out and "--help" in out
+    assert listed and all(f"  {name} " in out for name in listed), out
+
+
 def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
     from lpolydiv.curves import CurveSpec, count_series
     from lpolydiv.lseries import lpoly_from_counts, predicted_count
@@ -270,44 +380,70 @@ print(json.dumps(loaded))
 
 
 LIBRARY = ("gf", "_kernels", "curves", "cache", "lseries", "sympoly")
+PARSING = ("argparse", "gettext", "locale")
+WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
 
 
 @pytest.mark.parametrize(
-    "argvs, idle, unloaded",
+    "prefill, argvs, idle, unloaded",
     [
-        pytest.param([], LIBRARY, ("dataclasses", "fractions", "numpy"), id="import"),
+        pytest.param(None, [], LIBRARY, ("dataclasses", "fractions", "numpy", *PARSING), id="import"),
         pytest.param(
+            None,
             [
                 ["verify", "morphism", "--k", "6", "--l", "2"],
                 ["verify", "involution", "--k", "4"],
-                ["verify", "as-image", "--p", "3"],
             ],
-            ("curves", "lseries", "_kernels", "cache"),
-            ("dataclasses", "fractions", "numpy"),
+            ("curves", "lseries", "_kernels", "cache", "gf"),
+            ("dataclasses", "fractions", "numpy", *PARSING),
             id="verify",
         ),
         pytest.param(
+            None,
+            [["verify", "as-image", "--p", "3"]],
+            ("curves", "lseries", "_kernels", "cache"),
+            ("dataclasses", "fractions", "numpy", *PARSING),
+            id="as-image",
+        ),
+        pytest.param(
+            None,
             [
                 ["count", "--family", "ck", "--k", "3", "--m", "5"],
                 ["count", "--family", "ek", "--k", "2", "--m", "5"],
                 ["verify", "lmw", "--n", "7", "--k", "1"],
             ],
             ("sympoly", "lseries"),
-            ("dataclasses", "inspect", "fractions", "numpy"),
+            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="count",
         ),
         pytest.param(
+            None,
             [
                 ["lpoly", "--family", "ek", "--k", "3"],
                 ["conjecture", "--family", "ck", "--kmax", "3"],
             ],
             ("sympoly",),
-            ("dataclasses", "inspect", "fractions", "numpy"),
+            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="lseries",
+        ),
+        # Every count below is read from the cache that the prefill command fills.
+        pytest.param(
+            WARM_PREFILL,
+            [
+                ["count", "--family", "ek", "--k", "3", "--m", "5"],
+                ["lpoly", "--family", "ek", "--k", "2"],
+                WARM_PREFILL,
+            ],
+            ("_kernels", "sympoly"),
+            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
+            id="warm",
         ),
     ],
 )
-def test_commands_run_only_the_modules_they_use(tmp_path, argvs, idle, unloaded):
+def test_commands_run_only_the_modules_they_use(tmp_path, prefill, argvs, idle, unloaded):
+    if prefill:
+        cmd = [sys.executable, "-m", "lpolydiv", *prefill, "--cache-dir", str(tmp_path)]
+        assert subprocess.run(cmd, capture_output=True).returncode == 0
     script = f"""
 import json, sys, types
 before = set(sys.modules)
