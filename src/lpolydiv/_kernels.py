@@ -21,8 +21,6 @@ between them:
   :data:`gf.MAX_TABLE_ORDER`.  No table is built.
 """
 
-from __future__ import annotations
-
 import operator
 from typing import Sequence
 
@@ -89,7 +87,7 @@ def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> in
     m = ctx.m
     g = _trace_form(ctx, quads)
     alt = [sum((g[i][j] ^ g[j][i]) << j for j in range(m)) for i in range(m)]
-    lin = (ctx.trace_mask if linear % 2 else 0) ^ sum(g[i][i] << i for i in range(m))
+    lin = sum((linear * ctx.trace(1 << i) + g[i][i]) % 2 << i for i in range(m))
     const = 0
     h = 0
     for i in range(m):

@@ -9,10 +9,10 @@ Each record is appended with a single write under an exclusive ``flock``, so
 concurrent writers never interleave.  A writer killed mid-write can leave
 only the final line without its newline: readers warn about such a torn line
 and ignore it, and the next store cuts it off before appending.  A malformed
-record anywhere else is corruption and raises :class:`CountIntegrityError`.
+record anywhere else is corruption and raises :class:`CountIntegrityError`, and
+so do two records that store different counts for one key; repeats of one
+count are legal, since concurrent writers can make them.
 """
-
-from __future__ import annotations
 
 import fcntl
 import json
@@ -42,37 +42,47 @@ class CountCache:
         return (spec.family, spec.k, spec.p, m, tuple(modulus))
 
     def _load(self) -> dict[tuple, int]:
-        if self._records is None:
-            self._records = {}
+        if self._records is not None:
+            return self._records
+        # Filled locally, so that a corrupt file raises again on the next call.
+        records, first = {}, {}  # key -> count, key -> the line that first stored it
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        *lines, torn = data.split(b"\n")
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
             try:
-                data = self.path.read_bytes()
-            except FileNotFoundError:
-                return self._records
-            *lines, torn = data.split(b"\n")
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = (
-                        rec["family"],
-                        _int(rec["k"]),
-                        _int(rec["p"]),
-                        _int(rec["m"]),
-                        tuple(_int(c) for c in rec["modulus"]),
-                    )
-                    self._records[key] = _int(rec["n"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CountIntegrityError(
-                        f"{self.path}:{lineno}: malformed count record"
-                    ) from exc
-            if torn.strip():
-                print(
-                    f"warning: {self.path}:{len(lines) + 1}: ignoring a torn final line "
-                    "left by an interrupted write",
-                    file=sys.stderr,
+                rec = json.loads(line)
+                key = (
+                    rec["family"],
+                    _int(rec["k"]),
+                    _int(rec["p"]),
+                    _int(rec["m"]),
+                    tuple(_int(c) for c in rec["modulus"]),
                 )
-        return self._records
+                n = _int(rec["n"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CountIntegrityError(
+                    f"{self.path}:{lineno}: malformed count record"
+                ) from exc
+            # Concurrent writers may store one count twice; two counts for one key are corruption.
+            if records.setdefault(key, n) != n:
+                raise CountIntegrityError(
+                    f"{self.path}: lines {first[key]} and {lineno} store different counts "
+                    f"({records[key]} and {n}) for the same curve and field"
+                )
+            first.setdefault(key, lineno)
+        if torn.strip():
+            print(
+                f"warning: {self.path}:{len(lines) + 1}: ignoring a torn final line "
+                "left by an interrupted write",
+                file=sys.stderr,
+            )
+        self._records = records
+        return records
 
     def lookup(self, spec: CurveSpec, m: int, modulus: Sequence[int]) -> int | None:
         return self._load().get(self._key(spec, m, modulus))

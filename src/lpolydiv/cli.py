@@ -17,8 +17,6 @@ uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
 a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys
@@ -29,7 +27,7 @@ from . import cache, curves, gf, lseries, sympoly
 CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
 
-def _cache(args) -> cache.CountCache:
+def _cache(args) -> "cache.CountCache":
     # Created by the first store, so commands that count nothing leave no trace.
     cache_dir = (
         args.cache_dir or os.environ.get(CACHE_ENV) or os.path.expanduser("~/.cache/lpolydiv")
@@ -44,11 +42,11 @@ def _emit(args, record: dict, table_line: str):
         print(table_line)
 
 
-def _spec(args) -> curves.CurveSpec:
+def _spec(args) -> "curves.CurveSpec":
     return curves.CurveSpec(args.family, args.k, args.p)
 
 
-def _lpoly_for(spec: curves.CurveSpec, store: cache.CountCache) -> lseries.LPolynomial:
+def _lpoly_for(spec: "curves.CurveSpec", store: "cache.CountCache") -> "lseries.LPolynomial":
     # Every field limit lies far below 2^64, so count_series refuses a capped
     # genus before the true one (p^k for ckp) is formed.
     g = spec.genus_at_most(1 << 64)

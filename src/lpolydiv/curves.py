@@ -13,8 +13,6 @@ contributing the single point y = 0).  For ek and x != 0, substituting
 y = xz turns the fiber condition into Tr(x^(2^k + 1) + 1/x) = 0.
 """
 
-from __future__ import annotations
-
 import math
 
 from .gf import is_prime, jacobi_symbol, make_field

@@ -2,9 +2,10 @@
 
 A field element is a plain Python int in [0, p**m): its base-p digits are the
 coefficients of the residue polynomial, least significant digit first.  For
-p = 2 this is the usual packed-bit representation and addition is XOR.  All
-operations hang off an immutable :class:`FieldContext`, so elements are freely
-copyable plain data and every operation is pure.
+p = 2 this is the usual packed-bit representation.  All operations hang off an
+immutable context, one class per characteristic and picked by :func:`make_field`
+alone: :class:`FieldContext` on base-p digits, or for p = 2 its subclass on
+packed bits.  Elements are freely copyable plain data; every operation is pure.
 
 The reduction modulus is the lexicographically smallest monic irreducible of
 its degree, comparing coefficients from degree m-1 down to the constant term.
@@ -26,8 +27,6 @@ Discrete-log tables stop at order 2**20, and so does the recurrence kernel,
 which builds none; only the test oracles read the tables.
 Element enumeration order is the packed-int encoding, ascending.
 """
-
-from __future__ import annotations
 
 import collections
 import functools
@@ -241,10 +240,11 @@ class FieldContext:
     """Immutable arithmetic context for GF(p)[x]/(f), f the monic modulus.
 
     Any monic f of degree m gives ring arithmetic (add, mul, pow) on the
-    residues.  Only :func:`make_field`, which picks an irreducible f, promises
-    the field GF(p^m) that inv, trace, generator and the tables need.  Use it
-    rather than the constructor: it also caches contexts so repeated lookups
-    share their tables.
+    base-p digits of the residues.  Only :func:`make_field`, which picks an
+    irreducible f, promises the field GF(p^m) that inv, trace, generator and
+    the tables need.  Use it rather than the constructor: it also caches
+    contexts so repeated lookups share their tables, and takes the packed-bit
+    subclass for p = 2.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -252,8 +252,6 @@ class FieldContext:
         self.m = m
         self.order = p**m
         self.modulus = modulus
-        if p == 2:
-            self._mod_bits = _undigits(modulus, 2)
         self._tables: _Tables | None = None
         self._lock = threading.Lock()
 
@@ -265,38 +263,16 @@ class FieldContext:
     # -- element arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        p, m = self.p, self.m
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return _undigits([-d % self.p for d in _digits(a, self.p, self.m)], self.p)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return _clmod(_clmul(a, b), self._mod_bits)
         p, m = self.p, self.m
         return _undigits(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self.modulus, p), p)
 
@@ -322,8 +298,6 @@ class FieldContext:
 
     def trace(self, a: int) -> int:
         """Absolute trace into the prime subfield, as an int in [0, p)."""
-        if self.p == 2:
-            return (a & self.trace_mask).bit_count() & 1
         t = 0
         for ti in self._traces:
             a, d = divmod(a, self.p)
@@ -351,13 +325,6 @@ class FieldContext:
             acc = i * c[m - i] + sum(c[m - j] * t[i - j] for j in range(1, i))
             t.append(-acc % p)
         return tuple(t)
-
-    @functools.cached_property
-    def trace_mask(self) -> int:
-        """p = 2 only: trace(a) equals the parity of a & trace_mask."""
-        if self.p != 2:
-            raise AttributeError("trace_mask is only defined for p = 2")
-        return sum(t << i for i, t in enumerate(self._traces))
 
     def generator(self) -> int:
         """Smallest multiplicative generator in packed-int order."""
@@ -402,6 +369,33 @@ class FieldContext:
         return _Tables(exp, bytes(map(self.trace, exp)))
 
 
+class _BinaryField(FieldContext):
+    """GF(2)[x]/(f) on packed bits: addition is XOR, multiplication carry-less."""
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        super().__init__(p, m, modulus)
+        self._mod_bits = _undigits(modulus, 2)
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a: int) -> int:
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        return _clmod(_clmul(a, b), self._mod_bits)
+
+    def trace(self, a: int) -> int:
+        return (a & self.trace_mask).bit_count() & 1
+
+    @functools.cached_property
+    def trace_mask(self) -> int:
+        """trace(a) equals the parity of a & trace_mask."""
+        return sum(t << i for i, t in enumerate(self._traces))
+
+
 def _field_name(p: int, m: int) -> str:
     # Python refuses to format ints past 4300 decimal digits, and a series for
     # a huge genus asks for its field with the genus capped at 2^64; a degree
@@ -430,4 +424,5 @@ def make_field(p: int, m: int) -> FieldContext:
         raise FieldLimitError(
             f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^22"
         )
-    return FieldContext(p, m, _lex_smallest_irreducible(p, m))
+    context = _BinaryField if p == 2 else FieldContext
+    return context(p, m, _lex_smallest_irreducible(p, m))

@@ -14,8 +14,6 @@ genus, a wrong infinity count, or corrupted input, and raises.  All
 arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
-from __future__ import annotations
-
 import json
 from typing import NamedTuple, Sequence
 

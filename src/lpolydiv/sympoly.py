@@ -18,8 +18,6 @@ products.  The covering identity's g^2 and f^(q+1) are one dict pass and one
 r x r product rather than a square of g's O(r^2 l) terms.
 """
 
-from __future__ import annotations
-
 import re
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple

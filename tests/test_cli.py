@@ -387,7 +387,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
 @pytest.mark.parametrize(
     "prefill, argvs, idle, unloaded",
     [
-        pytest.param(None, [], LIBRARY, ("dataclasses", "fractions", "numpy", *PARSING), id="import"),
+        pytest.param(None, [], LIBRARY, ("__future__", "dataclasses", "fractions", "numpy", *PARSING), id="import"),
         pytest.param(
             None,
             [
@@ -395,14 +395,14 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["verify", "involution", "--k", "4"],
             ],
             ("curves", "lseries", "_kernels", "cache", "gf"),
-            ("dataclasses", "fractions", "numpy", *PARSING),
+            ("__future__", "dataclasses", "fractions", "numpy", *PARSING),
             id="verify",
         ),
         pytest.param(
             None,
             [["verify", "as-image", "--p", "3"]],
             ("curves", "lseries", "_kernels", "cache"),
-            ("dataclasses", "fractions", "numpy", *PARSING),
+            ("__future__", "dataclasses", "fractions", "numpy", *PARSING),
             id="as-image",
         ),
         pytest.param(
@@ -413,7 +413,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["verify", "lmw", "--n", "7", "--k", "1"],
             ],
             ("sympoly", "lseries"),
-            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
+            ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="count",
         ),
         pytest.param(
@@ -423,7 +423,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["conjecture", "--family", "ck", "--kmax", "3"],
             ],
             ("sympoly",),
-            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
+            ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="lseries",
         ),
         # Every count below is read from the cache that the prefill command fills.
@@ -435,7 +435,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 WARM_PREFILL,
             ],
             ("_kernels", "sympoly"),
-            ("dataclasses", "inspect", "fractions", "numpy", *PARSING),
+            ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="warm",
         ),
     ],

@@ -352,6 +352,36 @@ def test_malformed_interior_cache_record_is_an_integrity_error(tmp_path, bad):
         CountCache(path).lookup(CurveSpec("ck", 1), 1, make_field(2, 1).modulus)
 
 
+@pytest.mark.parametrize(
+    "m, forged, argv",
+    [
+        # Both forged counts lie inside the Hasse-Weil bound, so only the conflict shows them.
+        (3, 9, ["count", "--family", "ck", "--k", "1", "--m", "3"]),
+        (1, 1, ["lpoly", "--family", "ck", "--k", "1"]),
+    ],
+)
+def test_conflicting_cache_records_are_an_integrity_error(tmp_path, capsys, m, forged, argv):
+    from lpolydiv import cli
+    from lpolydiv.curves import CountIntegrityError
+
+    path, argv = tmp_path / "counts.jsonl", argv + ["--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (line,) = path.read_bytes().splitlines(keepends=True)
+    rec = json.loads(line)
+    path.write_bytes(line * 2)  # one count stored twice, as concurrent writers can leave it
+    assert cli.main(argv) == 0
+    path.write_bytes(line * 2 + json.dumps({**rec, "n": forged}).encode() + b"\n")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"lines 1 and 3 store different counts ({rec['n']} and {forged})" in err
+    cache = CountCache(path)
+    for _ in range(2):  # a failed read is not kept, so the next lookup fails too
+        with pytest.raises(CountIntegrityError, match="lines 1 and 3"):
+            cache.lookup(CurveSpec("ck", 1), m, make_field(2, m).modulus)
+
+
 def test_concurrent_writers_append_whole_records(tmp_path):
     import sys
     import threading

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from lpolydiv.gf import (
     MAX_PRIME_TEST,
+    FieldContext,
     FieldLimitError,
+    _BinaryField,
     _is_irreducible,
     is_prime,
     jacobi_symbol,
@@ -141,6 +143,29 @@ def test_field_axioms(idx, data):
     assert ctx.add(a, 0) == a
     assert ctx.mul(a, 1) == a
     assert ctx.add(a, ctx.neg(a)) == 0
+
+
+def test_make_field_picks_the_context_class_by_characteristic():
+    assert type(make_field(2, 5)) is _BinaryField
+    for p, m in [(3, 2), (5, 1)]:
+        assert type(make_field(p, m)) is FieldContext
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 16), data=st.data())
+def test_binary_field_matches_the_digit_codec(m, data):
+    # FieldContext computes GF(2^m) on base-2 digit lists, sharing no arithmetic
+    # with the packed-bit subclass that make_field returns for p = 2.
+    bits = make_field(2, m)
+    digits = FieldContext(2, m, bits.modulus)
+    el = st.integers(0, bits.order - 1)
+    a, b, e = data.draw(el), data.draw(el), data.draw(st.integers(0, 2 * bits.order))
+    for op, args in [
+        ("add", (a, b)), ("sub", (a, b)), ("neg", (a,)), ("mul", (a, b)), ("pow", (a, e)), ("trace", (a,)),
+    ]:
+        assert getattr(bits, op)(*args) == getattr(digits, op)(*args), (op, args)
+    if a:
+        assert bits.inv(a) == digits.inv(a)
 
 
 def test_trace_examples():
