@@ -276,9 +276,6 @@ class FieldContext:
         p, m = self.p, self.m
         return _undigits(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self.modulus, p), p)
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent; use inv() for inverses")

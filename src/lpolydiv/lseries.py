@@ -3,15 +3,15 @@
 An L-polynomial of a genus-g curve over GF(q) has integer coefficients
 a_0..a_2g with a_0 = 1 and the functional-equation symmetry
 a_(2g-i) = q^(g-i) a_i.  Writing N_m = q^m + 1 - s_m, the s_m are the power
-sums of the reciprocal roots, and Newton's identities convert between them
-and the coefficients:
+sums of the reciprocal roots.  One Newton recurrence, with a_m = 0 past 2g,
+links the two for every m >= 1:
 
-    m a_m = -(s_1 a_(m-1) + ... + s_m a_0)          for m <= 2g
-    s_m   = -(a_1 s_(m-1) + ... + a_2g s_(m-2g))    for m > 2g
+    s_m = -(m a_m + s_1 a_(m-1) + ... + s_(m-1) a_1)
 
-Every division performed here must be exact; a remainder signals a wrong
-genus, a wrong infinity count, or corrupted input, and raises.  All
-arithmetic is arbitrary-precision integer (or exact rational), never float.
+Solved for a_m it rebuilds the coefficients, and that division by m must be
+exact; a remainder signals a wrong genus, a wrong infinity count, or
+corrupted input, and raises.  Divisibility is decided by one product test.
+All arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
 import json
@@ -85,25 +85,25 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     a = _newton_coeffs(s, "wrong genus, wrong point at infinity, or corrupted counts")
     a += [q ** (i - g) * a[2 * g - i] for i in range(g + 1, 2 * g + 1)]
     lpoly = LPolynomial(q, g, tuple(a))
-    for m in range(g + 1, len(seq) + 1):
-        if predicted_count(lpoly, m) != seq[m - 1]:
-            raise LSeriesError(
-                f"count N_{m} = {seq[m - 1]} is inconsistent with the polynomial "
-                f"built from N_1..N_{g} (expected {predicted_count(lpoly, m)})"
-            )
+    if len(seq) > g:
+        sums = power_sums(lpoly, len(seq))
+        for m in range(g + 1, len(seq) + 1):
+            expected = q**m + 1 - sums[m - 1]
+            if expected != seq[m - 1]:
+                raise LSeriesError(
+                    f"count N_{m} = {seq[m - 1]} is inconsistent with the polynomial "
+                    f"built from N_1..N_{g} (expected {expected})"
+                )
     return lpoly
 
 
 def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:
-    """s_1..s_upto of the reciprocal roots, via Newton and the tail recurrence."""
-    a = lpoly.coeffs
+    """s_1..s_upto of the reciprocal roots, by Newton's recurrence with a_m = 0 past 2g."""
     deg = 2 * lpoly.g
-    s = [0] * (upto + 1)
+    a = lpoly.coeffs + (0,) * (upto - deg)
+    s = [0]
     for m in range(1, upto + 1):
-        if m <= deg:
-            s[m] = -(m * a[m] + sum(s[i] * a[m - i] for i in range(1, m)))
-        else:
-            s[m] = -sum(a[i] * s[m - i] for i in range(1, deg + 1))
+        s.append(-(m * a[m] + sum(s[i] * a[m - i] for i in range(max(1, m - deg), m))))
     return s[1:]
 
 
@@ -111,20 +111,14 @@ def predicted_count(lpoly: LPolynomial, m: int) -> int:
     """N_m implied by the polynomial: q^m + 1 - s_m."""
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if lpoly.g == 0:
-        return lpoly.q**m + 1
-    return lpoly.q**m + 1 - power_sums(lpoly, m)[m - 1]
+    return lpoly.q**m + 1 - power_sums(lpoly, m)[-1]
 
 
 def base_change(lpoly: LPolynomial, s: int) -> LPolynomial:
     """L-polynomial over GF(q^s): reciprocal roots raised to the s-th power."""
     if s < 1:
         raise ValueError(f"extension degree must be >= 1, got {s}")
-    if s == 1:
-        return lpoly
-    deg = 2 * lpoly.g
-    long_sums = power_sums(lpoly, deg * s) if deg else []
-    sp = [long_sums[i * s - 1] for i in range(1, deg + 1)]
+    sp = power_sums(lpoly, 2 * lpoly.g * s)[s - 1 :: s]
     a = _newton_coeffs(sp, "base change of an invalid L-polynomial")
     return LPolynomial(lpoly.q**s, lpoly.g, tuple(a))
 
@@ -147,8 +141,11 @@ def _as_coeffs(poly) -> tuple[int, ...]:
 def divides(denom, numer) -> DivisionResult:
     """Exact integer polynomial division, ascending from the constant term.
 
-    On failure the result carries the first coefficient index where the
-    quotient left the integers or the remainder refused to vanish.
+    The quotient's coefficients come off numer's low coefficients, each an
+    exact division by denom's constant term, and numer is divisible iff denom
+    times the quotient reproduces it; zero is, with quotient (0,).  A failure
+    carries the first index where a quotient coefficient left the integers
+    or the product differs from numer (0 for a nonzero numer of lower degree).
     """
     d = _as_coeffs(denom)
     n = _as_coeffs(numer)
@@ -156,31 +153,28 @@ def divides(denom, numer) -> DivisionResult:
         raise ZeroDivisionError("zero divisor polynomial")
     if d[0] == 0:
         raise ValueError("divisor needs a nonzero constant term for ascending division")
+    if not any(n):
+        return DivisionResult(True, (0,), None)
     qlen = len(n) - len(d) + 1
     if qlen <= 0:
         return DivisionResult(False, None, 0)
     quo: list[int] = []
-    for i in range(len(n)):
+    for i in range(qlen):
         acc = n[i]
         for j in range(1, min(i, len(d) - 1) + 1):
-            if i - j < qlen and i - j < len(quo):
-                acc -= d[j] * quo[i - j]
-        if i < qlen:
-            c, rem = divmod(acc, d[0])
-            if rem:
-                return DivisionResult(False, None, i)
-            quo.append(c)
-        elif acc != 0:
+            acc -= d[j] * quo[i - j]
+        c, rem = divmod(acc, d[0])
+        if rem:
             return DivisionResult(False, None, i)
-    result = tuple(quo)
-    # belt and braces: the product must reproduce the numerator exactly
-    check = [0] * len(n)
+        quo.append(c)
+    prod = [0] * len(n)
     for i, dc in enumerate(d):
-        for j, qc in enumerate(result):
-            check[i + j] += dc * qc
-    if tuple(check) != n:
-        raise AssertionError("ascending division produced an inconsistent quotient")
-    return DivisionResult(True, result, None)
+        for j, qc in enumerate(quo):
+            prod[i + j] += dc * qc
+    for i in range(len(n)):
+        if prod[i] != n[i]:
+            return DivisionResult(False, None, i)
+    return DivisionResult(True, tuple(quo), None)
 
 
 def _frac_gcd(a: list, b: list) -> list:
@@ -201,8 +195,6 @@ def _frac_gcd(a: list, b: list) -> list:
             for i in range(len(b)):
                 a[off + i] -= lead * b[i]
             trim(a)
-            if not a:
-                break
         a, b = b, a
     return a
 
@@ -253,7 +245,7 @@ def lpoly_from_line(line: str) -> LPolynomial:
     return lpoly_from_record(json.loads(line))
 
 
-def format_int_poly(coeffs: Sequence[int], var: str = "t") -> str:
+def format_int_poly(coeffs: Sequence[int]) -> str:
     """Human form, descending powers: (1, 2, 2) -> '2t^2+2t+1'."""
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
@@ -266,6 +258,6 @@ def format_int_poly(coeffs: Sequence[int], var: str = "t") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
+            body = f"{head}t" if e == 1 else f"{head}t^{e}"
         parts.append(f"{sign}{body}")
     return "".join(parts) if parts else "0"

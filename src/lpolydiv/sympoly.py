@@ -36,22 +36,13 @@ class SparsePoly:
         if p != 2 and not gf.is_prime(p):  # 2 is prime: GF(2) checks never run gf
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
-        acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for e, _ in items:
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
             if e > MAX_EXPONENT:
                 raise OverflowError(f"exponent {e} exceeds the 64-bit term bound")
-            c %= p
-            if not c:
-                continue
-            nc = (acc.get(e, 0) + c) % p
-            if nc:
-                acc[e] = nc
-            elif e in acc:
-                del acc[e]
-        self._terms = acc
+        self._terms = _add_terms({}, items, p)
 
     @property
     def terms(self) -> Mapping[int, int]:
@@ -77,15 +68,7 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_char(other)
-        out = dict(self._terms)
-        p = self.p
-        for e, c in other._terms.items():
-            nc = (out.get(e, 0) + c) % p
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-        return _raw(p, out)
+        return _raw(self.p, _add_terms(dict(self._terms), other._terms.items(), self.p))
 
     def __neg__(self) -> "SparsePoly":
         p = self.p
@@ -96,19 +79,12 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_char(other)
-        p = self.p
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                if e > MAX_EXPONENT:
-                    raise OverflowError(f"product exponent {e} exceeds the 64-bit term bound")
-                nc = (out.get(e, 0) + c1 * c2) % p
-                if nc:
-                    out[e] = nc
-                elif e in out:
-                    del out[e]
-        return _raw(p, out)
+        top = self.degree() + other.degree()
+        if top > MAX_EXPONENT:
+            raise OverflowError(f"product exponent {top} exceeds the 64-bit term bound")
+        b = other._terms.items()
+        products = ((e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in b)
+        return _raw(self.p, _add_terms({}, products, self.p))
 
     def __pow__(self, e: int) -> "SparsePoly":
         """a^e from the base-p digits of e: a^(sum d_i p^i) = prod_i Frob^i(a)^(d_i).
@@ -118,19 +94,31 @@ class SparsePoly:
         """
         if e < 0:
             raise ValueError("negative power")
-        p = self.p
-        result = _raw(p, {0: 1})
-        base = self
+        if e == 0:
+            return _raw(self.p, {0: 1})
+        result, base = None, self
         while True:
-            e, digit = divmod(e, p)
+            e, digit = divmod(e, self.p)
             if digit:
-                result = result * _digit_power(base, digit)
+                power = _digit_power(base, digit)
+                result = power if result is None else result * power
             if not e:
                 return result
             base = frobenius(base)
 
     def __repr__(self) -> str:
         return f"SparsePoly(p={self.p}, {format_terms(self)})"
+
+
+def _add_terms(terms: dict[int, int], items: Iterable[tuple[int, int]], p: int) -> dict[int, int]:
+    """Add each c x^e of items into terms over GF(p), dropping what cancels; returns terms."""
+    for e, c in items:
+        c = (terms.get(e, 0) + c) % p
+        if c:
+            terms[e] = c
+        elif e in terms:
+            del terms[e]
+    return terms
 
 
 def _raw(p: int, terms: dict[int, int]) -> SparsePoly:
@@ -258,19 +246,15 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
     """
     p = h.p
     work = dict(h.terms)
-    witness: dict[int, int] = {}
+    witness = []
     while work:
         d = max(work)
         if d == 0 or d % p:
             return ArtinSchreierDecision(False, None, d)
         c = work.pop(d)
         e = d // p
-        witness[e] = (witness.get(e, 0) + c) % p
-        nc = (work.get(e, 0) + c) % p
-        if nc:
-            work[e] = nc
-        elif e in work:
-            del work[e]
+        witness.append((e, c))
+        _add_terms(work, ((e, c),), p)
     g = SparsePoly(p, witness)
     if frobenius(g) - g != h:
         raise AssertionError("peeling produced a witness that does not re-verify")

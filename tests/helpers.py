@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles, staying off
 the code paths under test: solution counting enumerates (x, y) pairs against
 the raw curve equations, the bit oracle enumerates GF(2^m) against trace
 forms built from field arithmetic alone, count prediction expands the zeta
-function's logarithmic derivative as a power series, irreducibility is
+function's logarithmic derivative as a power series, polynomial division is
+ascending long division over the rationals, irreducibility is
 decided by trial division over all low-degree monic polynomials, and so is
 primality.  The covering-defect oracle takes every power by SparsePoly's
 schoolbook product, and the involution oracle scans all 2^k candidates.
@@ -39,7 +40,7 @@ def oracle_affine_count(spec, m):
             for x in ctx.elements():
                 rhs = ctx.add(ctx.pow(x, (1 << k) + 3), x)
                 for y in ctx.elements():
-                    if (ctx.sqr(y) ^ ctx.mul(x, y)) == rhs:
+                    if (ctx.mul(y, y) ^ ctx.mul(x, y)) == rhs:
                         count += 1
             return count
         return _oracle_ek_wide(ctx, k)
@@ -63,7 +64,7 @@ def _oracle_ek_wide(ctx, k):
     exp_t = np.frombuffer(tables.exp, dtype=f"u{tables.exp.itemsize}")
     log_t = np.full(q, -1, dtype=np.int64)
     log_t[exp_t] = np.arange(n, dtype=np.int64)
-    ysqr = np.fromiter((ctx.sqr(y) for y in range(q)), dtype=np.int64, count=q)
+    ysqr = np.fromiter((ctx.mul(y, y) for y in range(q)), dtype=np.int64, count=q)
     log_nz = log_t[1:]
     count = 0
     xy = np.empty(q, dtype=np.int64)
@@ -212,6 +213,35 @@ def zeta_oracle_counts(coeffs, q, upto):
         assert val.denominator == 1
         out.append(q**m + 1 + int(val))
     return out
+
+
+def fraction_long_division(d, n):
+    """(quotient, fail_index) of n / d by ascending long division over the rationals.
+
+    d and n are ascending integer coefficients without trailing zeros, d[0] != 0.
+    Each quotient coefficient is the running remainder's lowest open
+    coefficient over d[0], and d times it is subtracted from the remainder;
+    the first index holding a non-integral quotient coefficient, or a nonzero
+    remainder coefficient once the quotient is complete, is where division
+    fails.  The zero numerator divides with quotient (0,), and any other
+    numerator of lower degree than d fails at index 0.
+    """
+    if not any(n):
+        return (0,), None
+    qlen = len(n) - len(d) + 1
+    if qlen <= 0:
+        return None, 0
+    rem = [Fraction(c) for c in n]
+    quotient = []
+    for i in range(qlen):
+        c = rem[i] / d[0]
+        if c.denominator != 1:
+            return None, i
+        quotient.append(int(c))
+        for j, dj in enumerate(d):
+            rem[i + j] -= c * dj
+    bad = [i for i, r in enumerate(rem) if r]
+    return (None, bad[0]) if bad else (tuple(quotient), None)
 
 
 def expand_factors(factors):

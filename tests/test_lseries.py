@@ -17,7 +17,7 @@ from lpolydiv.lseries import (
     predicted_count,
     squarefree,
 )
-from helpers import zeta_oracle_counts
+from helpers import fraction_long_division, zeta_oracle_counts
 
 C1 = LPolynomial(2, 1, (1, 2, 2))
 C2 = LPolynomial(2, 2, (1, 2, 4, 4, 4))
@@ -63,6 +63,15 @@ def test_constructor_validation():
         with pytest.raises(LSeriesError) as caught:
             LPolynomial(*args)
         assert str(caught.value) == message
+
+
+def test_genus_zero():
+    for q in (2, 3, 4, 5):
+        trivial = LPolynomial(q, 0, (1,))
+        for s in range(1, 6):
+            assert base_change(trivial, s) == LPolynomial(q**s, 0, (1,))
+        assert [predicted_count(trivial, m) for m in range(1, 6)] == [q**m + 1 for m in range(1, 6)]
+        assert power_sums(trivial, 5) == [0] * 5
 
 
 def test_predicted_count_examples():
@@ -173,6 +182,53 @@ def test_divides_degenerate():
     with pytest.raises(ZeroDivisionError):
         divides((0,), C1)
     assert not divides(C2, C1).divides  # degree too large
+    # zero is d * 0 for every divisor, whatever the degrees
+    for d in ((1,), (3,), C1, C2, (2, 0, 0, 5)):
+        assert divides(d, (0,)) == (True, (0,), None)
+        assert divides(d, (0, 0)) == (True, (0,), None)
+
+
+def _trimmed(coeffs):
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "d,n,fail_index",
+    [
+        ((2, 1), (1, 1, 1), 0),  # quotient coefficient 1/2 at index 0
+        ((1, 1), (1, 0, 1), 2),  # quotient (1, -1) exact, remainder 2 t^2
+        ((1, 2, 2), (1, 2), 0),  # numerator shorter than the divisor
+        ((1, 2, 2), (0, 1), 0),
+        ((3, 1), (3, 5, 2), 1),  # quotient coefficient 4/3 at index 1
+        ((1, 1, 1), (1, 1, 2, 2, 1), 3),  # quotient (1, 0, 1), remainder t^3
+    ],
+)
+def test_divides_failure_index_matches_fraction_division(d, n, fail_index):
+    assert fraction_long_division(d, n) == (None, fail_index)
+    assert divides(d, n) == (False, None, fail_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_divides_matches_fraction_division(data):
+    coeff = st.integers(-6, 6)
+    d = [data.draw(st.sampled_from([1, -1, 2, -3, 4]))]
+    d += data.draw(st.lists(coeff, max_size=4))
+    n = data.draw(st.lists(coeff, min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        # a multiple of d, perhaps off by one in one coefficient, so that
+        # draws reach the product test at or above qlen, not only low failures
+        q = data.draw(st.lists(coeff, min_size=1, max_size=5))
+        n = [0] * (len(d) + len(q) - 1)
+        for i, a in enumerate(d):
+            for j, b in enumerate(q):
+                n[i + j] += a * b
+        n[data.draw(st.integers(0, len(n) - 1))] += data.draw(st.sampled_from([0, 0, 1, -1]))
+    d, n = _trimmed(d), _trimmed(n)
+    quotient, fail_index = fraction_long_division(d, n)
+    assert divides(d, n) == (quotient is not None, quotient, fail_index)
 
 
 def test_squarefree_examples():
@@ -238,4 +294,5 @@ def test_format_int_poly():
     assert format_int_poly((1, 0, 2)) == "2t^2+1"
     assert format_int_poly((0,)) == "0"
     assert format_int_poly((1, 1, 1)) == "t^2+t+1"
+    assert format_int_poly((-1, -1, 3)) == "3t^2-t-1"
     assert str(C1) == "2t^2+2t+1"
