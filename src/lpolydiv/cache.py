@@ -1,9 +1,11 @@
 """Persistent point-count cache: one JSON record per line.
 
-Each record stores family, k, p, m, the modulus coefficients (ascending, so
-the key pins the exact field presentation), the count, and a timestamp.  The
-timestamp is informational; lookups key on everything else and re-reads are
-bit-exact because counts are integers end to end.
+Each record stores family, k, p, m, the count, and a timestamp.  Lookups key
+on (family, k, p, m): N_m does not depend on the modulus that presents
+GF(p^m), so a lookup builds no field.  Records of earlier versions also carry
+that modulus; they are read alike, the modulus ignored.  The timestamp is
+informational, and re-reads are bit-exact because counts are integers end to
+end.
 
 Each record is appended with a single write under an exclusive ``flock``, so
 concurrent writers never interleave.  A writer killed mid-write can leave
@@ -20,7 +22,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
 
 from .curves import CountIntegrityError, CurveSpec
 
@@ -37,10 +38,6 @@ class CountCache:
         self.path = Path(path)
         self._records: dict[tuple, int] | None = None
 
-    @staticmethod
-    def _key(spec: CurveSpec, m: int, modulus: Sequence[int]) -> tuple:
-        return (spec.family, spec.k, spec.p, m, tuple(modulus))
-
     def _load(self) -> dict[tuple, int]:
         if self._records is not None:
             return self._records
@@ -56,13 +53,7 @@ class CountCache:
                 continue
             try:
                 rec = json.loads(line)
-                key = (
-                    rec["family"],
-                    _int(rec["k"]),
-                    _int(rec["p"]),
-                    _int(rec["m"]),
-                    tuple(_int(c) for c in rec["modulus"]),
-                )
+                key = (rec["family"], _int(rec["k"]), _int(rec["p"]), _int(rec["m"]))
                 n = _int(rec["n"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise CountIntegrityError(
@@ -84,16 +75,15 @@ class CountCache:
         self._records = records
         return records
 
-    def lookup(self, spec: CurveSpec, m: int, modulus: Sequence[int]) -> int | None:
-        return self._load().get(self._key(spec, m, modulus))
+    def lookup(self, spec: CurveSpec, m: int) -> int | None:
+        return self._load().get((spec.family, spec.k, spec.p, m))
 
-    def store(self, spec: CurveSpec, m: int, modulus: Sequence[int], n: int) -> None:
+    def store(self, spec: CurveSpec, m: int, n: int) -> None:
         rec = {
             "family": spec.family,
             "k": spec.k,
             "p": spec.p,
             "m": m,
-            "modulus": list(modulus),
             "n": n,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
@@ -109,4 +99,4 @@ class CountCache:
                 raise OSError(f"short write appending to {self.path}")
         finally:
             os.close(fd)
-        self._load()[self._key(spec, m, modulus)] = n
+        self._load()[(spec.family, spec.k, spec.p, m)] = n

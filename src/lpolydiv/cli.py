@@ -14,7 +14,8 @@ repeat winning, ``-h`` at every level) without importing argparse, and ``_help``
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
 uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
-a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``.
+a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``
+and builds no field.
 """
 
 import json
@@ -29,6 +30,8 @@ CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
 def _cache(args) -> "cache.CountCache":
     # Created by the first store, so commands that count nothing leave no trace.
+    if args.cache_dir == "":
+        raise ValueError("--cache-dir must not be empty")
     cache_dir = (
         args.cache_dir or os.environ.get(CACHE_ENV) or os.path.expanduser("~/.cache/lpolydiv")
     )
@@ -90,9 +93,9 @@ def cmd_conjecture(args) -> int:
     if args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
     # The genus grows with k, so this refuses an oversize run before its
-    # first count, at the first k whose series needs too large a field.
+    # first count, at the first k whose series needs too large a field; no field is built.
     for k in range(1, args.kmax + 1):
-        gf.make_field(args.p, curves.CurveSpec(args.family, k, args.p).genus)
+        gf.check_field_limits(args.p, curves.CurveSpec(args.family, k, args.p).genus)
     store = _cache(args)
     base = curves.CurveSpec(args.family, 1, args.p)
     l_base = _lpoly_for(base, store)

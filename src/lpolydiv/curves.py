@@ -15,7 +15,7 @@ y = xz turns the fiber condition into Tr(x^(2^k + 1) + 1/x) = 0.
 
 import math
 
-from .gf import is_prime, jacobi_symbol, make_field
+from .gf import check_field_limits, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
@@ -119,7 +119,8 @@ class PointCounts(_Value):
 
 
 class CountIntegrityError(RuntimeError):
-    """A computed or cached count violates the Hasse-Weil bound, or a cache record is malformed."""
+    """A computed or cached count violates the Hasse-Weil bound, a cache record is malformed,
+    or two cache records store different counts for one key."""
 
 
 def affine_count(spec: CurveSpec, m: int) -> int:
@@ -163,10 +164,10 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
 
     Every count, cached or fresh, must pass the Hasse-Weil bound before it is
-    returned or stored.
+    returned or stored.  A cached count builds no field.
     """
-    ctx = make_field(spec.p, m)
-    n = cache.lookup(spec, m, ctx.modulus) if cache is not None else None
+    check_field_limits(spec.p, m)
+    n = cache.lookup(spec, m) if cache is not None else None
     provenance = "cached"
     if n is None:
         n = point_count(spec, m)
@@ -178,7 +179,7 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
             f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
         )
     if provenance == "counted" and cache is not None:
-        cache.store(spec, m, ctx.modulus, n)
+        cache.store(spec, m, n)
     return n, provenance
 
 
@@ -186,7 +187,7 @@ def count_series(spec: CurveSpec, upto: int, *, cache=None) -> PointCounts:
     """N_1..N_upto by :func:`count_field`, one extension at a time."""
     if upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
-    make_field(spec.p, upto)  # the largest field: refuse an oversize series before counting
+    check_field_limits(spec.p, upto)  # refuse an oversize series by its largest field, before any count
     counts, provenance = zip(*(count_field(spec, m, cache=cache) for m in range(1, upto + 1)))
     return PointCounts(spec, counts, provenance)
 

@@ -402,12 +402,8 @@ def _field_name(p: int, m: int) -> str:
     return f"GF({p}^{m})"
 
 
-@functools.lru_cache(maxsize=None)
-def make_field(p: int, m: int) -> FieldContext:
-    """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
-
-    Limits: p = 2 admits 1 <= m <= 32; odd p admits p**m <= 2**22.
-    """
+def check_field_limits(p: int, m: int) -> None:
+    """Refuse GF(p^m) past the limits (p = 2: m <= 32; odd p: p**m <= 2**22), searching no modulus."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if m < 1:
@@ -421,5 +417,14 @@ def make_field(p: int, m: int) -> FieldContext:
         raise FieldLimitError(
             f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^22"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def make_field(p: int, m: int) -> FieldContext:
+    """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
+
+    Only counts build one: size checks and cached counts call :func:`check_field_limits`.
+    """
+    check_field_limits(p, m)
     context = _BinaryField if p == 2 else FieldContext
     return context(p, m, _lex_smallest_irreducible(p, m))

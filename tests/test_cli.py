@@ -479,6 +479,90 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envcache" / "counts.jsonl").exists()
 
 
+@pytest.mark.parametrize("option", [["--cache-dir="], ["--cache-dir", ""]], ids=["joined", "split"])
+def test_empty_cache_dir_is_a_usage_error(tmp_path, capsys, monkeypatch, option):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
+    code, out, err = run(capsys, "count", "--family", "ck", "--k", "1", "--m", "3", *option)
+    assert code == 2 and out == ""
+    assert err == "error: --cache-dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_cache_env_var_means_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv(cli.CACHE_ENV, "")
+    code, _, _ = run(capsys, "count", "--family", "ck", "--k", "1", "--m", "2")
+    assert code == 0
+    assert (tmp_path / ".cache" / "lpolydiv" / "counts.jsonl").exists()
+
+
+def _old_record(spec, m) -> str:
+    """The record an earlier version stored for N_m, keyed also by the modulus of GF(p^m)."""
+    from lpolydiv.curves import point_count
+    from lpolydiv.gf import make_field
+
+    return json.dumps(
+        {"family": spec.family, "k": spec.k, "p": spec.p, "m": m,
+         "modulus": list(make_field(spec.p, m).modulus), "n": point_count(spec, m),
+         "timestamp": "2026-01-01T00:00:00Z"},
+        separators=(",", ":"),
+    ) + "\n"
+
+
+def test_cache_file_of_earlier_versions_is_read_as_hits(tmp_path, capsys):
+    from lpolydiv.curves import CurveSpec
+
+    specs = (CurveSpec("ck", 2), CurveSpec("ckp", 1, 3))
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "counts.jsonl").write_text("".join(_old_record(s, m) for s in specs for m in range(1, s.genus + 1)))
+    before = (old / "counts.jsonl").read_bytes()
+    argvs = [
+        ["count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "3", "--format", "records"],
+        ["lpoly", "--family", "ck", "--k", "2"],
+        ["lpoly", "--family", "ckp", "--p", "3", "--k", "1"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv, "--cache-dir", str(old))
+        assert code == 0, err
+        # the same stdout as counting afresh, but for the provenance
+        assert out == run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))[1].replace("fresh", "cached")
+    # every count was a hit, so nothing was appended
+    assert (old / "counts.jsonl").read_bytes() == before
+
+
+def test_warm_commands_build_no_field(tmp_path, capsys):
+    argvs = [
+        ["count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "3"],
+        ["count", "--family", "ek", "--k", "2", "--m", "5", "--format", "records"],
+        ["lpoly", "--family", "ek", "--k", "3"],
+        ["conjecture", "--family", "ckp", "--p", "3", "--kmax", "2"],
+    ]
+    for argv in argvs:
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path))[0] == 0
+    warm = [list(run(capsys, *argv, "--cache-dir", str(tmp_path))[:2]) for argv in argvs]
+    script = f"""
+import contextlib, io, json
+from lpolydiv import cli, gf
+
+def search(p, m):
+    raise AssertionError(f"searched a modulus for GF({{p}}^{{m}})")
+
+gf._lex_smallest_irreducible = search
+results = []
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--cache-dir", {str(tmp_path)!r}])
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == warm
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "lpolydiv", "lpoly", "--family", "ck", "--k", "1",
@@ -528,9 +612,8 @@ def test_closed_stdout_reader_exits_141_quietly(unbuffered):
 def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):
     from lpolydiv.cache import CountCache
     from lpolydiv.curves import CurveSpec
-    from lpolydiv.gf import make_field
 
-    CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 1), 3, make_field(2, 3).modulus, 999)
+    CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 1), 3, 999)
     code, out, err = run(
         capsys, "count", "--family", "ck", "--k", "1", "--m", "3", "--cache-dir", str(tmp_path)
     )

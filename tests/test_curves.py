@@ -269,12 +269,11 @@ def test_count_cache_round_trip(tmp_path):
     # a fresh handle re-reads the same integers bit for bit
     reread = CountCache(tmp_path / "counts.jsonl")
     for m in (1, 2, 3):
-        modulus = make_field(2, m).modulus
-        assert reread.lookup(spec, m, modulus) == first.counts[m - 1]
+        assert reread.lookup(spec, m) == first.counts[m - 1]
     records = [json.loads(line) for line in (tmp_path / "counts.jsonl").read_text().splitlines()]
     assert [r["n"] for r in records] == list(first.counts)
     assert all(r["family"] == "ck" and r["k"] == 2 and r["p"] == 2 for r in records)
-    assert all(set(r) == {"family", "k", "p", "m", "modulus", "n", "timestamp"} for r in records)
+    assert all(set(r) == {"family", "k", "p", "m", "n", "timestamp"} for r in records)
 
 
 def test_warm_cache_leaves_file_untouched(tmp_path):
@@ -286,13 +285,22 @@ def test_warm_cache_leaves_file_untouched(tmp_path):
     assert (tmp_path / "counts.jsonl").read_bytes() == before
 
 
-def test_count_cache_keys_on_modulus(tmp_path):
-    cache = CountCache(tmp_path / "counts.jsonl")
-    spec = CurveSpec("ck", 1)
-    cache.store(spec, 2, (1, 1, 1), 5)
-    assert cache.lookup(spec, 2, (1, 1, 1)) == 5
-    assert cache.lookup(spec, 2, (1, 0, 1)) is None
-    assert cache.lookup(CurveSpec("ck", 2), 2, (1, 1, 1)) is None
+def test_count_cache_keys_on_curve_and_degree(tmp_path):
+    from lpolydiv.curves import CountIntegrityError
+
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(path)
+    cache.store(CurveSpec("ckp", 1, 3), 2, 5)
+    assert cache.lookup(CurveSpec("ckp", 1, 3), 2) == 5
+    for family, k, p, m in [("ckp", 1, 3, 1), ("ckp", 2, 3, 2), ("ckp", 1, 5, 2), ("ck", 1, 2, 2)]:
+        assert cache.lookup(CurveSpec(family, k, p), m) is None
+    # Records of earlier versions also carry a modulus; it is no part of the key.
+    old = b'{"family":"ck","k":1,"p":2,"m":2,"modulus":[%s],"n":%d}\n'
+    path.write_bytes(old % (b"1,1,1", 5))
+    assert CountCache(path).lookup(CurveSpec("ck", 1), 2) == 5
+    path.write_bytes(old % (b"1,1,1", 5) + old % (b"0,0,1", 7))
+    with pytest.raises(CountIntegrityError, match="lines 1 and 2 store different counts"):
+        CountCache(path).lookup(CurveSpec("ck", 1), 2)
 
 
 def test_corrupted_cache_entry_rejected(tmp_path):
@@ -300,7 +308,7 @@ def test_corrupted_cache_entry_rejected(tmp_path):
 
     cache = CountCache(tmp_path / "counts.jsonl")
     spec = CurveSpec("ck", 1)
-    cache.store(spec, 1, make_field(2, 1).modulus, 500)  # far outside Hasse-Weil
+    cache.store(spec, 1, 500)  # far outside Hasse-Weil
     with pytest.raises(CountIntegrityError):
         count_series(spec, 1, cache=cache)
 
@@ -308,7 +316,7 @@ def test_corrupted_cache_entry_rejected(tmp_path):
 def _store_records(path, family, k, count):
     cache = CountCache(path)
     for m in range(1, count + 1):
-        cache.store(CurveSpec(family, k), m, (1,) * (m + 1), m)
+        cache.store(CurveSpec(family, k), m, m)
 
 
 def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys):
@@ -349,7 +357,7 @@ def test_malformed_interior_cache_record_is_an_integrity_error(tmp_path, bad):
     first, second = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(first + bad + second)
     with pytest.raises(CountIntegrityError, match=r"counts\.jsonl:2: malformed"):
-        CountCache(path).lookup(CurveSpec("ck", 1), 1, make_field(2, 1).modulus)
+        CountCache(path).lookup(CurveSpec("ck", 1), 1)
 
 
 @pytest.mark.parametrize(
@@ -379,7 +387,7 @@ def test_conflicting_cache_records_are_an_integrity_error(tmp_path, capsys, m, f
     cache = CountCache(path)
     for _ in range(2):  # a failed read is not kept, so the next lookup fails too
         with pytest.raises(CountIntegrityError, match="lines 1 and 3"):
-            cache.lookup(CurveSpec("ck", 1), m, make_field(2, m).modulus)
+            cache.lookup(CurveSpec("ck", 1), m)
 
 
 def test_concurrent_writers_append_whole_records(tmp_path):
