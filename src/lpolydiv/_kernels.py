@@ -1,8 +1,8 @@
 """Counting kernels behind the point counters.
 
 Every kernel counts field elements x with Tr(f(x)) = 0 for f(x) = sum of
-x**e over a term list, and :func:`trace_zero_count` makes the one choice
-between them:
+x**e over a term list, and :func:`choose_kernel` makes the one choice
+between them from p, m and the terms, so a count is refused before its field:
 
 * ``qf`` when every exponent is p^a (a linear term) or p^a + 1 (a quadratic
   term).  Then Tr(f(x)) is a quadratic form plus a linear form over GF(p) in
@@ -17,14 +17,16 @@ between them:
   most r m for r terms.  Berlekamp-Massey finds its recurrence from 2 r m
   computed terms, and the recurrence expands it over the whole
   multiplicative group (for p = 2 by doubling a packed prefix, with the
-  carry-less multiply and reduce of :mod:`gf`), up to
-  :data:`gf.MAX_TABLE_ORDER`.  No table is built.
+  carry-less multiply and reduce of :mod:`gf`), up to order
+  :data:`MAX_RECURRENCE_ORDER`.  No table is built.
 """
 
 import operator
 from typing import Sequence
 
-from .gf import MAX_TABLE_ORDER, FieldContext, FieldLimitError, _clmod, _clmul, jacobi_symbol
+from .gf import FieldContext, FieldLimitError, _clmod, _clmul, _field_name, jacobi_symbol
+
+MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero element
 
 
 def _log_exact(p: int, n: int) -> int | None:
@@ -283,24 +285,29 @@ def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     return zeros
 
 
+def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
+    """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound."""
+    if 0 in exponents:
+        raise ValueError("constant terms are not supported")
+    # a negative exponent fits neither quadratic-form shape
+    classified = _classify_terms(p, exponents)
+    if classified is None and p**m > MAX_RECURRENCE_ORDER:
+        raise FieldLimitError(
+            f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
+            f"order 2^{MAX_RECURRENCE_ORDER.bit_length() - 1} (MAX_RECURRENCE_ORDER)"
+        )
+    return classified
+
+
 def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     """Number of x in the field with Tr(sum_e x**e) = 0.
 
     Negative exponents mean inverse powers, and then x = 0 is left out.
     """
     exponents = tuple(exponents)
-    if any(e == 0 for e in exponents):
-        raise ValueError("constant terms are not supported")
-
-    # a negative exponent fits neither quadratic-form shape
-    classified = _classify_terms(ctx.p, exponents)
+    classified = choose_kernel(ctx.p, ctx.m, exponents)
     if classified is not None:
         qf_count = _qf_binary_count if ctx.p == 2 else _qf_odd_count
         return qf_count(ctx, *classified)
-    if ctx.order > MAX_TABLE_ORDER:
-        raise FieldLimitError(
-            f"{ctx!r} is too large for these terms: the recurrence kernel stops at "
-            f"order 2^{MAX_TABLE_ORDER.bit_length() - 1} (MAX_TABLE_ORDER)"
-        )
     # the kernel counts the nonzero x; x = 0 is a zero when f(0) = 0
     return _recurrence_count(ctx, exponents) + all(e > 0 for e in exponents)

@@ -125,21 +125,16 @@ class CountIntegrityError(RuntimeError):
 
 def affine_count(spec: CurveSpec, m: int) -> int:
     """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
-    if m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
-    ctx = make_field(spec.p, m)
+    check_field_limits(spec.p, m)
     # x^(p^m) = x on GF(p^m), so the twist p^k acts as p^(k mod m)
     twist = spec.p ** (spec.k % m)
-    if spec.family == "ck":
-        return 2 * _kernels.trace_zero_count(ctx, (twist + 1, 1))
-    if spec.family == "ak":
-        return 2 * _kernels.trace_zero_count(ctx, (twist, 1))
-    if spec.family == "ckp":
-        return spec.p * _kernels.trace_zero_count(ctx, (twist + 1, 1))
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    nonzero = _kernels.trace_zero_count(ctx, (twist + 1, -1))
-    return 1 + 2 * nonzero
+    quad = (twist + 1, 1)
+    terms = {"ck": quad, "ak": (twist, 1), "ckp": quad, "ek": (twist + 1, -1)}[spec.family]
+    _kernels.choose_kernel(spec.p, m, terms)  # refuse an oversize count before the modulus search
+    zeros = _kernels.trace_zero_count(make_field(spec.p, m), terms)
+    return 1 + 2 * zeros if spec.family == "ek" else spec.p * zeros
 
 
 def point_count(spec: CurveSpec, m: int) -> int:

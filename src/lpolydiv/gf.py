@@ -23,8 +23,7 @@ identities, with no field multiplication (Lidl-Niederreiter, *Finite Fields*,
 ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
-Discrete-log tables stop at order 2**20, and so does the recurrence kernel,
-which builds none; only the test oracles read the tables.
+Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 """
 
@@ -199,8 +198,6 @@ def _is_irreducible(f: int, p: int, m: int) -> bool:
     f is packed with its leading digit.  For p = 2 powers and gcd are shift-XOR
     on packed ints; odd p takes x^(p^i) by a context over f, gcd on digit lists.
     """
-    if m == 1:
-        return True
     if p == 2:
         r = 2  # the residue class of x
         for _ in range(m // 2):

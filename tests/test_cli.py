@@ -299,8 +299,8 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
             id="ck-33-degree limit",
         ),
         pytest.param(
-            ("count", "--family", "ek", "--k", "1", "--m", "21"), "MAX_TABLE_ORDER",
-            id="ek-21-MAX_TABLE_ORDER",
+            ("count", "--family", "ek", "--k", "1", "--m", "21"), "MAX_RECURRENCE_ORDER",
+            id="ek-21-MAX_RECURRENCE_ORDER",
         ),
         # p**m at this m takes tens of seconds to compute, so the degree is checked first
         pytest.param(
@@ -327,6 +327,26 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
     assert code == 2 and out == ""
     assert limit in err
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, skipped, limit",
+    [
+        # the closed form alone forms 2^(n-1)
+        (("verify", "lmw", "--n", "33", "--k", "1"), "lmw_formula", "degree limit"),
+        # curves binds make_field by name; gf.make_field is lru_cached
+        (("count", "--family", "ek", "--k", "1", "--m", "21"), "make_field", "MAX_RECURRENCE_ORDER"),
+    ],
+    ids=["verify-lmw-33", "ek-21"],
+)
+def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, argv, skipped, limit):
+    def refuse(*args):
+        raise AssertionError(f"{skipped} ran before the refusal")
+
+    monkeypatch.setattr(f"lpolydiv.curves.{skipped}", refuse)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and out == ""
+    assert limit in err
 
 
 @pytest.mark.parametrize(

@@ -245,7 +245,7 @@ def test_field_gate():
         point_count(CurveSpec("ck", 1), 33)
     with pytest.raises(FieldLimitError):
         point_count(CurveSpec("ckp", 1, 3), 14)
-    # ek's recurrence kernel keeps the discrete-log table order limit
+    # ek's recurrence kernel has its own order limit
     with pytest.raises(FieldLimitError):
         affine_count(CurveSpec("ek", 1), 21)
 

@@ -7,6 +7,7 @@ tables; both kernels must agree with them wherever they are affordable.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,19 @@ def test_qf_matches_bit_enumeration(terms):
 def test_qf_matches_bit_enumeration_to_2_24(terms):
     for m in range(21, 25):
         assert trace_zero_count(make_field(2, m), terms) == bit_zero_count(m, terms), m
+
+
+def test_ck_counts_take_the_values_of_their_quadratic_form():
+    """Past enumeration (m = 25..32): the zero count z of Tr(x^(2^k + 1) + x) in GF(2^m).
+
+    The form's radical is GF(2^h), h = gcd(2k, m), so its Walsh sum 2z - 2^m is 0 or
+    +-2^((m+h)/2).
+    """
+    for m in range(1, 33):
+        for k in range(1, 8):
+            zeros = trace_zero_count(make_field(2, m), ((1 << k) + 1, 1))
+            walsh = 2 * zeros - (1 << m)
+            assert walsh == 0 or walsh * walsh == 1 << (m + math.gcd(2 * k, m)), (m, k)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
