@@ -10,8 +10,8 @@ between them from p, m and the terms, so a count is refused before its field:
   and type in O(m^3) operations, without visiting a single element
   (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
-  Its Gram matrix comes from :func:`_trace_form`, the one builder of it,
-  which takes each twist x^(p^a) by ``ctx.pow``.
+  Its Gram matrix comes from :func:`_trace_form`, the one builder of it: the
+  digits of the twisted powers times the Hankel matrix of the trace vector.
 * ``recurrence`` for any other term list (ek's 1/x term): along the powers
   of a generator g, Tr(f(g^i)) is a linear recurring sequence of order at
   most r m for r terms.  Berlekamp-Massey finds its recurrence from 2 r m
@@ -24,7 +24,7 @@ between them from p, m and the terms, so a count is refused before its field:
 import operator
 from typing import Sequence
 
-from .gf import FieldContext, FieldLimitError, _clmod, _clmul, _field_name, jacobi_symbol
+from .gf import FieldContext, FieldLimitError, _clmod, _clmul, _digits, _field_name, _undigits, jacobi_symbol
 
 MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero element
 
@@ -62,16 +62,22 @@ def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
     """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p over the twists a, basis e_i = x^i.
 
     sum_a Tr(x^(p^a + 1)) = sum_ij x_i x_j G[i][j] in the coordinates of x.
+    As Tr(w_i x^j) = sum_l digit_l(w_i) t_(l+j) for w_i = sum_a (x^(p^a))^i and
+    t_n = Tr(x^n), G is the digit matrix of w times the Hankel matrix t_(l+j).
     """
-    p, m = ctx.p, ctx.m
-    basis = [p**i for i in range(m)]
-    form = []
-    for e in basis:
-        w = 0
-        for a in quads:
-            w = ctx.add(w, ctx.pow(e, p ** (a % m)))
-        form.append([ctx.trace(ctx.mul(w, f)) for f in basis])
-    return form
+    p, m, t = ctx.p, ctx.m, ctx._traces
+    x = p if m > 1 else -ctx.modulus[0] % p  # the residue class of X
+    w = [0] * m
+    for a in quads:
+        y, powers = ctx.pow(x, p ** (a % m)), [1]
+        for _ in range(m - 1):
+            powers.append(ctx.mul(powers[-1], y))
+        w = list(map(ctx.add, w, powers))
+    if p == 2:  # digits are bits: G[i][j] is the parity of w_i & (t_j, ..., t_(j+m-1))
+        packed = _undigits(t, 2)
+        return [[(v & packed >> j).bit_count() & 1 for j in range(m)] for v in w]
+    rows = [_digits(v, p, m) for v in w]
+    return [[sum(map(operator.mul, d, t[j : j + m])) % p for j in range(m)] for d in rows]
 
 
 def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
@@ -89,9 +95,8 @@ def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> in
     m = ctx.m
     g = _trace_form(ctx, quads)
     alt = [sum((g[i][j] ^ g[j][i]) << j for j in range(m)) for i in range(m)]
-    lin = sum((linear * ctx.trace(1 << i) + g[i][i]) % 2 << i for i in range(m))
-    const = 0
-    h = 0
+    lin = sum((linear * ctx._traces[i] + g[i][i]) % 2 << i for i in range(m))
+    const = h = 0
     for i in range(m):
         if not alt[i]:
             continue
@@ -146,10 +151,8 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
     half = (p + 1) // 2
     g = _trace_form(ctx, quads)
     s = [[(g[i][j] + g[j][i]) * half % p for j in range(m)] for i in range(m)]
-    lin = [linear * ctx.trace(p**i) % p for i in range(m)]
-    const = 0
-    delta = 1
-    rank = 0
+    lin = [linear * t % p for t in ctx._traces[:m]]
+    const, delta, rank = 0, 1, 0
     live = list(range(m))
     while True:
         piv = next((i for i in live if s[i][i]), None)

@@ -16,11 +16,11 @@ p = 2 on packed ints, powers and gcd alike by shift-XOR; for odd p with the
 powers x^(p^i) taken by a context over the candidate itself.
 
 The absolute trace is GF(p)-linear, so each field keeps one vector
-t_i = Tr(x^i), i < m, and Tr(a) = sum_i digit_i(a) t_i mod p (for p = 2, the
-parity of a & trace_mask, the same vector packed into bits).  The t_i are the
-power sums of the modulus's roots and come from its coefficients by Newton's
-identities, with no field multiplication (Lidl-Niederreiter, *Finite Fields*,
-ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
+t_n = Tr(x^n), n < 2m - 1, and Tr(a) = sum_(i<m) digit_i(a) t_i mod p (for
+p = 2, the parity of a & trace_mask, the vector packed into bits).  The t_n
+are the power sums of the modulus's roots and come from its coefficients by
+Newton's identities, with no field multiplication (Lidl-Niederreiter, *Finite
+Fields*, ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
@@ -29,6 +29,7 @@ Element enumeration order is the packed-int encoding, ascending.
 
 import collections
 import functools
+import operator
 import threading
 from typing import Sequence
 
@@ -236,15 +237,17 @@ _Tables = collections.namedtuple("_Tables", "exp tr_exp")  # one field's discret
 class FieldContext:
     """Immutable arithmetic context for GF(p)[x]/(f), f the monic modulus.
 
-    Any monic f of degree m gives ring arithmetic (add, mul, pow) on the
-    base-p digits of the residues.  Only :func:`make_field`, which picks an
-    irreducible f, promises the field GF(p^m) that inv, trace, generator and
-    the tables need.  Use it rather than the constructor: it also caches
-    contexts so repeated lookups share their tables, and takes the packed-bit
-    subclass for p = 2.
+    Any monic f of degree m, and no other, gives ring arithmetic (add, mul,
+    pow) on the base-p digits of the residues.  Only :func:`make_field`, which
+    picks an irreducible f, promises the field GF(p^m) that inv, trace,
+    generator and the tables need.  Use it rather than the constructor: it
+    also caches contexts so repeated lookups share their tables, and takes the
+    packed-bit subclass for p = 2.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        if len(modulus) != m + 1 or modulus[m] != 1 or not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus {modulus} is not a monic polynomial of degree {m} over GF({p})")
         self.p = p
         self.m = m
         self.order = p**m
@@ -291,12 +294,8 @@ class FieldContext:
         return self.pow(a, self.order - 2)
 
     def trace(self, a: int) -> int:
-        """Absolute trace into the prime subfield, as an int in [0, p)."""
-        t = 0
-        for ti in self._traces:
-            a, d = divmod(a, self.p)
-            t += d * ti
-        return t % self.p
+        """Absolute trace into GF(p), an int in [0, p): the m digits of a against t_0..t_(m-1)."""
+        return sum(map(operator.mul, _digits(a, self.p, self.m), self._traces)) % self.p
 
     def elements(self, start: int = 0, stop: int | None = None) -> range:
         """Elements in packed-int order, all of them or those in [start, stop)."""
@@ -306,18 +305,19 @@ class FieldContext:
 
     @functools.cached_property
     def _traces(self) -> tuple[int, ...]:
-        """t_i = Tr(x^i) for i < m, x the residue class of X.
+        """t_n = Tr(x^n) for n < 2m - 1, x the residue class of X.
 
-        Tr(x^i) is the i-th power sum of the roots of the modulus
-        X^m + c_(m-1) X^(m-1) + ... + c_0, so Newton's identities give it
-        from the coefficients: t_0 = m and
-        t_i = -(i c_(m-i) + sum_(0<j<i) c_(m-j) t_(i-j)).
+        Tr(x^n) is the n-th power sum of the roots of the modulus
+        X^m + c_(m-1) X^(m-1) + ... + c_0, so Newton's identities give it:
+        t_0 = m, t_n = -(n c_(m-n) + sum_(0<j<n) c_(m-j) t_(n-j)) for n < m,
+        and past that the modulus recurrence, which runs over all m coefficients.
         """
         p, m, c = self.p, self.m, self.modulus
         t = [m % p]
-        for i in range(1, m):
-            acc = i * c[m - i] + sum(c[m - j] * t[i - j] for j in range(1, i))
-            t.append(-acc % p)
+        for n in range(1, m):
+            t.append(-(n * c[m - n] + sum(map(operator.mul, c[m - n + 1 : m], t[1:n]))) % p)
+        for n in range(m, 2 * m - 1):  # x^m = -(c_0 + c_1 x + ... + c_(m-1) x^(m-1))
+            t.append(-sum(map(operator.mul, c[:m], t[n - m : n])) % p)
         return tuple(t)
 
     def generator(self) -> int:
@@ -386,8 +386,8 @@ class _BinaryField(FieldContext):
 
     @functools.cached_property
     def trace_mask(self) -> int:
-        """trace(a) equals the parity of a & trace_mask."""
-        return sum(t << i for i, t in enumerate(self._traces))
+        """The trace vector packed into bits: trace(a) is the parity of a & trace_mask."""
+        return _undigits(self._traces, 2)
 
 
 def _field_name(p: int, m: int) -> str:

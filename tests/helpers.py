@@ -3,12 +3,14 @@
 Everything here recomputes expected values from first principles, staying off
 the code paths under test: solution counting enumerates (x, y) pairs against
 the raw curve equations, the bit oracle enumerates GF(2^m) against trace
-forms built from field arithmetic alone, count prediction expands the zeta
-function's logarithmic derivative as a power series, polynomial division is
-ascending long division over the rationals, irreducibility is
-decided by trial division over all low-degree monic polynomials, and so is
-primality.  The covering-defect oracle takes every power by SparsePoly's
-schoolbook product, and the involution oracle scans all 2^k candidates.
+forms built from field arithmetic alone, the trace-form oracle builds the qf
+kernel's Gram matrix one field product and trace per entry, count prediction
+expands the zeta function's logarithmic derivative as a power series,
+polynomial division is ascending long division over the rationals,
+irreducibility is decided by trial division over all low-degree monic
+polynomials, and so is primality.  The covering-defect oracle takes every
+power by SparsePoly's schoolbook product, and the involution oracle scans all
+2^k candidates.
 The command-line oracle is the argparse parser the CLI's table parser replaced.
 
 The table walk and the wide ek pair check read the field's discrete-log
@@ -148,6 +150,24 @@ def walk_zero_count(ctx, exponents):
         stride = e % n if n > 1 else 0
         acc += tr_exp[(idx * stride) % n]
     return int(np.count_nonzero(acc % ctx.p == 0))
+
+
+def trace_form_by_entries(ctx, quads):
+    """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p, basis e_i = x^i, one entry at a time.
+
+    Each twisted basis element comes from ctx.pow, and each entry from one
+    ctx.mul and one ctx.trace, as the qf kernel built its form before it read
+    the Hankel matrix of the trace vector.
+    """
+    p, m = ctx.p, ctx.m
+    basis = [p**i for i in range(m)]
+    form = []
+    for e in basis:
+        w = 0
+        for a in quads:
+            w = ctx.add(w, ctx.pow(e, p ** (a % m)))
+        form.append([ctx.trace(ctx.mul(w, f)) for f in basis])
+    return form
 
 
 def build_g_fixed_scale(k, l):

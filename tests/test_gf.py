@@ -223,6 +223,11 @@ def test_trace_matches_frobenius_sum():
         ctx = make_field(p, m)
         for i in range(m):
             assert ctx.trace(p**i) == _frobenius_sum(ctx, p**i), (p, m, i)
+        # the trace vector runs on to n = 2m - 2 for the qf kernel's Hankel matrix
+        x = p if m > 1 else -ctx.modulus[0] % p  # the residue class of X
+        assert len(ctx._traces) == 2 * m - 1, (p, m)
+        for n in range(2 * m - 1):
+            assert ctx._traces[n] == _frobenius_sum(ctx, ctx.pow(x, n)), (p, m, n)
     for p, m in [(2, 8), (3, 5), (5, 3), (7, 2)]:
         ctx = make_field(p, m)
         for a in ctx.elements():
@@ -258,6 +263,22 @@ def test_make_field_errors():
         make_field(2, 33)
     with pytest.raises(FieldLimitError):
         make_field(3, 15)
+
+
+@pytest.mark.parametrize(
+    "context, p, m, modulus",
+    [
+        (FieldContext, 3, 2, (1, 0, 2)),  # 2x^2 + 1 is not monic: x * x read 2, not 1
+        (FieldContext, 2, 4, (1, 1, 0, 1)),  # degree 3: 8 residues, not order 16
+        (FieldContext, 3, 2, (1, 0, 1, 0)),  # a trailing zero digit
+        (FieldContext, 3, 2, (3, 0, 1)),  # a digit outside [0, p)
+        (FieldContext, 5, 1, (-1, 1)),
+        (_BinaryField, 2, 3, (1, 1, 0, 2)),
+    ],
+)
+def test_field_context_refuses_a_bad_modulus(context, p, m, modulus):
+    with pytest.raises(ValueError, match="not a monic polynomial of degree"):
+        context(p, m, modulus)
 
 
 def test_make_field_admits_documented_limits():

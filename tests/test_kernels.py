@@ -17,12 +17,13 @@ from lpolydiv._kernels import (
     _berlekamp_massey,
     _diagonal_count,
     _recurrence_count,
+    _trace_form,
     trace_zero_count,
 )
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
-from lpolydiv.gf import FieldContext, make_field
+from lpolydiv.gf import FieldContext, FieldLimitError, check_field_limits, make_field
 from lpolydiv.lseries import lpoly_from_counts, predicted_count
-from helpers import bit_zero_count, walk_zero_count
+from helpers import bit_zero_count, trace_form_by_entries, walk_zero_count
 
 CK_TERMS = [((1 << k) + 1, 1) for k in range(1, 7)]
 AK_TERMS = [(1 << k, 1) for k in (1, 2)]
@@ -75,6 +76,31 @@ def test_qf_matches_table_walk_odd(p):
         for terms in term_lists:
             walk = walk_zero_count(ctx, terms) + 1
             assert trace_zero_count(ctx, terms) == walk, (m, terms)
+
+
+def _supported_degrees(p):
+    for m in itertools.count(1):
+        try:
+            check_field_limits(p, m)
+        except FieldLimitError:
+            return
+        yield m
+
+
+def test_trace_form_matches_the_per_entry_builder():
+    """The Hankel product W H equals the Gram matrix built one ctx.mul and ctx.trace per entry.
+
+    Every supported degree for six primes, with nine twist lists each: no twist,
+    single twists (a = m is the twist a = 0), and pairs.
+    """
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in _supported_degrees(p):
+            ctx = make_field(p, m)
+            for quads in ((), (0,), (1,), (2,), (5,), (m,), (m + 1, 2), (0, 1), (1, 3)):
+                assert _trace_form(ctx, quads) == trace_form_by_entries(ctx, quads), (p, m, quads)
+                cases += 1
+    assert cases == 648
 
 
 def test_diagonal_count_matches_brute_force():
