@@ -49,10 +49,20 @@ def _spec(args) -> "curves.CurveSpec":
     return curves.CurveSpec(args.family, args.k, args.p)
 
 
-def _lpoly_for(spec: "curves.CurveSpec", store: "cache.CountCache") -> "lseries.LPolynomial":
-    # Every field limit lies far below 2^64, so count_series refuses a capped
-    # genus before the true one (p^k for ckp) is formed.
+def _series_length(spec: "curves.CurveSpec") -> int:
+    """The counts N_1..N_g a curve's L-polynomial needs, refused past the field limits.
+
+    Every field limit lies far below 2^64, so a capped genus is refused before
+    the true one (p^k for ckp) is formed; no field is built.
+    """
     g = spec.genus_at_most(1 << 64)
+    if g:
+        gf.check_field_limits(spec.p, g)
+    return g
+
+
+def _lpoly_for(spec: "curves.CurveSpec", store: "cache.CountCache") -> "lseries.LPolynomial":
+    g = _series_length(spec)
     if g == 0:
         return lseries.LPolynomial(spec.p, 0, (1,))
     return lseries.lpoly_from_counts(curves.count_series(spec, g, cache=store))
@@ -92,10 +102,9 @@ def cmd_lpoly(args) -> int:
 def cmd_conjecture(args) -> int:
     if args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
-    # The genus grows with k, so this refuses an oversize run before its
-    # first count, at the first k whose series needs too large a field; no field is built.
-    for k in range(1, args.kmax + 1):
-        gf.check_field_limits(args.p, curves.CurveSpec(args.family, k, args.p).genus)
+    # The genus never decreases in k, so the series of kmax is the longest, and
+    # one check of its length refuses an oversize run before its first count.
+    _series_length(curves.CurveSpec(args.family, args.kmax, args.p))
     store = _cache(args)
     base = curves.CurveSpec(args.family, 1, args.p)
     l_base = _lpoly_for(base, store)
@@ -114,7 +123,7 @@ def cmd_conjecture(args) -> int:
                 "p": args.p,
                 "k": k,
                 "divides": result.divides,
-                "quotient": [str(c) for c in result.quotient] if result.divides else None,
+                "quotient": [lseries.int_to_decimal(c) for c in result.quotient] if result.divides else None,
                 "fail_index": result.fail_index,
             },
             f"k={k}: L({base.label}) divides L({spec.label}): "

@@ -10,7 +10,10 @@ links the two for every m >= 1:
 
 Solved for a_m it rebuilds the coefficients, and that division by m must be
 exact; a remainder signals a wrong genus, a wrong infinity count, or
-corrupted input, and raises.  Divisibility is decided by one product test.
+corrupted input, and raises.  The same recurrence read as the power series
+-t L'(t) / L(t) gives the power sums, by the one exact ascending series division
+that also decides divisibility: one pass over the numerator and one check
+that the quotient's tail is zero.
 All arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
@@ -98,13 +101,13 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
 
 
 def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:
-    """s_1..s_upto of the reciprocal roots, by Newton's recurrence with a_m = 0 past 2g."""
-    deg = 2 * lpoly.g
-    a = lpoly.coeffs + (0,) * (upto - deg)
-    s = [0]
-    for m in range(1, upto + 1):
-        s.append(-(m * a[m] + sum(s[i] * a[m - i] for i in range(max(1, m - deg), m))))
-    return s[1:]
+    """s_1..s_upto of the reciprocal roots: the power series -t L'(t) / L(t).
+
+    That is Newton's recurrence with a_m = 0 past 2g, run as one exact
+    ascending division, every step exact because a_0 = 1.
+    """
+    a = lpoly.coeffs + (0,) * (upto - 2 * lpoly.g)
+    return _series_quotient([-m * a[m] for m in range(upto + 1)], lpoly.coeffs)[1:]
 
 
 def predicted_count(lpoly: LPolynomial, m: int) -> int:
@@ -138,14 +141,29 @@ def _as_coeffs(poly) -> tuple[int, ...]:
     return c
 
 
-def divides(denom, numer) -> DivisionResult:
-    """Exact integer polynomial division, ascending from the constant term.
+def _series_quotient(numer: Sequence[int], denom: Sequence[int]) -> list[int]:
+    """The first len(numer) coefficients of the power series numer/denom (denom[0] != 0),
+    by exact ascending division; the list stops short at the first step that leaves the integers."""
+    quo: list[int] = []
+    for i, acc in enumerate(numer):
+        for j in range(1, min(i, len(denom) - 1) + 1):
+            acc -= denom[j] * quo[i - j]
+        c, rem = divmod(acc, denom[0])
+        if rem:
+            break
+        quo.append(c)
+    return quo
 
-    The quotient's coefficients come off numer's low coefficients, each an
-    exact division by denom's constant term, and numer is divisible iff denom
-    times the quotient reproduces it; zero is, with quotient (0,).  A failure
-    carries the first index where a quotient coefficient left the integers
-    or the product differs from numer (0 for a nonzero numer of lower degree).
+
+def divides(denom, numer) -> DivisionResult:
+    """Exact integer polynomial division, as one ascending power-series division.
+
+    The series numer/denom runs over all of numer's coefficients.  numer is
+    divisible iff every coefficient is an integer and every one from the
+    quotient's length on is zero, since then denom times the quotient is numer;
+    zero is, with quotient (0,).  A failure carries the first index where a
+    coefficient left the integers or past the quotient is nonzero (0 for a
+    nonzero numer of lower degree).
     """
     d = _as_coeffs(denom)
     n = _as_coeffs(numer)
@@ -158,23 +176,11 @@ def divides(denom, numer) -> DivisionResult:
     qlen = len(n) - len(d) + 1
     if qlen <= 0:
         return DivisionResult(False, None, 0)
-    quo: list[int] = []
-    for i in range(qlen):
-        acc = n[i]
-        for j in range(1, min(i, len(d) - 1) + 1):
-            acc -= d[j] * quo[i - j]
-        c, rem = divmod(acc, d[0])
-        if rem:
-            return DivisionResult(False, None, i)
-        quo.append(c)
-    prod = [0] * len(n)
-    for i, dc in enumerate(d):
-        for j, qc in enumerate(quo):
-            prod[i + j] += dc * qc
-    for i in range(len(n)):
-        if prod[i] != n[i]:
-            return DivisionResult(False, None, i)
-    return DivisionResult(True, tuple(quo), None)
+    series = _series_quotient(n, d)
+    fail = next((i for i in range(qlen, len(series)) if series[i]), len(series))
+    if fail < len(n):
+        return DivisionResult(False, None, fail)
+    return DivisionResult(True, tuple(series[:qlen]), None)
 
 
 def _frac_gcd(a: list, b: list) -> list:
@@ -228,21 +234,55 @@ def hasse_weil_check(counts: PointCounts) -> HasseWeilResult:
 
 # -- serialization ----------------------------------------------------------
 
+# Python refuses str(n) and int(text) past a digit limit (4300 by default, at least
+# 640), which a base change soon passes; these convert 600 digits at a time.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n), for an int of any length."""
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
+
+
+def int_from_decimal(text) -> int:
+    """int(text), also for a decimal string past the digit limit: optional sign, then digits."""
+    if not isinstance(text, str) or len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not digits.isdecimal():
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start : start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text[0] == "-" else value
+
 
 def lpoly_to_record(lpoly: LPolynomial) -> dict:
-    return {"q": lpoly.q, "g": lpoly.g, "coeffs": [str(c) for c in lpoly.coeffs]}
+    return {"q": lpoly.q, "g": lpoly.g, "coeffs": [int_to_decimal(c) for c in lpoly.coeffs]}
 
 
 def lpoly_from_record(record: dict) -> LPolynomial:
-    return LPolynomial(int(record["q"]), int(record["g"]), tuple(int(c) for c in record["coeffs"]))
+    return LPolynomial(
+        int_from_decimal(record["q"]),
+        int(record["g"]),
+        tuple(int_from_decimal(c) for c in record["coeffs"]),
+    )
 
 
 def lpoly_to_line(lpoly: LPolynomial) -> str:
-    return json.dumps(lpoly_to_record(lpoly), separators=(",", ":"))
+    # json writes the number q through str(), so it is put in by hand
+    coeffs = json.dumps(lpoly_to_record(lpoly)["coeffs"], separators=(",", ":"))
+    return f'{{"q":{int_to_decimal(lpoly.q)},"g":{lpoly.g},"coeffs":{coeffs}}}'
 
 
 def lpoly_from_line(line: str) -> LPolynomial:
-    return lpoly_from_record(json.loads(line))
+    return lpoly_from_record(json.loads(line, parse_int=int_from_decimal))
 
 
 def format_int_poly(coeffs: Sequence[int]) -> str:
@@ -255,9 +295,9 @@ def format_int_poly(coeffs: Sequence[int]) -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
         if e == 0:
-            body = str(mag)
+            body = int_to_decimal(mag)
         else:
-            head = "" if mag == 1 else str(mag)
+            head = "" if mag == 1 else int_to_decimal(mag)
             body = f"{head}t" if e == 1 else f"{head}t^{e}"
         parts.append(f"{sign}{body}")
     return "".join(parts) if parts else "0"

@@ -319,6 +319,15 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
             ("conjecture", "--family", "ckp", "--p", "3", "--kmax", "3"), "order limit",
             id="conjecture-ckp-3",
         ),
+        # one check of kmax's series, with its genus capped at 2^64, not one per k
+        pytest.param(
+            ("conjecture", "--family", "ck", "--kmax", "100000000"), "degree limit",
+            id="conjecture-ck-100000000",
+        ),
+        pytest.param(
+            ("conjecture", "--family", "ckp", "--p", "3", "--kmax", "100000000"), "order limit",
+            id="conjecture-ckp-100000000",
+        ),
     ],
 )
 def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
@@ -364,10 +373,13 @@ def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, a
         (("verify", "lmw", "--n", "7", "--k", "100000000"), 0),
         # the genus 2 * 3^k / 2 is refused before it is formed
         (("lpoly", "--family", "ckp", "--p", "3", "--k", "100000000"), 2),
+        (("conjecture", "--family", "ck", "--kmax", "100000000"), 2),
+        (("conjecture", "--family", "ckp", "--p", "3", "--kmax", "100000000"), 2),
     ],
     ids=[
         "involution-62", "as-image-p61", "count-ckp-p61", "count-ck-k1e8", "count-ek-k1e8",
-        "count-ckp-k1e8", "count-ck-k1e5", "lmw-k1e8", "lpoly-ckp-k1e8",
+        "count-ckp-k1e8", "count-ck-k1e5", "lmw-k1e8", "lpoly-ckp-k1e8", "conjecture-ck-k1e8",
+        "conjecture-ckp-k1e8",
     ],
 )
 def test_large_parameters_finish_in_two_seconds(tmp_path, argv, code):

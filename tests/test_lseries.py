@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,11 @@ from lpolydiv.lseries import (
     divides,
     format_int_poly,
     hasse_weil_check,
+    int_from_decimal,
+    int_to_decimal,
     lpoly_from_counts,
     lpoly_from_line,
+    lpoly_from_record,
     lpoly_to_line,
     lpoly_to_record,
     power_sums,
@@ -203,6 +208,7 @@ def _trimmed(coeffs):
         ((1, 2, 2), (0, 1), 0),
         ((3, 1), (3, 5, 2), 1),  # quotient coefficient 4/3 at index 1
         ((1, 1, 1), (1, 1, 2, 2, 1), 3),  # quotient (1, 0, 1), remainder t^3
+        ((2, 1), (2, 1, 1), 2),  # quotient (1, 0), then 1/2 at index 2, past the quotient
     ],
 )
 def test_divides_failure_index_matches_fraction_division(d, n, fail_index):
@@ -286,6 +292,35 @@ def test_serialization_round_trip_random(q, g, data):
         coeffs.append(q ** (i - g) * coeffs[2 * g - i])
     lp = LPolynomial(q, g, tuple(coeffs))
     assert lpoly_from_line(lpoly_to_line(lp)) == lp
+
+
+def test_serialization_past_the_int_str_digit_limit():
+    # str(int) and int(str) refuse past 4300 digits by default; q = 2^16000 has 4817
+    lp = base_change(lpoly_from_counts(count_series(CurveSpec("ck", 1), 1)), 16000)
+    assert max(c.bit_length() for c in lp.coeffs) == 16001
+    line = lpoly_to_line(lp)
+    assert lpoly_from_line(line) == lp
+    assert json.loads(line, parse_int=int_from_decimal) == lpoly_to_record(lp)
+    assert lpoly_from_record(lpoly_to_record(lp)) == lp
+    head, _, rest = str(lp).partition("t^2")
+    assert int_from_decimal(head) == lp.coeffs[2]
+    assert int_from_decimal(rest.removesuffix("t+1")) == lp.coeffs[1]
+
+
+@pytest.mark.parametrize(
+    "n", [0, -1, 10**600 - 1, 10**600, -(10**600), 10**1200 + 7, 3**8000, -(7**5000)]
+)
+def test_decimal_conversion_matches_str_below_the_limit(n):
+    # every n here fits the default limit but spans more than one 600-digit chunk
+    assert int_to_decimal(n) == str(n)
+    assert int_from_decimal(str(n)) == n
+    assert int_from_decimal("+" + str(abs(n))) == abs(n)
+
+
+@pytest.mark.parametrize("text", ["1" * 700 + "x", " " + "1" * 700, "--" + "1" * 700, "1_0" * 300])
+def test_long_decimal_text_must_be_sign_and_digits(text):
+    with pytest.raises(ValueError):
+        int_from_decimal(text)
 
 
 def test_format_int_poly():
