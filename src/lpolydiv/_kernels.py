@@ -12,13 +12,14 @@ between them from p, m and the terms, so a count is refused before its field:
   the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
   Its Gram matrix comes from :func:`_trace_form`, the one builder of it: the
   digits of the twisted powers times the Hankel matrix of the trace vector.
-* ``recurrence`` for any other term list (ek's 1/x term): along the powers
-  of a generator g, Tr(f(g^i)) is a linear recurring sequence of order at
-  most r m for r terms.  Berlekamp-Massey finds its recurrence from 2 r m
-  computed terms, and the recurrence expands it over the whole
-  multiplicative group (for p = 2 by doubling a packed prefix, with the
-  carry-less multiply and reduce of :mod:`gf`), up to order
-  :data:`MAX_RECURRENCE_ORDER`.  No table is built.
+* ``recurrence`` for any other term list over GF(2) (ek's 1/x term): along
+  the powers of a generator g, Tr(f(g^i)) is a linear recurring sequence of
+  order at most r m for r terms.  Berlekamp-Massey finds its recurrence from
+  2 r m computed terms, and the recurrence expands it over the whole
+  multiplicative group by doubling a packed prefix, with the carry-less
+  multiply and reduce of :mod:`gf`, up to order :data:`MAX_RECURRENCE_ORDER`.
+  No table is built.  No family needs it in odd characteristic, so odd p
+  with such terms is refused.
 """
 
 import operator
@@ -240,60 +241,46 @@ def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
     return bits
 
 
-def _expand_odd(rec: Sequence[int], start: Sequence[int], total: int, p: int) -> list[int]:
-    """w_0..w_(total-1) of a GF(p) recurrence, one length-L dot product per term."""
-    size = len(rec)
-    w = list(start[:size])
-    rev = rec[::-1]
-    for i in range(size, total):
-        w.append(sum(map(operator.mul, rev, w[i - size : i])) % p)
-    return w
-
-
 def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
-    """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g = ctx.generator().
+    """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g = ctx.generator(), over GF(2^m).
 
     w_i = Tr(f(g^i)) = sum_e Tr(h_e^i) with h_e = g^e, and i -> Tr(h^i) is
-    annihilated by the minimal polynomial of h over GF(p), of degree <= m, so
+    annihilated by the minimal polynomial of h over GF(2), of degree <= m, so
     w is a linear recurring sequence of order L <= r m for r terms
     (Lidl-Niederreiter, *Finite Fields*, ch. 8).  Berlekamp-Massey recovers
     its minimal recurrence from the first 2 r m terms, computed with r
     running products, and the recurrence expands the first L terms to all
-    n = order - 1.  The expansion must reproduce the computed terms and, as
-    g^n = 1, repeat its first L terms after n.
+    n = order - 1, packed into the bits of one int.  The expansion must
+    reproduce the computed terms and, as g^n = 1, repeat its first L terms
+    after n.
     """
-    p, n = ctx.p, ctx.order - 1
+    n = ctx.order - 1
     g = ctx.generator()
     steps = [ctx.pow(g, e % n) for e in exponents]
     powers = [1] * len(steps)
     known = []
     for _ in range(2 * len(steps) * ctx.m):
-        known.append(sum(ctx.trace(x) for x in powers) % p)
+        known.append(sum(ctx.trace(x) for x in powers) % 2)
         powers = [ctx.mul(x, h) for x, h in zip(powers, steps)]
-    rec = _berlekamp_massey(known, p)
-    size = len(rec)
-    total = max(n + size, len(known))
-    if p == 2:
-        bits = _expand_binary(rec, sum(b << i for i, b in enumerate(known[:size])), total)
-        low, high = bits & ((1 << len(known)) - 1), bits >> n
-        head = [(low >> i) & 1 for i in range(len(known))]
-        wrap = [(high >> i) & 1 for i in range(size)]
-        zeros = n - (bits & ((1 << n) - 1)).bit_count()
-    else:
-        w = _expand_odd(rec, known, total, p)
-        head, wrap = w[: len(known)], w[n : n + size]
-        zeros = w[:n].count(0)
-    if head != known or wrap != known[:size]:
+    rec = _berlekamp_massey(known, 2)
+    head, start = _undigits(known, 2), _undigits(known[: len(rec)], 2)
+    bits = _expand_binary(rec, start, max(n + len(rec), len(known)))
+    if bits & ((1 << len(known)) - 1) != head or (bits >> n) & ((1 << len(rec)) - 1) != start:
         raise AssertionError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
-    return zeros
+    return n - (bits & ((1 << n) - 1)).bit_count()
 
 
 def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
-    """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound."""
+    """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound.
+
+    The recurrence counts over GF(2) alone, so odd p with other terms is refused.
+    """
     if 0 in exponents:
         raise ValueError("constant terms are not supported")
     # a negative exponent fits neither quadratic-form shape
     classified = _classify_terms(p, exponents)
+    if classified is None and p != 2:
+        raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
     if classified is None and p**m > MAX_RECURRENCE_ORDER:
         raise FieldLimitError(
             f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "

@@ -45,7 +45,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -56,6 +56,17 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+def _repr(value) -> str:
+    """repr(value), with each int, alone or in a tuple, written past Python's digit limit."""
+    from .lseries import int_to_decimal  # lseries imports this module
+
+    if type(value) is int:
+        return int_to_decimal(value)
+    if type(value) is tuple:  # (1,) keeps its comma
+        return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 class CurveSpec(_Value):
@@ -155,6 +166,15 @@ def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
     return (n - q**m - 1) ** 2 <= 4 * g * g * q**m
 
 
+def _within_hasse_weil(spec: CurveSpec, n: int, m: int) -> bool:
+    """hasse_weil_ok for the curve's genus.
+
+    Any genus of at least |N - q^m - 1| passes, so the bound is decided at
+    that cap without forming a huge genus.
+    """
+    return hasse_weil_ok(n, spec.p, m, spec.genus_at_most(abs(n - spec.p**m - 1)))
+
+
 def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
 
@@ -167,9 +187,7 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     if n is None:
         n = point_count(spec, m)
         provenance = "counted"
-    # any genus of at least |N - q^m - 1| passes, so the bound is decided
-    # at that cap without forming a huge genus
-    if not hasse_weil_ok(n, spec.p, m, spec.genus_at_most(abs(n - spec.p**m - 1))):
+    if not _within_hasse_weil(spec, n, m):
         raise CountIntegrityError(
             f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
         )

@@ -20,7 +20,7 @@ All arithmetic is arbitrary-precision integer (or exact rational), never float.
 import json
 from typing import NamedTuple, Sequence
 
-from .curves import PointCounts, _Value, hasse_weil_ok
+from .curves import PointCounts, _Value, _within_hasse_weil, hasse_weil_ok
 
 
 class LSeriesError(ValueError):
@@ -28,12 +28,15 @@ class LSeriesError(ValueError):
 
 
 class LPolynomial(_Value):
-    """Degree-2g integer polynomial over ground size q, coefficients ascending."""
+    """Degree-2g integer polynomial over ground size q, coefficients ascending.
+
+    q, g and each coefficient are read by :func:`int_from_decimal`.
+    """
 
     __slots__ = ("q", "g", "coeffs")
 
-    def __init__(self, q: int, g: int, coeffs: tuple[int, ...]):
-        self._set(q, g, coeffs)
+    def __init__(self, q: int, g: int, coeffs: Sequence[int]):
+        self._set(int_from_decimal(q), int_from_decimal(g), tuple(map(int_from_decimal, coeffs)))
         if self.g < 0 or self.q < 2:
             raise LSeriesError(f"bad parameters q={self.q}, g={self.g}")
         if len(self.coeffs) != 2 * self.g + 1:
@@ -52,8 +55,9 @@ class LPolynomial(_Value):
 
 def _as_counts(counts) -> tuple[Sequence[int], int | None, int | None]:
     if isinstance(counts, PointCounts):
-        return counts.counts, counts.spec.genus, counts.base_q
-    return tuple(counts), None, None
+        # a genus past the counts is refused, so it is capped there: p^k for a huge k is never formed
+        return counts.counts, counts.spec.genus_at_most(len(counts) + 1), counts.base_q
+    return tuple(map(int_from_decimal, counts)), None, None
 
 
 def _newton_coeffs(sums: Sequence[int], diagnosis: str) -> list[int]:
@@ -75,12 +79,12 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     the finished polynomial as a consistency check.
     """
     seq, auto_g, auto_q = _as_counts(counts)
-    g = auto_g if g is None else g
-    q = auto_q if q is None else q
+    g = auto_g if g is None else int_from_decimal(g)
+    q = auto_q if q is None else int_from_decimal(q)
     if g is None or q is None:
         raise LSeriesError("genus and ground size are required with a bare count sequence")
     if len(seq) < g:
-        raise LSeriesError(f"need at least g={g} counts, got {len(seq)}")
+        raise LSeriesError(f"need at least g counts, got {len(seq)} for a genus of at least {g}")
     for m, n in enumerate(seq, start=1):
         if not hasse_weil_ok(n, q, m, g):
             raise LSeriesError(f"count N_{m} = {n} violates the Hasse-Weil bound")
@@ -135,7 +139,7 @@ class DivisionResult(NamedTuple):
 def _as_coeffs(poly) -> tuple[int, ...]:
     if isinstance(poly, LPolynomial):
         return poly.coeffs
-    c = tuple(int(v) for v in poly)
+    c = tuple(map(int_from_decimal, poly))
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]
     return c
@@ -224,10 +228,8 @@ class HasseWeilResult(NamedTuple):
 
 def hasse_weil_check(counts: PointCounts) -> HasseWeilResult:
     """Verify |N_m - q^m - 1| <= 2 g q^(m/2) for every entry; exact arithmetic."""
-    q = counts.base_q
-    g = counts.spec.genus
     for i, n in enumerate(counts.counts):
-        if not hasse_weil_ok(n, q, i + 1, g):
+        if not _within_hasse_weil(counts.spec, n, i + 1):
             return HasseWeilResult(False, i)
     return HasseWeilResult(True, None)
 
@@ -250,10 +252,16 @@ def int_to_decimal(n: int) -> str:
 
 
 def int_from_decimal(text) -> int:
-    """int(text), also for a decimal string past the digit limit: optional sign, then digits."""
-    if not isinstance(text, str) or len(text) <= _CHUNK_DIGITS:
-        return int(text)
-    digits = text[1:] if text[0] in "+-" else text
+    """The one rule for an integer input: an int, or a decimal string of any length.
+
+    A string is an optional sign, then digits, judged the same way at every
+    length; a float, a bool, or a string with spaces or underscores is refused.
+    """
+    if type(text) is int:
+        return text
+    if type(text) is not str:
+        raise TypeError(f"expected an int or a decimal string, got {type(text).__name__}")
+    digits = text[1:] if text[:1] in ("+", "-") else text
     if not digits.isdecimal():
         raise ValueError(f"invalid decimal integer of {len(text)} characters")
     value = 0
@@ -268,11 +276,7 @@ def lpoly_to_record(lpoly: LPolynomial) -> dict:
 
 
 def lpoly_from_record(record: dict) -> LPolynomial:
-    return LPolynomial(
-        int_from_decimal(record["q"]),
-        int(record["g"]),
-        tuple(int_from_decimal(c) for c in record["coeffs"]),
-    )
+    return LPolynomial(record["q"], record["g"], record["coeffs"])
 
 
 def lpoly_to_line(lpoly: LPolynomial) -> str:

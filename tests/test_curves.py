@@ -169,6 +169,8 @@ def test_count_series_examples():
     assert series.counts == (5, 9)
     assert series.provenance == ("counted", "counted")
     assert len(count_series(CurveSpec("ek", 1), 1)) == 1
+    with pytest.raises(ValueError, match="at least one extension"):
+        count_series(CurveSpec("ck", 2), 0)
 
 
 def test_count_series_hasse_weil():

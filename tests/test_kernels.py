@@ -18,6 +18,7 @@ from lpolydiv._kernels import (
     _diagonal_count,
     _recurrence_count,
     _trace_form,
+    choose_kernel,
     trace_zero_count,
 )
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
@@ -145,12 +146,16 @@ def test_recurrence_matches_walk_binary(terms):
         assert _recurrence_count(ctx, terms) == walk_zero_count(ctx, terms), m
 
 
-@pytest.mark.parametrize("p, max_order", [(3, 3**8), (5, 5**5), (7, 7**4)])
-def test_recurrence_matches_walk_odd(p, max_order):
-    for m in itertools.takewhile(lambda m: p**m <= max_order, itertools.count(1)):
-        ctx = make_field(p, m)
-        for terms in ((p + 1, -1), (3,)):
-            assert _recurrence_count(ctx, terms) == walk_zero_count(ctx, terms), (m, terms)
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_recurrence_refuses_odd_characteristic(p):
+    """The recurrence counts over GF(2) alone: odd p takes only the qf shapes, refused before any field."""
+    for terms in ((p + 1, -1), (p + 2,), (p + 1, 1, -1)):
+        for m in (1, 2, 100):
+            with pytest.raises(ValueError, match="odd p takes only"):
+                choose_kernel(p, m, terms)
+        with pytest.raises(ValueError, match="odd p takes only"):
+            trace_zero_count(make_field(p, 2), terms)
+    assert choose_kernel(p, 100, (p + 1, 1)) == ([1], 1)
 
 
 def test_recurrence_count_checks_its_expansion(monkeypatch):

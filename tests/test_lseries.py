@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpolydiv.curves import CurveSpec, count_series
+from lpolydiv.curves import CurveSpec, PointCounts, count_series
 from lpolydiv.lseries import (
     LPolynomial,
     LSeriesError,
@@ -50,6 +51,11 @@ def test_from_counts_errors():
         lpoly_from_counts([5, 9, 8], g=2, q=2)  # surplus count inconsistent
     with pytest.raises(LSeriesError):
         lpoly_from_counts([5], None, None)
+    # too few counts for a genus (3^10^7) that is refused without being formed
+    start = time.perf_counter()
+    with pytest.raises(LSeriesError, match="need at least g counts"):
+        lpoly_from_counts(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("counted",)))
+    assert time.perf_counter() - start < 2
 
 
 def test_surplus_counts_accepted_when_consistent():
@@ -84,6 +90,8 @@ def test_predicted_count_examples():
     assert predicted_count(C1, 5) == 25
     trivial = LPolynomial(2, 0, (1,))
     assert [predicted_count(trivial, m) for m in (1, 2, 5)] == [3, 5, 33]
+    with pytest.raises(ValueError, match="extension degree"):
+        predicted_count(C1, 0)
 
 
 def test_power_sums_hand_values():
@@ -101,6 +109,8 @@ def test_base_change_examples():
     assert base_change(C1, 1) == C1
     assert base_change(C1, 2) == LPolynomial(4, 1, (1, 0, 4))
     assert base_change(C1, 4) == LPolynomial(16, 1, (1, 8, 16))
+    with pytest.raises(ValueError, match="extension degree"):
+        base_change(C1, 0)
 
 
 def test_base_change_composes():
@@ -186,6 +196,8 @@ def test_divides_recovers_random_products(data):
 def test_divides_degenerate():
     with pytest.raises(ZeroDivisionError):
         divides((0,), C1)
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        divides((0, 1), C1)
     assert not divides(C2, C1).divides  # degree too large
     # zero is d * 0 for every divisor, whatever the degrees
     for d in ((1,), (3,), C1, C2, (2, 0, 0, 5)):
@@ -254,6 +266,10 @@ def test_hasse_weil_check():
     assert not ok and idx == 0
     genus0 = count_series(CurveSpec("ak", 1), 3)
     assert hasse_weil_check(genus0).ok
+    # the bound is decided without forming the genus 3^10^7
+    start = time.perf_counter()
+    assert hasse_weil_check(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("counted",))).ok
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(
@@ -305,6 +321,8 @@ def test_serialization_past_the_int_str_digit_limit():
     head, _, rest = str(lp).partition("t^2")
     assert int_from_decimal(head) == lp.coeffs[2]
     assert int_from_decimal(rest.removesuffix("t+1")) == lp.coeffs[1]
+    a0, a1, a2 = map(int_to_decimal, lp.coeffs)
+    assert repr(lp) == f"LPolynomial(q={int_to_decimal(lp.q)}, g=1, coeffs=({a0}, {a1}, {a2}))"
 
 
 @pytest.mark.parametrize(
@@ -317,10 +335,36 @@ def test_decimal_conversion_matches_str_below_the_limit(n):
     assert int_from_decimal("+" + str(abs(n))) == abs(n)
 
 
-@pytest.mark.parametrize("text", ["1" * 700 + "x", " " + "1" * 700, "--" + "1" * 700, "1_0" * 300])
+# the short forms int() would take are refused too: one rule at every length
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 700 + "x", " " + "1" * 700, "--" + "1" * 700, "1_0" * 300, "1_000", " 7 ", "7\n", "", "+-1"],
+)
 def test_long_decimal_text_must_be_sign_and_digits(text):
     with pytest.raises(ValueError):
         int_from_decimal(text)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: divides([1, 0.5], [1, 1]),
+        lambda: squarefree([1, 2.9, 1]),
+        lambda: lpoly_from_record({"q": 2.0, "g": 1.9, "coeffs": ["1", "2", "2"]}),
+        lambda: int_from_decimal(True),
+    ],
+    ids=["divides", "squarefree", "lpoly_from_record", "int_from_decimal"],
+)
+def test_integer_inputs_refuse_every_other_type(call):
+    with pytest.raises(TypeError, match="expected an int or a decimal string"):
+        call()
+
+
+def test_integer_inputs_take_ints_and_decimal_strings():
+    assert LPolynomial("2", "+1", ["1", "2", "2"]) == C1
+    assert lpoly_from_record({"q": "2", "g": 1, "coeffs": [1, "2", "2"]}) == C1
+    assert divides(["1", "2", "2"], ["1", "4", "8", "8", "4"]) == (True, (1, 2, 2), None)
+    assert lpoly_from_counts(["5"], g="1", q="2") == C1
 
 
 def test_format_int_poly():

@@ -46,6 +46,8 @@ def test_exponent_bound():
         x_pow(2, 1 << 63) * x_pow(2, 1 << 63)
     with pytest.raises(OverflowError):
         frobenius(SparsePoly(3, {(1 << 63): 1}))
+    with pytest.raises(ValueError, match="negative power"):
+        x_pow(3, 2) ** -1
 
 
 def test_zero_coefficients_dropped():
@@ -213,6 +215,10 @@ def test_involution_examples():
     assert involution_search(2) == SparsePoly(2, {1: 1, 2: 1})
     assert involution_search(3) is None
     assert involution_search(4) == SparsePoly(2, {1: 1, 2: 1, 4: 1, 8: 1})
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        involution_search(0)
+    with pytest.raises(ValueError, match="overflow"):
+        involution_search(63)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
