@@ -81,10 +81,10 @@ class CountCache:
     def store(self, spec: CurveSpec, m: int, n: int) -> None:
         rec = {
             "family": spec.family,
-            "k": spec.k,
-            "p": spec.p,
-            "m": m,
-            "n": n,
+            "k": _int(spec.k),  # by the reader's rule, before the file is touched
+            "p": _int(spec.p),
+            "m": _int(m),
+            "n": _int(n),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         line = (json.dumps(rec, separators=(",", ":")) + "\n").encode()

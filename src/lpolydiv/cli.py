@@ -15,7 +15,7 @@ Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
 uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
 a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``
-and builds no field.
+and builds no field.  ``lpoly`` and ``conjecture`` count by ``curves.count_series``.
 """
 
 import json
@@ -23,7 +23,7 @@ import os
 import sys
 import types
 
-from . import cache, curves, gf, lseries, sympoly
+from . import cache, curves, lseries, sympoly
 
 CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
@@ -47,25 +47,6 @@ def _emit(args, record: dict, table_line: str):
 
 def _spec(args) -> "curves.CurveSpec":
     return curves.CurveSpec(args.family, args.k, args.p)
-
-
-def _series_length(spec: "curves.CurveSpec") -> int:
-    """The counts N_1..N_g a curve's L-polynomial needs, refused past the field limits.
-
-    Every field limit lies far below 2^64, so a capped genus is refused before
-    the true one (p^k for ckp) is formed; no field is built.
-    """
-    g = spec.genus_at_most(1 << 64)
-    if g:
-        gf.check_field_limits(spec.p, g)
-    return g
-
-
-def _lpoly_for(spec: "curves.CurveSpec", store: "cache.CountCache") -> "lseries.LPolynomial":
-    g = _series_length(spec)
-    if g == 0:
-        return lseries.LPolynomial(spec.p, 0, (1,))
-    return lseries.lpoly_from_counts(curves.count_series(spec, g, cache=store))
 
 
 def cmd_count(args) -> int:
@@ -92,7 +73,7 @@ def cmd_count(args) -> int:
 
 def cmd_lpoly(args) -> int:
     spec = _spec(args)
-    lpoly = _lpoly_for(spec, _cache(args))
+    lpoly = lseries.lpoly_from_counts(curves.count_series(spec, cache=_cache(args)))
     record = {"record": "lpoly", "family": spec.family, "k": spec.k, "p": spec.p}
     record.update(lseries.lpoly_to_record(lpoly))
     _emit(args, record, f"L({spec.label}) = {lpoly}")
@@ -104,14 +85,14 @@ def cmd_conjecture(args) -> int:
         raise ValueError("--kmax must be >= 2")
     # The genus never decreases in k, so the series of kmax is the longest, and
     # one check of its length refuses an oversize run before its first count.
-    _series_length(curves.CurveSpec(args.family, args.kmax, args.p))
+    curves.series_length(curves.CurveSpec(args.family, args.kmax, args.p))
     store = _cache(args)
     base = curves.CurveSpec(args.family, 1, args.p)
-    l_base = _lpoly_for(base, store)
+    l_base = lseries.lpoly_from_counts(curves.count_series(base, cache=store))
     all_ok = True
     for k in range(2, args.kmax + 1):
         spec = curves.CurveSpec(args.family, k, args.p)
-        l_k = _lpoly_for(spec, store)
+        l_k = lseries.lpoly_from_counts(curves.count_series(spec, cache=store))
         result = lseries.divides(l_base, l_k)
         all_ok = all_ok and result.divides
         quotient = lseries.format_int_poly(result.quotient) if result.divides else "-"

@@ -78,6 +78,8 @@ class CurveSpec(_Value):
         self._set(family, k, p)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if type(self.k) is not int or type(self.p) is not int:  # bools too, as the cache reads them
+            raise TypeError(f"k and p must be ints, got {type(k).__name__} and {type(p).__name__}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.family == "ckp":
@@ -196,13 +198,31 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     return n, provenance
 
 
-def count_series(spec: CurveSpec, upto: int, *, cache=None) -> PointCounts:
-    """N_1..N_upto by :func:`count_field`, one extension at a time."""
-    if upto < 1:
+def series_length(spec: CurveSpec) -> int:
+    """The genus g, for the counts N_1..N_g an L-polynomial needs; refused past the field limits.
+
+    The genus is capped at 2^64, far above every limit, so p^k for a huge k is never formed.
+    """
+    g = spec.genus_at_most(1 << 64)
+    if g:
+        check_field_limits(spec.p, g)
+    return g
+
+
+def count_series(spec: CurveSpec, upto: int | None = None, *, cache=None) -> PointCounts:
+    """N_1..N_upto by :func:`count_field`, one extension at a time.
+
+    upto defaults to :func:`series_length`: the genus, none for genus 0.  An
+    oversize series is refused by its largest field, before any count.
+    """
+    if upto is None:
+        upto = series_length(spec)
+    elif upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
-    check_field_limits(spec.p, upto)  # refuse an oversize series by its largest field, before any count
-    counts, provenance = zip(*(count_field(spec, m, cache=cache) for m in range(1, upto + 1)))
-    return PointCounts(spec, counts, provenance)
+    else:
+        check_field_limits(spec.p, upto)
+    results = [count_field(spec, m, cache=cache) for m in range(1, upto + 1)]
+    return PointCounts(spec, tuple(n for n, _ in results), tuple(how for _, how in results))
 
 
 def _check_lmw(n: int, k: int, j: int) -> None:

@@ -27,10 +27,8 @@ Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 """
 
-import collections
 import functools
 import operator
-import threading
 from typing import Sequence
 
 MAX_BINARY_DEGREE = 32
@@ -231,9 +229,6 @@ def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-_Tables = collections.namedtuple("_Tables", "exp tr_exp")  # one field's discrete-log tables
-
-
 class FieldContext:
     """Immutable arithmetic context for GF(p)[x]/(f), f the monic modulus.
 
@@ -241,8 +236,8 @@ class FieldContext:
     pow) on the base-p digits of the residues.  Only :func:`make_field`, which
     picks an irreducible f, promises the field GF(p^m) that inv, trace,
     generator and the tables need.  Use it rather than the constructor: it
-    also caches contexts so repeated lookups share their tables, and takes the
-    packed-bit subclass for p = 2.
+    also caches contexts, so repeated lookups share one modulus search and one
+    trace vector, and takes the packed-bit subclass for p = 2.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -252,8 +247,6 @@ class FieldContext:
         self.m = m
         self.order = p**m
         self.modulus = modulus
-        self._tables: _Tables | None = None
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -331,19 +324,12 @@ class FieldContext:
                 return cand
         raise AssertionError("no multiplicative generator found")
 
-    def multiplicative_tables(self) -> _Tables:
-        """Build (once) and return exp/trace-of-exp tables.
+    def multiplicative_tables(self) -> tuple:
+        """Build and return (exp, tr_exp), anew on every call.
 
         exp[i] = g**i in a stdlib ``array("L")``, g the smallest generator, i in
         [0, order-1); tr_exp[i] = trace(exp[i]) in ``bytes``.  Test oracles read them.
         """
-        if self._tables is None:
-            with self._lock:
-                if self._tables is None:
-                    self._tables = self._build_tables()
-        return self._tables
-
-    def _build_tables(self) -> _Tables:
         if self.order > MAX_TABLE_ORDER:
             raise FieldLimitError(
                 f"{self!r} is too large for discrete-log tables "
@@ -360,7 +346,7 @@ class FieldContext:
             v = self.mul(v, g)
         if v != 1:
             raise AssertionError("generator order mismatch")
-        return _Tables(exp, bytes(map(self.trace, exp)))
+        return exp, bytes(map(self.trace, exp))
 
 
 class _BinaryField(FieldContext):

@@ -14,11 +14,13 @@ power by SparsePoly's schoolbook product, and the involution oracle scans all
 The command-line oracle is the argparse parser the CLI's table parser replaced.
 
 The table walk and the wide ek pair check read the field's discrete-log
-tables (a stdlib array and bytes) through zero-copy numpy views.  numpy is a
+tables (a stdlib array and bytes) through zero-copy numpy views, built once
+per field by ``dlog_tables``; the field context keeps none.  numpy is a
 test dependency only, from the ``test`` extra; the package itself needs none.
 """
 
 import argparse
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -62,8 +64,7 @@ def _oracle_ek_wide(ctx, k):
     # Same literal pair check, vectorized over y for each x.
     q = ctx.order
     n = q - 1
-    tables = ctx.multiplicative_tables()
-    exp_t = np.frombuffer(tables.exp, dtype=f"u{tables.exp.itemsize}")
+    exp_t, _ = dlog_tables(ctx)
     log_t = np.full(q, -1, dtype=np.int64)
     log_t[exp_t] = np.arange(n, dtype=np.int64)
     ysqr = np.fromiter((ctx.mul(y, y) for y in range(q)), dtype=np.int64, count=q)
@@ -137,12 +138,19 @@ def bit_zero_count(m, exponents):
     return zeros
 
 
+@functools.cache
+def dlog_tables(ctx):
+    """ctx's tables (exp, tr_exp) as numpy views, built once per field."""
+    exp, tr_exp = ctx.multiplicative_tables()
+    return np.frombuffer(exp, dtype=f"u{exp.itemsize}"), np.frombuffer(tr_exp, dtype=np.uint8)
+
+
 def walk_zero_count(ctx, exponents):
     """Nonzero x = g^i with Tr(sum_e x^e) = 0, by walking the discrete-log tables.
 
     One vectorized pass over every i in [0, order - 1), g the table generator.
     """
-    tr_exp = np.frombuffer(ctx.multiplicative_tables().tr_exp, dtype=np.uint8)
+    _, tr_exp = dlog_tables(ctx)
     n = ctx.order - 1
     idx = np.arange(n, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)

@@ -11,13 +11,14 @@ from lpolydiv.curves import (
     CurveSpec,
     PointCounts,
     affine_count,
+    count_field,
     count_series,
     lmw_formula,
     lmw_zero_count,
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
-from lpolydiv.lseries import LPolynomial
+from lpolydiv.lseries import LPolynomial, lpoly_from_counts
 from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
 
@@ -33,6 +34,13 @@ def test_spec_validation():
         with pytest.raises(ValueError) as caught:
             CurveSpec(*args)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("args", [("ck", True), ("ck", 1.5), ("ckp", 1, 3.0), ("ck", 2, 2.0)])
+def test_spec_refuses_a_k_or_p_that_is_not_an_int(args):
+    # refused at construction, not by a bare TypeError deep in a count or as a cache record
+    with pytest.raises(TypeError, match="k and p must be ints"):
+        CurveSpec(*args)
 
 
 _C1_3 = CurveSpec("ckp", 1, 3)
@@ -171,6 +179,29 @@ def test_count_series_examples():
     assert len(count_series(CurveSpec("ek", 1), 1)) == 1
     with pytest.raises(ValueError, match="at least one extension"):
         count_series(CurveSpec("ck", 2), 0)
+
+
+def test_count_series_defaults_to_the_genus():
+    specs = [CurveSpec("ck", k) for k in range(1, 5)] + [CurveSpec("ek", k) for k in range(1, 4)]
+    for spec in specs + [CurveSpec("ckp", k, 3) for k in (1, 2)]:
+        assert count_series(spec) == count_series(spec, spec.genus), spec
+
+
+def test_count_series_of_genus_zero_is_empty_and_gives_l_1():
+    spec = CurveSpec("ak", 3)
+    assert count_series(spec) == PointCounts(spec, (), ())
+    assert lpoly_from_counts(count_series(spec)) == LPolynomial(2, 0, (1,))
+
+
+def test_count_series_refuses_an_oversize_genus_before_any_count(tmp_path):
+    import time
+
+    path = tmp_path / "counts.jsonl"
+    start = time.perf_counter()
+    with pytest.raises(FieldLimitError, match="order limit 2\\^22"):
+        count_series(CurveSpec("ckp", 10**7, 3), cache=CountCache(path))
+    assert time.perf_counter() - start < 1.0
+    assert not path.exists()
 
 
 def test_count_series_hasse_weil():
@@ -313,6 +344,23 @@ def test_corrupted_cache_entry_rejected(tmp_path):
     cache.store(spec, 1, 500)  # far outside Hasse-Weil
     with pytest.raises(CountIntegrityError):
         count_series(spec, 1, cache=cache)
+
+
+@pytest.mark.parametrize("m, n", [(True, 3), (1.0, 3), (1, True), (1, 3.0)])
+def test_store_refuses_a_record_its_reader_would_refuse(tmp_path, m, n):
+    path = tmp_path / "counts.jsonl"
+    with pytest.raises(TypeError, match="expected an integer"):
+        CountCache(path).store(CurveSpec("ck", 1), m, n)
+    assert not path.exists()
+
+
+def test_count_field_leaves_the_cache_readable_after_a_bool_degree(tmp_path, capsys):
+    from lpolydiv import cli
+
+    with pytest.raises(TypeError, match="expected an integer"):
+        count_field(CurveSpec("ck", 1), True, cache=CountCache(tmp_path / "counts.jsonl"))
+    code = cli.main(["count", "--family", "ck", "--k", "2", "--m", "1", "--cache-dir", str(tmp_path)])
+    assert code == 0 and "N_1 = 5 (fresh)" in capsys.readouterr().out
 
 
 def _store_records(path, family, k, count):

@@ -344,22 +344,29 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 def test_multiplicative_tables_consistency():
     ctx = make_field(2, 6)
-    tables = ctx.multiplicative_tables()
+    exp, tr_exp = ctx.multiplicative_tables()
     g = ctx.generator()
     n = ctx.order - 1
-    assert tables.exp[0] == 1
+    assert exp[0] == 1
     for i in range(1, n):
-        assert tables.exp[i] == ctx.mul(int(tables.exp[i - 1]), g)
-    assert len(set(tables.exp.tolist())) == n
+        assert exp[i] == ctx.mul(int(exp[i - 1]), g)
+    assert len(set(exp.tolist())) == n
     for i in range(n):
-        assert tables.tr_exp[i] == ctx.trace(int(tables.exp[i]))
+        assert tr_exp[i] == ctx.trace(int(exp[i]))
 
 
 def test_multiplicative_tables_odd_p():
     ctx = make_field(3, 4)
-    tables = ctx.multiplicative_tables()
+    exp, tr_exp = ctx.multiplicative_tables()
     for i in (0, 1, 17, 50):
-        assert tables.tr_exp[i] == ctx.trace(int(tables.exp[i]))
+        assert tr_exp[i] == ctx.trace(int(exp[i]))
+
+
+def test_tables_are_rebuilt_equal_on_each_call():
+    ctx = make_field(3, 3)
+    first, second = ctx.multiplicative_tables(), ctx.multiplicative_tables()
+    assert first == second
+    assert first[0] is not second[0]  # the context keeps no table state
 
 
 def test_tables_refused_above_the_order_limit():
@@ -371,20 +378,20 @@ def test_tables_refused_above_the_order_limit():
 @pytest.mark.parametrize("m", range(1, 21))
 def test_doubling_tables_match_sequential_powers(m):
     ctx = make_field(2, m)
-    tables = ctx.multiplicative_tables()
+    exp, tr_exp = ctx.multiplicative_tables()
     g = ctx.generator()
     n = ctx.order - 1
-    assert len(tables.exp) == n
+    assert len(exp) == n
     indices = sorted(random.Random(m).sample(range(n), min(n, 64)))
     if m <= 16:
         v = 1
         for i in range(n):
-            assert tables.exp[i] == v, i
+            assert exp[i] == v, i
             v = ctx.mul(v, g)
         assert v == 1
     else:
         for i in indices:
-            assert tables.exp[i] == ctx.pow(g, i), i
-    assert len(set(tables.exp.tolist())) == n
+            assert exp[i] == ctx.pow(g, i), i
+    assert len(set(exp.tolist())) == n
     for i in indices:
-        assert tables.tr_exp[i] == ctx.trace(int(tables.exp[i]))
+        assert tr_exp[i] == ctx.trace(int(exp[i]))
