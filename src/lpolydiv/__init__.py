@@ -50,9 +50,8 @@ _EXPORTS = {
     ),
     "sympoly": (
         "ArtinSchreierDecision", "SparsePoly", "artin_schreier_image", "build_f", "build_g",
-        "covering_defect", "format_poly_line", "format_terms", "frobenius",
-        "involution_search", "parse_poly_line", "parse_terms", "tower_obstruction",
-        "verify_covering", "verify_trace_morphism", "x_pow",
+        "covering_defect", "format_terms", "frobenius", "involution_search", "parse_terms",
+        "tower_obstruction", "verify_covering", "verify_trace_morphism", "x_pow",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -24,13 +24,7 @@ import time
 from pathlib import Path
 
 from .curves import CountIntegrityError, CurveSpec
-
-
-def _int(value) -> int:
-    """value itself if it is a JSON integer; int() would accept 7.9, "7" and true."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+from .gf import _int
 
 
 class CountCache:

@@ -18,9 +18,11 @@ powers x^(p^i) taken by a context over the candidate itself.
 The absolute trace is GF(p)-linear, so each field keeps one vector
 t_n = Tr(x^n), n < 2m - 1, and Tr(a) = sum_(i<m) digit_i(a) t_i mod p (for
 p = 2, the parity of a & trace_mask, the vector packed into bits).  The t_n
-are the power sums of the modulus's roots and come from its coefficients by
-Newton's identities, with no field multiplication (Lidl-Niederreiter, *Finite
-Fields*, ch. 1 §4 and ch. 2 §3).  The vector is built on first use.
+are the power sums of the modulus's roots, so Newton's identities give them
+from its coefficients with no field multiplication (Lidl-Niederreiter, *Finite
+Fields*, ch. 1 §4 and ch. 2 §3), run as :func:`_series_quotient`, the
+package's one exact ascending series division, which :mod:`lpolydiv.lseries`
+also runs for power sums and divisibility.  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
@@ -191,6 +193,22 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+# Over the integers, not F_p: the package's one exact ascending series division,
+# for the trace vector here and for the power sums and divisibility of lseries.
+def _series_quotient(numer: Sequence[int], denom: Sequence[int]) -> list[int]:
+    """The first len(numer) coefficients of the power series numer/denom (denom[0] != 0),
+    by exact ascending division; the list stops short at the first step that leaves the integers."""
+    quo: list[int] = []
+    for i, acc in enumerate(numer):
+        for j in range(1, min(i, len(denom) - 1) + 1):
+            acc -= denom[j] * quo[i - j]
+        c, rem = divmod(acc, denom[0])
+        if rem:
+            break
+        quo.append(c)
+    return quo
+
+
 def _is_irreducible(f: int, p: int, m: int) -> bool:
     """Ben-Or: monic f of degree m is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2.
 
@@ -300,18 +318,15 @@ class FieldContext:
     def _traces(self) -> tuple[int, ...]:
         """t_n = Tr(x^n) for n < 2m - 1, x the residue class of X.
 
-        Tr(x^n) is the n-th power sum of the roots of the modulus
-        X^m + c_(m-1) X^(m-1) + ... + c_0, so Newton's identities give it:
-        t_0 = m, t_n = -(n c_(m-n) + sum_(0<j<n) c_(m-j) t_(n-j)) for n < m,
-        and past that the modulus recurrence, which runs over all m coefficients.
+        t_0 = m, and for n >= 1 Tr(x^n) is the n-th power sum of the modulus's
+        roots: the coefficient of T^n in -T r'(T) / r(T), r the reversed modulus
+        T^m f(1/T) = 1 + c_(m-1) T + ... + c_0 T^m, taken over the integers and
+        reduced mod p.
         """
-        p, m, c = self.p, self.m, self.modulus
-        t = [m % p]
-        for n in range(1, m):
-            t.append(-(n * c[m - n] + sum(map(operator.mul, c[m - n + 1 : m], t[1:n]))) % p)
-        for n in range(m, 2 * m - 1):  # x^m = -(c_0 + c_1 x + ... + c_(m-1) x^(m-1))
-            t.append(-sum(map(operator.mul, c[:m], t[n - m : n])) % p)
-        return tuple(t)
+        p, m = self.p, self.m
+        r = self.modulus[::-1]
+        sums = _series_quotient([-n * r[n] if n <= m else 0 for n in range(2 * m - 1)], r)
+        return (m % p, *(s % p for s in sums[1:]))
 
     def generator(self) -> int:
         """Smallest multiplicative generator in packed-int order."""
@@ -385,11 +400,21 @@ def _field_name(p: int, m: int) -> str:
     return f"GF({p}^{m})"
 
 
+def _int(value) -> int:
+    """value itself if it is an int; int() would accept 7.9, "7" and True."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def check_field_limits(p: int, m: int) -> None:
-    """Refuse GF(p^m) past the limits (p = 2: m <= 32; odd p: p**m <= 2**22), searching no modulus."""
-    if not is_prime(p):
+    """Refuse GF(p^m) past the limits (p = 2: m <= 32; odd p: p**m <= 2**22), searching no modulus.
+
+    p and m must be ints: a bool, a float or a string raises TypeError.
+    """
+    if not is_prime(_int(p)):
         raise ValueError(f"characteristic {p} is not prime")
-    if m < 1:
+    if _int(m) < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if p == 2:
         if m > MAX_BINARY_DEGREE:
@@ -402,7 +427,8 @@ def check_field_limits(p: int, m: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
+# typed: True and 1 are equal keys, and a cached GF(2) must not answer make_field(2, True)
+@functools.lru_cache(maxsize=None, typed=True)
 def make_field(p: int, m: int) -> FieldContext:
     """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
 

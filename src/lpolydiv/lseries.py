@@ -13,7 +13,8 @@ exact; a remainder signals a wrong genus, a wrong infinity count, or
 corrupted input, and raises.  The same recurrence read as the power series
 -t L'(t) / L(t) gives the power sums, by the one exact ascending series division
 that also decides divisibility: one pass over the numerator and one check
-that the quotient's tail is zero.
+that the quotient's tail is zero.  That division is :func:`lpolydiv.gf._series_quotient`,
+which also builds each field's trace vector.
 All arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
@@ -21,6 +22,7 @@ import json
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, _within_hasse_weil, hasse_weil_ok
+from .gf import _series_quotient
 
 
 class LSeriesError(ValueError):
@@ -143,20 +145,6 @@ def _as_coeffs(poly) -> tuple[int, ...]:
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]
     return c
-
-
-def _series_quotient(numer: Sequence[int], denom: Sequence[int]) -> list[int]:
-    """The first len(numer) coefficients of the power series numer/denom (denom[0] != 0),
-    by exact ascending division; the list stops short at the first step that leaves the integers."""
-    quo: list[int] = []
-    for i, acc in enumerate(numer):
-        for j in range(1, min(i, len(denom) - 1) + 1):
-            acc -= denom[j] * quo[i - j]
-        c, rem = divmod(acc, denom[0])
-        if rem:
-            break
-        quo.append(c)
-    return quo
 
 
 def divides(denom, numer) -> DivisionResult:

@@ -321,15 +321,3 @@ def parse_terms(text: str, p: int) -> SparsePoly:
         else:
             terms.append((1 if exp is None else int(exp), 1 if coeff is None else int(coeff)))
     return SparsePoly(p, terms)
-
-
-def format_poly_line(a: SparsePoly) -> str:
-    return f"p={a.p}: {format_terms(a)}"
-
-
-def parse_poly_line(line: str) -> SparsePoly:
-    head, _, body = line.partition(":")
-    head = head.strip()
-    if not head.startswith("p="):
-        raise ValueError(f"missing characteristic prefix in {line!r}")
-    return parse_terms(body.strip(), int(head[2:]))

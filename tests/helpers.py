@@ -122,6 +122,8 @@ def _bit_tables(ctx, exponents):
 
 def bit_zero_count(m, exponents):
     """Elements x of GF(2^m), m <= 32, with Tr(f(x)) = 0, by enumerating them all."""
+    if m > 32:  # refused here, whatever limit make_field has
+        raise ValueError(f"the bit oracle packs elements into 32 bits, got m = {m}")
     ctx = make_field(2, m)
     tables = _bit_tables(ctx, exponents)
     zeros = 0

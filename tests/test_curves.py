@@ -363,6 +363,17 @@ def test_count_field_leaves_the_cache_readable_after_a_bool_degree(tmp_path, cap
     assert code == 0 and "N_1 = 5 (fresh)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("m", [True, 2.0])
+def test_count_field_refuses_a_degree_that_is_not_an_int(tmp_path, m, cached):
+    cache = None
+    if cached:  # a lookup keys True like 1 and 2.0 like 2
+        cache = CountCache(tmp_path / "counts.jsonl")
+        count_field(CurveSpec("ck", 1), int(m), cache=cache)
+    with pytest.raises(TypeError, match=f"expected an integer, got {m!r}$"):
+        count_field(CurveSpec("ck", 1), m, cache=cache)
+
+
 def _store_records(path, family, k, count):
     cache = CountCache(path)
     for m in range(1, count + 1):

@@ -265,6 +265,13 @@ def test_make_field_errors():
         make_field(3, 15)
 
 
+@pytest.mark.parametrize("p, m, bad", [(2, True, "True"), (2, 1.0, "1.0"), (2.0, 1, "2.0")])
+def test_make_field_refuses_a_non_int_equal_to_a_cached_int(p, m, bad):
+    make_field(2, 1)
+    with pytest.raises(TypeError, match=f"expected an integer, got {bad}$"):
+        make_field(p, m)
+
+
 @pytest.mark.parametrize(
     "context, p, m, modulus",
     [

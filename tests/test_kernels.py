@@ -47,6 +47,11 @@ def test_qf_matches_bit_enumeration_to_2_24(terms):
         assert trace_zero_count(make_field(2, m), terms) == bit_zero_count(m, terms), m
 
 
+def test_bit_oracle_refuses_a_degree_past_its_32_bit_elements():
+    with pytest.raises(ValueError, match="bit oracle packs elements into 32 bits"):
+        bit_zero_count(33, CK_TERMS[0])
+
+
 def test_ck_counts_take_the_values_of_their_quadratic_form():
     """Past enumeration (m = 25..32): the zero count z of Tr(x^(2^k + 1) + x) in GF(2^m).
 

@@ -23,6 +23,7 @@ from lpolydiv.lseries import (
     predicted_count,
     squarefree,
 )
+from lpolydiv.sympoly import verify_covering
 from helpers import fraction_long_division, zeta_oracle_counts
 
 C1 = LPolynomial(2, 1, (1, 2, 2))
@@ -226,6 +227,16 @@ def _trimmed(coeffs):
 def test_divides_failure_index_matches_fraction_division(d, n, fail_index):
     assert fraction_long_division(d, n) == (None, fail_index)
     assert divides(d, n) == (False, None, fail_index)
+
+
+def test_l_of_c_l_divides_l_of_c_k_exactly_when_l_divides_k():
+    lpolys = {k: lpoly_from_counts(count_series(CurveSpec("ck", k))) for k in range(1, 7)}
+    for k in range(2, 7):
+        for l in range(1, k):
+            assert divides(lpolys[l], lpolys[k]).divides == (k % l == 0), (l, k)
+            # a tower morphism C_k -> C_l exists wherever counting says "divides"
+            if k % l == 0:
+                assert verify_covering(k, l), (l, k)
 
 
 @settings(max_examples=300, deadline=None)

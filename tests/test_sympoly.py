@@ -7,11 +7,9 @@ from lpolydiv.sympoly import (
     build_f,
     build_g,
     covering_defect,
-    format_poly_line,
     format_terms,
     frobenius,
     involution_search,
-    parse_poly_line,
     parse_terms,
     tower_obstruction,
     verify_covering,
@@ -253,10 +251,7 @@ def test_format_and_parse():
     assert format_terms(b) == "2*x^4+x+2"
     assert format_terms(SparsePoly(5)) == "0"
     for poly in (a, b, SparsePoly(5), x_pow(7, 0, 3), SparsePoly(3, {1: 2})):
-        line = format_poly_line(poly)
-        assert parse_poly_line(line) == poly
+        assert parse_terms(format_terms(poly), poly.p) == poly
     assert parse_terms("1*x^2 + x + 1", 2) == SparsePoly(2, {2: 1, 1: 1, 0: 1})
     with pytest.raises(ValueError):
         parse_terms("x^-1", 2)
-    with pytest.raises(ValueError):
-        parse_poly_line("q=2: x")
