@@ -7,9 +7,10 @@ Exit codes are stable for scripting: 0 means success/verified, 1 a
 verification or consistency failure, 2 a usage error (bad parameters,
 oversize field, unusable cache directory), 141 a stdout reader gone away.
 
-``COMMANDS`` maps each command path to its handler and options; ``parse_args`` reads
-argv by it as argparse did (``--opt value``, ``--opt=value``, unique prefixes, the last
-repeat winning, ``-h`` at every level) without importing argparse, and ``_help`` prints it.
+``COMMANDS`` maps each command path to its handler and options.  ``parse_args`` reads a
+plain argv (exact names, each option as ``--opt value`` or ``--opt=value``) by it, and
+hands any other to argparse built from it: help and usage errors load argparse, plain
+commands do not.
 
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
@@ -18,6 +19,7 @@ a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``
 and builds no field.  ``lpoly`` and ``conjecture`` count by ``curves.count_series``.
 """
 
+import functools
 import json
 import os
 import sys
@@ -230,95 +232,67 @@ def _options(path: str) -> tuple:
     return (*COMMANDS[path][2], *_COMMON) if COMMANDS[path][0] else ()
 
 
-def _usage(path: str) -> str:
-    tail = "{" + ",".join(_children(path)) + "} ..." if _children(path) else "[options]"
-    return " ".join(filter(None, ("usage: lpolydiv", path, "[-h]", tail)))
-
-
-def _help(path: str) -> str:
-    rows = [("-h, --help", "show this help message and exit")]
-    rows += [(name, COMMANDS[f"{path} {name}".lstrip()][1]) for name in _children(path)]
-    for flag, kind, default, text in _options(path):
-        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].replace("-", "_").upper()
-        note = " (required)" if default is REQUIRED else "" if default is None else f" (default: {default})"
-        rows.append((f"{flag} {value}", text + note))
-    return "\n".join([_usage(path), "", COMMANDS[path][1], "", *(f"  {a:<25} {b}" for a, b in rows)])
-
-
-def _fail(path: str, message: str):
-    print(_usage(path), f"lpolydiv {path}".rstrip() + f": error: {message}", sep="\n", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _read(path: str, token: str, flags) -> str | None:
-    """As argparse reads `token`: the flag (or --help, also as -h) named in full or by unique
-    prefix before any "=", else a value (None) if it is no option, "-", a negative number or
-    text with a space, else "?", an unknown option."""
-    name = token.partition("=")[0]
-    name = "--help" if name == "-h" else name
-    named = [flag for flag in (*flags, "--help") if name[:2] == "--" != name and flag.startswith(name)]
-    if len(named) > 1 and name not in named:
-        _fail(path, f"ambiguous option: {name} could match {', '.join(named)}")
-    if named:
-        return name if name in named else named[0]
-    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
-    return None if not token.startswith("-") or token == "-" or number or " " in token else "?"
-
-
-def _exit_with_help(path: str, token: str):
-    if "=" in token:
-        _fail(path, f"argument -h/--help: ignored explicit argument {token.partition('=')[2]!r}")
-    print(_help(path))
-    raise SystemExit(0)
-
-
-def parse_args(argv: list[str]) -> types.SimpleNamespace:
-    """The namespace argparse gave for `argv`: a field per option, `command` (and `check`), `func`."""
-    path, rest, values, strays = "", list(argv), {}, []
+def _plain(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace of a plain argv, else None: exact command names, then exact flags of
+    that command, each with "=value" or the next token, a value that does not start with "-"."""
+    path, rest, values = "", list(argv), {}
     while not COMMANDS[path][0]:
-        field, names = ("command", "check")[len(path.split())], _children(path)
-        if not rest:
-            _fail(path, f"the following arguments are required: {field}")
-        token = rest.pop(0)
-        read = _read(path, token, ())
-        if token in names:
-            values[field], path = token, f"{path} {token}".lstrip()
-        elif read is None or token == "--":
-            _fail(path, f"argument {field}: invalid choice: {token!r} (choose from {', '.join(names)})")
-        elif read == "--help":
-            _exit_with_help(path, token)
-        else:
-            strays.append(token)
+        if not rest or rest[0] not in _children(path):
+            return None
+        values[("command", "check")[len(path.split())]] = rest[0]
+        path = f"{path} {rest.pop(0)}".lstrip()
     kinds = {flag: kind for flag, kind, _, _ in _options(path)}
     given = {flag: default for flag, _, default, _ in _options(path)}
-    # Nothing from "--" on is an option.  As argparse does, read every token before any
-    # value, so that an ambiguous prefix is refused first.
-    cut = rest.index("--") if "--" in rest else len(rest)
-    named = [(_read(path, token, kinds), token) for token in rest[:cut]]
-    while named:
-        flag, token = named.pop(0)
-        _, eq, value = token.partition("=")
-        if flag == "--help":
-            _exit_with_help(path, token)
-        if flag in (None, "?"):
-            strays.append(token)
-            continue
-        if not eq:
-            if not named or named[0][0] is not None:
-                _fail(path, f"argument {flag}: expected one argument")
-            value = named.pop(0)[1]
+    while rest:
+        flag, eq, value = rest.pop(0).partition("=")
+        value = value if eq else rest.pop(0) if rest else None
+        if flag not in kinds or value is None or value.startswith("-"):
+            return None
         try:
             given[flag] = int(value) if kinds[flag] is int else value
-            if kinds[flag] not in (int, str) and value not in kinds[flag]:
-                raise ValueError
         except ValueError:
-            _fail(path, f"argument {flag}: invalid {'int value' if kinds[flag] is int else 'choice'}: {value!r}")
-    missing, strays = [flag for flag, value in given.items() if value is REQUIRED], strays + rest[cut:]
-    if missing or strays:
-        _fail(path, f"the following arguments are required: {', '.join(missing)}" if missing
-              else f"unrecognized arguments: {' '.join(strays)}")
+            return None
+        if kinds[flag] not in (int, str) and value not in kinds[flag]:
+            return None
+    if REQUIRED in given.values():
+        return None
     values.update((flag[2:].replace("-", "_"), value) for flag, value in given.items())
     return types.SimpleNamespace(**values, func=COMMANDS[path][0])
+
+
+@functools.cache  # built once per process, however many argv a caller parses
+def _argparse():
+    """The argparse parser of every command in COMMANDS: the one user of argparse."""
+    import argparse
+
+    def build(parser, path):
+        parser.description, parser.formatter_class = COMMANDS[path][1], argparse.RawDescriptionHelpFormatter
+        if not COMMANDS[path][0]:
+            group = parser.add_subparsers(dest=("command", "check")[len(path.split())], required=True)
+            for name in _children(path):
+                child = f"{path} {name}".lstrip()
+                build(group.add_parser(name, help=COMMANDS[child][1]), child)
+            return parser
+        parser.usage = "%(prog)s [-h] [options]"
+        for flag, kind, default, text in _options(path):
+            note = " (required)" if default is REQUIRED else "" if default is None else f" (default: {default})"
+            parser.add_argument(
+                flag, type=int if kind is int else None, choices=kind if isinstance(kind, tuple) else None,
+                help=text + note, **({"required": True} if default is REQUIRED else {"default": default}),
+            )
+        parser.set_defaults(func=COMMANDS[path][0])
+        return parser
+
+    return build(argparse.ArgumentParser(prog="lpolydiv"), "")
+
+
+def parse_args(argv: list[str]):
+    """The namespace argparse gives for `argv`: a field per option, `command` (and `check`), `func`.
+
+    A plain argv is read here; argparse reads every other one, and alone prints help
+    (exit 0) or a usage error (exit 2).
+    """
+    return _plain(argv) or _argparse().parse_args(argv)
 
 
 def main(argv=None) -> int:

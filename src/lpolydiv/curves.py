@@ -15,7 +15,7 @@ y = xz turns the fiber condition into Tr(x^(2^k + 1) + 1/x) = 0.
 
 import math
 
-from .gf import check_field_limits, is_prime, jacobi_symbol, make_field
+from .gf import _int, check_field_limits, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 FAMILIES = ("ck", "ek", "ak", "ckp")
@@ -116,12 +116,15 @@ class CurveSpec(_Value):
 
 
 class PointCounts(_Value):
-    """N_1..N_M for one curve, with per-entry provenance ('counted'/'cached')."""
+    """N_1..N_M for one curve, with per-entry provenance ('counted'/'cached').
+
+    Each count must be an int, bools refused, as the cache reads them.
+    """
 
     __slots__ = ("spec", "counts", "provenance")
 
     def __init__(self, spec: CurveSpec, counts: tuple[int, ...], provenance: tuple[str, ...]):
-        self._set(spec, counts, provenance)
+        self._set(spec, tuple(map(_int, counts)), provenance)
 
     @property
     def base_q(self) -> int:

@@ -117,14 +117,17 @@ def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:
 
 
 def predicted_count(lpoly: LPolynomial, m: int) -> int:
-    """N_m implied by the polynomial: q^m + 1 - s_m."""
+    """N_m implied by the polynomial: q^m + 1 - s_m; m is read by :func:`int_from_decimal`."""
+    m = int_from_decimal(m)
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     return lpoly.q**m + 1 - power_sums(lpoly, m)[-1]
 
 
 def base_change(lpoly: LPolynomial, s: int) -> LPolynomial:
-    """L-polynomial over GF(q^s): reciprocal roots raised to the s-th power."""
+    """L-polynomial over GF(q^s): reciprocal roots raised to the s-th power; s is read by
+    :func:`int_from_decimal`."""
+    s = int_from_decimal(s)
     if s < 1:
         raise ValueError(f"extension degree must be >= 1, got {s}")
     sp = power_sums(lpoly, 2 * lpoly.g * s)[s - 1 :: s]

@@ -203,24 +203,22 @@ def test_parser_reads_argv_as_argparse_did(argv):
 
 
 def _outcome(parse, argv):
-    """The namespace `parse` gives for argv, or its exit code; its output is discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """The namespace `parse` gives for argv, or its exit code with a usage error's last line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             return vars(parse(argv))
         except SystemExit as exc:
-            return exc.code
+            return exc.code, err.getvalue().splitlines()[-1] if exc.code == 2 else None
 
 
 def test_parser_agrees_with_argparse_on_random_argv():
-    # Every command and flag, unique prefixes of them, valid and invalid values, "-h", "--"
-    # and negative numbers, drawn in any order after a random command path.  An ambiguous
-    # prefix is left to test_usage_error_exits_2_with_usage_and_error: argparse in Python
-    # 3.13 reads a -h before one as help, while 3.10.13, 3.11.7 and 3.12.1 refuse the line
-    # before reading any option, as cli does.
+    # Every command and flag, unique and ambiguous prefixes of them, valid and invalid values,
+    # "-h", "--" and negative numbers, drawn in any order after a random command path.
     words = [
         *{word for path in cli.COMMANDS for word in path.split()},
         *{flag for _, _, options in cli.COMMANDS.values() for flag, *_ in (*options, *cli._COMMON)},
-        "--fam", "--km", "--po", "--w", "--c", "--form", "--he", "--help", "-h", "--zz",
+        "--f", "--fam", "--km", "--po", "--w", "--c", "--form", "--he", "--help", "-h", "--zz",
         "--k=3", "--family=ck", "--m=", "--format=records", "--help=x", "--", "-", "-x",
         "ck", "ek", "ak", "ckp", "zz", "table", "records", "1", "2", "-1", "-1.5", "x", "x^2+1", "a b", "--poly=a b",
     ]
@@ -276,6 +274,11 @@ def test_help_lists_every_option_and_exits_0(argv, path, capsys):
     listed = cli._children(path) + [flag for flag, *_ in cli._options(path)]
     assert cli.COMMANDS[path][1] in out and "--help" in out
     assert listed and all(f"  {name} " in out for name in listed), out
+    notes = [
+        f"{text} " + ("(required)" if default is cli.REQUIRED else f"(default: {default})")
+        for _, _, default, text in cli._options(path) if default is not None
+    ]
+    assert all(note in " ".join(out.split()) for note in notes), out
 
 
 def test_count_past_2_26_needs_no_flag(tmp_path, capsys):

@@ -43,6 +43,14 @@ def test_spec_refuses_a_k_or_p_that_is_not_an_int(args):
         CurveSpec(*args)
 
 
+@pytest.mark.parametrize("counts", [(True,), (5.0,), (5, "9"), (5, 9.0)])
+def test_point_counts_refuse_a_count_that_is_not_an_int(counts):
+    # not read as N_1 = 1 by lpoly_from_counts, nor failing inside hasse_weil_check
+    with pytest.raises(TypeError, match="expected an integer"):
+        PointCounts(CurveSpec("ck", 1), counts, ("counted",) * len(counts))
+    assert PointCounts(CurveSpec("ck", 1), [5], ("counted",)).counts == (5,)
+
+
 _C1_3 = CurveSpec("ckp", 1, 3)
 
 

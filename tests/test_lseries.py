@@ -363,8 +363,15 @@ def test_long_decimal_text_must_be_sign_and_digits(text):
         lambda: squarefree([1, 2.9, 1]),
         lambda: lpoly_from_record({"q": 2.0, "g": 1.9, "coeffs": ["1", "2", "2"]}),
         lambda: int_from_decimal(True),
+        lambda: base_change(C1, True),
+        lambda: base_change(C1, 2.0),
+        lambda: predicted_count(C1, True),
+        lambda: predicted_count(C1, 2.0),
     ],
-    ids=["divides", "squarefree", "lpoly_from_record", "int_from_decimal"],
+    ids=[
+        "divides", "squarefree", "lpoly_from_record", "int_from_decimal", "base_change-bool",
+        "base_change-float", "predicted_count-bool", "predicted_count-float",
+    ],
 )
 def test_integer_inputs_refuse_every_other_type(call):
     with pytest.raises(TypeError, match="expected an int or a decimal string"):
@@ -376,6 +383,8 @@ def test_integer_inputs_take_ints_and_decimal_strings():
     assert lpoly_from_record({"q": "2", "g": 1, "coeffs": [1, "2", "2"]}) == C1
     assert divides(["1", "2", "2"], ["1", "4", "8", "8", "4"]) == (True, (1, 2, 2), None)
     assert lpoly_from_counts(["5"], g="1", q="2") == C1
+    assert base_change(C1, "2") == base_change(C1, 2)
+    assert predicted_count(C1, "2") == predicted_count(C1, 2) == 5
 
 
 def test_format_int_poly():
