@@ -234,7 +234,7 @@ def _options(path: str) -> tuple:
 
 def _plain(argv: list[str]) -> types.SimpleNamespace | None:
     """The namespace of a plain argv, else None: exact command names, then exact flags of
-    that command, each with "=value" or the next token, a value that does not start with "-"."""
+    that command, each with "=value" or the next token if that does not start with "-"."""
     path, rest, values = "", list(argv), {}
     while not COMMANDS[path][0]:
         if not rest or rest[0] not in _children(path):
@@ -245,14 +245,12 @@ def _plain(argv: list[str]) -> types.SimpleNamespace | None:
     given = {flag: default for flag, _, default, _ in _options(path)}
     while rest:
         flag, eq, value = rest.pop(0).partition("=")
-        value = value if eq else rest.pop(0) if rest else None
-        if flag not in kinds or value is None or value.startswith("-"):
+        value, kind = value if eq else rest.pop(0) if rest else None, kinds.get(flag, ())
+        if value is None or not eq and value.startswith("-") or kind not in (int, str) and value not in kind:
             return None
         try:
-            given[flag] = int(value) if kinds[flag] is int else value
+            given[flag] = int(value) if kind is int else value
         except ValueError:
-            return None
-        if kinds[flag] not in (int, str) and value not in kinds[flag]:
             return None
     if REQUIRED in given.values():
         return None
@@ -264,6 +262,11 @@ def _plain(argv: list[str]) -> types.SimpleNamespace | None:
 def _argparse():
     """The argparse parser of every command in COMMANDS: the one user of argparse."""
     import argparse
+
+    class Parser(argparse.ArgumentParser):  # "--opt=--" gives "--", as argparse 3.13 reads it
+        def _get_values(self, action, strings):  # 3.10-3.12 strip that "--" and give []
+            values = super()._get_values(action, list(strings))
+            return super()._get_values(action, ["--", "--"]) if strings == ["--"] and values == [] else values
 
     def build(parser, path):
         parser.description, parser.formatter_class = COMMANDS[path][1], argparse.RawDescriptionHelpFormatter
@@ -283,15 +286,12 @@ def _argparse():
         parser.set_defaults(func=COMMANDS[path][0])
         return parser
 
-    return build(argparse.ArgumentParser(prog="lpolydiv"), "")
+    return build(Parser(prog="lpolydiv"), "")
 
 
 def parse_args(argv: list[str]):
-    """The namespace argparse gives for `argv`: a field per option, `command` (and `check`), `func`.
-
-    A plain argv is read here; argparse reads every other one, and alone prints help
-    (exit 0) or a usage error (exit 2).
-    """
+    """The namespace argparse gives for `argv` (a field per option, `command`, `check`, `func`):
+    read by `_plain`, else by argparse, which alone prints help (exit 0) or a usage error (exit 2)."""
     return _plain(argv) or _argparse().parse_args(argv)
 
 

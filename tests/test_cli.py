@@ -261,6 +261,26 @@ def test_usage_error_exits_2_with_usage_and_error(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, expected", [
+    ("count --family ck --k 1 --m 1 --cache-dir=--", {"cache_dir": "--"}),
+    ("count --fam ck --k 1 --m 1 --cache-dir=--", {"cache_dir": "--"}),
+    ("verify as-image --po=--", {"poly": "--"}),
+    ("count --family ck --k=-- --m 1", (2, "lpolydiv count: error: argument --k: invalid int value: '--'")),
+    ("count --family ck --k 1 --m=--", (2, "lpolydiv count: error: argument --m: invalid int value: '--'")),
+    ("conjecture --family ck --kmax 3 --workers=--",
+     (2, "lpolydiv conjecture: error: argument --workers: invalid int value: '--'")),
+    ("verify involution --k=-- --k 4", (2, "lpolydiv verify involution: error: argument --k: invalid int value: '--'")),
+    ("count --family=-- --k 1 --m 1", (2, "lpolydiv count: error: argument --family: invalid choice: '--'")),
+])
+def test_option_given_two_dashes_takes_them_as_its_value(argv, expected):
+    # Argparse before Python 3.13 reads "--opt=--" as an empty list; every version here reads "--".
+    outcome = _outcome(cli.parse_args, argv.split())
+    if isinstance(expected, dict):
+        assert {key: outcome[key] for key in expected} == expected
+    else:
+        assert outcome[0] == expected[0] and outcome[1].startswith(expected[1]), outcome
+
+
 @pytest.mark.parametrize("argv, path", [
     (["-h"], ""), (["verify", "--help"], "verify"), (["count", "-h"], "count"),
     (["count", "--family", "ck", "--he"], "count"), (["verify", "as-image", "-h"], "verify as-image"),
