@@ -14,14 +14,16 @@ between them from p, m and the terms, so a count is refused before its field:
   digits of the twisted powers times the Hankel matrix of the trace vector.
 * ``recurrence`` for any other term list over GF(2) (ek's 1/x term): along
   the powers of a generator g, Tr(f(g^i)) is a linear recurring sequence of
-  order at most r m for r terms.  Berlekamp-Massey finds its recurrence from
-  2 r m computed terms, and the recurrence expands it over the whole
-  multiplicative group by doubling a packed prefix, with the carry-less
-  multiply and reduce of :mod:`gf`, up to order :data:`MAX_RECURRENCE_ORDER`.
+  order at most r m for r terms, annihilated by the product of the terms'
+  minimal polynomials over GF(2).  That product expands the sequence over the
+  whole multiplicative group by doubling a packed prefix, checked against
+  2 r m computed terms, with the carry-less multiply and reduce of
+  :mod:`gf`, up to order :data:`MAX_RECURRENCE_ORDER`.
   No table is built.  No family needs it in odd characteristic, so odd p
   with such terms is refused.
 """
 
+import functools
 import operator
 from typing import Sequence
 
@@ -185,46 +187,36 @@ def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
     return p ** (m - rank) * _diagonal_count(p, rank, delta, -const % p)
 
 
-def _berlekamp_massey(seq: Sequence[int], p: int) -> list[int]:
-    """Shortest recurrence s_i = sum_(j=1..L) c_j s_(i-j) mod p generating seq.
+def _min_poly(ctx: FieldContext, h: int) -> int:
+    """The minimal polynomial of h over GF(2), packed with bit j <-> z^j.
 
-    Returns [c_1, ..., c_L], L = 0 for an all-zero seq (Massey, IEEE Trans.
-    IT-15, 1969).  conn holds the connection polynomial 1 - sum c_j z^j and
-    prev the one before the last length change, with its discrepancy prev_d.
+    It is the first GF(2)-linear relation among 1, h, h^2, ...: each power, an
+    m-bit int, is reduced by XOR against the earlier ones, at most m products.
     """
-    conn, prev = [1], [1]
-    length, shift, prev_d = 0, 1, 1
-    for n in range(len(seq)):
-        d = sum(c * seq[n - j] for j, c in enumerate(conn[: length + 1])) % p
-        if d == 0:
-            shift += 1
-            continue
-        coef = d * pow(prev_d, -1, p) % p
-        new = conn + [0] * (len(prev) + shift - len(conn))
-        for j, c in enumerate(prev):
-            new[j + shift] = (new[j + shift] - coef * c) % p
-        if 2 * length <= n:
-            prev, prev_d, length, shift = conn, d, n + 1 - length, 1
-        else:
-            shift += 1
-        conn = new
-    conn += [0] * (length + 1 - len(conn))
-    return [-c % p for c in conn[1 : length + 1]]
+    rows = {}  # leading bit -> (reduced power, its sum of powers packed as a polynomial)
+    power, poly = 1, 1
+    while True:
+        v, c = power, poly
+        while v and v.bit_length() in rows:
+            w, d = rows[v.bit_length()]
+            v, c = v ^ w, c ^ d
+        if not v:
+            return c
+        rows[v.bit_length()] = v, c
+        power, poly = ctx.mul(power, h), poly << 1
 
 
-def _expand_binary(rec: Sequence[int], start: int, total: int) -> int:
+def _expand_binary(poly: int, start: int, total: int) -> int:
     """w_0..w_(total-1) of a GF(2) recurrence packed into an int, bit i = w_i.
 
-    start holds w_0..w_(L-1).  With P(z) = z^L + c_1 z^(L-1) + ... + c_L,
-    w_(i+t) = sum_k a_k w_(i+k) for z^t = sum_k a_k z^k mod P.  Once the first
-    s = u + L - 1 terms are known, t = s gives the next u of them as an XOR
-    of shifted copies of the known prefix, one per nonzero a_k, so u doubles
-    each round and z^u mod P is updated by squaring.
+    poly packs P(z) of degree L >= 1, bit j <-> z^j, with sum_j P_j w_(i+j) = 0,
+    and start holds w_0..w_(L-1).  Then w_(i+t) = sum_k a_k w_(i+k) for
+    z^t = sum_k a_k z^k mod P.  Once the first s = u + L - 1 terms are known,
+    t = s gives the next u of them as an XOR of shifted copies of the known
+    prefix, one per nonzero a_k, so u doubles each round and z^u mod P is
+    updated by squaring.
     """
-    size = len(rec)
-    if size == 0:
-        return 0
-    poly = (1 << size) | sum(c << (size - j) for j, c in enumerate(rec, 1))
+    size = poly.bit_length() - 1
     bits, known, step = start, size, 1
     z_step = _clmod(0b10, poly)
     while known < total:
@@ -245,27 +237,26 @@ def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     """Count i in [0, order - 1) with Tr(sum_e g^(i*e)) = 0, g = ctx.generator(), over GF(2^m).
 
     w_i = Tr(f(g^i)) = sum_e Tr(h_e^i) with h_e = g^e, and i -> Tr(h^i) is
-    annihilated by the minimal polynomial of h over GF(2), of degree <= m, so
-    w is a linear recurring sequence of order L <= r m for r terms
-    (Lidl-Niederreiter, *Finite Fields*, ch. 8).  Berlekamp-Massey recovers
-    its minimal recurrence from the first 2 r m terms, computed with r
-    running products, and the recurrence expands the first L terms to all
-    n = order - 1, packed into the bits of one int.  The expansion must
-    reproduce the computed terms and, as g^n = 1, repeat its first L terms
-    after n.
+    annihilated by the minimal polynomial of h over GF(2), of degree <= m
+    (Lidl-Niederreiter, *Finite Fields*, ch. 8), so w is annihilated by the
+    product P of the terms' minimal polynomials, of degree L <= r m for r
+    terms.  The first 2 r m terms are computed with r running products, and
+    P expands the first L of them to all n = order - 1, packed into the bits
+    of one int.  The expansion must reproduce the computed terms and, as
+    g^n = 1, repeat its first L terms after n.
     """
     n = ctx.order - 1
     g = ctx.generator()
     steps = [ctx.pow(g, e % n) for e in exponents]
-    powers = [1] * len(steps)
-    known = []
-    for _ in range(2 * len(steps) * ctx.m):
-        known.append(sum(ctx.trace(x) for x in powers) % 2)
+    poly = functools.reduce(_clmul, (_min_poly(ctx, h) for h in steps))
+    count, head, powers = 2 * len(steps) * ctx.m, 0, [1] * len(steps)
+    for i in range(count):
+        head |= (sum(ctx.trace(x) for x in powers) & 1) << i
         powers = [ctx.mul(x, h) for x, h in zip(powers, steps)]
-    rec = _berlekamp_massey(known, 2)
-    head, start = _undigits(known, 2), _undigits(known[: len(rec)], 2)
-    bits = _expand_binary(rec, start, max(n + len(rec), len(known)))
-    if bits & ((1 << len(known)) - 1) != head or (bits >> n) & ((1 << len(rec)) - 1) != start:
+    size = poly.bit_length() - 1
+    start = head & ((1 << size) - 1)
+    bits = _expand_binary(poly, start, max(n + size, count))
+    if bits & ((1 << count) - 1) != head or (bits >> n) & ((1 << size) - 1) != start:
         raise AssertionError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
     return n - (bits & ((1 << n) - 1)).bit_count()
 

@@ -139,16 +139,21 @@ class CountIntegrityError(RuntimeError):
     or two cache records store different counts for one key."""
 
 
-def affine_count(spec: CurveSpec, m: int) -> int:
-    """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
+def _fiber_terms(spec: CurveSpec, m: int) -> tuple[int, int]:
+    """Exponents of f over GF(p^m), whose fiber above x has points iff Tr(f(x)) = 0; limits checked."""
     check_field_limits(spec.p, m)
     # x^(p^m) = x on GF(p^m), so the twist p^k acts as p^(k mod m)
     twist = spec.p ** (spec.k % m)
     # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
     # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    quad = (twist + 1, 1)
-    terms = {"ck": quad, "ak": (twist, 1), "ckp": quad, "ek": (twist + 1, -1)}[spec.family]
-    _kernels.choose_kernel(spec.p, m, terms)  # refuse an oversize count before the modulus search
+    terms = {"ak": (twist, 1), "ek": (twist + 1, -1)}.get(spec.family, (twist + 1, 1))  # ck, ckp
+    _kernels.choose_kernel(spec.p, m, terms)
+    return terms
+
+
+def affine_count(spec: CurveSpec, m: int) -> int:
+    """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
+    terms = _fiber_terms(spec, m)  # before make_field's modulus search
     zeros = _kernels.trace_zero_count(make_field(spec.p, m), terms)
     return 1 + 2 * zeros if spec.family == "ek" else spec.p * zeros
 
@@ -223,7 +228,7 @@ def count_series(spec: CurveSpec, upto: int | None = None, *, cache=None) -> Poi
     elif upto < 1:
         raise ValueError(f"need at least one extension, got {upto}")
     else:
-        check_field_limits(spec.p, upto)
+        _fiber_terms(spec, upto)
     results = [count_field(spec, m, cache=cache) for m in range(1, upto + 1)]
     return PointCounts(spec, tuple(n for n, _ in results), tuple(how for _, how in results))
 

@@ -160,8 +160,6 @@ def _ptrim(a: list[int]) -> list[int]:
 
 
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:

@@ -171,6 +171,10 @@ def test_usage_errors(tmp_path, capsys):
         capsys, "verify", "lmw", "--n", "3", "--k", "3",  # hypothesis gcd(3,3) != 1
     )
     assert code == 2 and "hypothesis" in err
+    code, _, err = run(capsys, "conjecture", "--family", "ck", "--kmax", "1", "--cache-dir", str(tmp_path))
+    assert code == 2 and "--kmax must be >= 2" in err
+    code, _, err = run(capsys, "verify", "morphism", "--k", "64", "--l", "1")
+    assert code == 2 and "64-bit exponent bound" in err
 
 
 VALID_ARGV = [

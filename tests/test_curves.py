@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 
 import pytest
@@ -212,6 +213,14 @@ def test_count_series_refuses_an_oversize_genus_before_any_count(tmp_path):
     assert not path.exists()
 
 
+def test_count_series_refuses_an_explicit_upto_past_the_recurrence_bound_before_any_count(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    # GF(2^21) fits the field limits; only the recurrence kernel's order bound refuses it
+    with pytest.raises(FieldLimitError, match="MAX_RECURRENCE_ORDER"):
+        count_series(CurveSpec("ek", 1), 21, cache=CountCache(path))
+    assert not path.exists()
+
+
 def test_count_series_hasse_weil():
     spec = CurveSpec("ck", 3)
     series = count_series(spec, 8)
@@ -339,6 +348,9 @@ def test_count_cache_keys_on_curve_and_degree(tmp_path):
     old = b'{"family":"ck","k":1,"p":2,"m":2,"modulus":[%s],"n":%d}\n'
     path.write_bytes(old % (b"1,1,1", 5))
     assert CountCache(path).lookup(CurveSpec("ck", 1), 2) == 5
+    # a blank line between records is skipped
+    path.write_bytes(old % (b"1,1,1", 5) + b" \n" + old.replace(b'"m":2', b'"m":3') % (b"1,1,1", 9))
+    assert [CountCache(path).lookup(CurveSpec("ck", 1), m) for m in (2, 3)] == [5, 9]
     path.write_bytes(old % (b"1,1,1", 5) + old % (b"0,0,1", 7))
     with pytest.raises(CountIntegrityError, match="lines 1 and 2 store different counts"):
         CountCache(path).lookup(CurveSpec("ck", 1), 2)
@@ -388,7 +400,7 @@ def _store_records(path, family, k, count):
         cache.store(CurveSpec(family, k), m, m)
 
 
-def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys):
+def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys, monkeypatch):
     path = tmp_path / "counts.jsonl"
     spec = CurveSpec("ck", 1)
     count_series(spec, 2, cache=CountCache(path))
@@ -401,6 +413,14 @@ def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys):
     lines = path.read_bytes().splitlines(keepends=True)
     assert b"".join(lines[:2]) == intact and len(lines) == 3
     assert all(json.loads(line)["family"] == "ck" for line in lines)
+    # a short write raises, and the torn line it leaves is cut off by the next store
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", lambda fd, data, write=os.write: write(fd, data[:25]))
+        with pytest.raises(OSError, match="short write"):
+            CountCache(path).store(spec, 4, 17)
+    again = count_series(spec, 4, cache=CountCache(path))
+    assert again.provenance == ("cached",) * 3 + ("counted",)
+    assert len(path.read_bytes().splitlines()) == 4
 
 
 _RECORD_M1 = b'{"family":"ck","k":1,"p":2,"m":1,"modulus":[0,1],"n":%s}\n'

@@ -10,12 +10,11 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from lpolydiv import _kernels
 from lpolydiv._kernels import (
-    _berlekamp_massey,
     _diagonal_count,
+    _min_poly,
     _recurrence_count,
     _trace_form,
     choose_kernel,
@@ -163,6 +162,16 @@ def test_recurrence_refuses_odd_characteristic(p):
     assert choose_kernel(p, 100, (p + 1, 1)) == ([1], 1)
 
 
+def test_min_poly():
+    for m in range(2, 33):
+        ctx = make_field(2, m)
+        assert _min_poly(ctx, 2) == ctx._mod_bits, m  # X is a root of the modulus
+    assert _min_poly(make_field(2, 5), 1) == 0b11  # z + 1
+    # g^((2^12 - 1) / (2^4 - 1)) generates the subfield GF(2^4) of GF(2^12)
+    ctx = make_field(2, 12)
+    assert _min_poly(ctx, ctx.pow(ctx.generator(), 273)).bit_length() - 1 == 4
+
+
 def test_recurrence_count_checks_its_expansion(monkeypatch):
     ctx = make_field(2, 10)
     expand = _kernels._expand_binary
@@ -172,23 +181,7 @@ def test_recurrence_count_checks_its_expansion(monkeypatch):
     )
     with pytest.raises(AssertionError, match="does not reproduce"):
         _recurrence_count(ctx, EK_TERMS[0])
-    # w_i = w_(i-1) holds for no ek trace sequence on GF(2^10)
-    monkeypatch.setattr(_kernels, "_berlekamp_massey", lambda seq, p: [1])
+    # (z + 1)^2 for the two terms: w_(i+2) = w_i holds for no ek trace sequence on GF(2^10)
+    monkeypatch.setattr(_kernels, "_min_poly", lambda ctx, h: 0b11)
     with pytest.raises(AssertionError, match="does not reproduce"):
         _recurrence_count(ctx, EK_TERMS[0])
-
-
-@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
-def test_berlekamp_massey_recovers_random_lfsr(p, data):
-    size = data.draw(st.integers(1, 8))
-    digits = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
-    rec, seq = data.draw(digits), data.draw(digits)
-    for i in range(size, 4 * size):
-        seq.append(sum(c * seq[i - j] for j, c in enumerate(rec, 1)) % p)
-    found = _berlekamp_massey(seq[: 2 * size], p)
-    # a generator of length <= size is unique past 2 * size terms
-    assert len(found) <= size
-    regenerated = seq[: len(found)]
-    for i in range(len(found), 4 * size):
-        regenerated.append(sum(c * regenerated[i - j] for j, c in enumerate(found, 1)) % p)
-    assert regenerated == seq

@@ -40,6 +40,8 @@ def test_characteristic_mismatch():
 def test_exponent_bound():
     with pytest.raises(OverflowError):
         SparsePoly(2, {1 << 64: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly(3, {-1: 1})
     with pytest.raises(OverflowError):
         x_pow(2, 1 << 63) * x_pow(2, 1 << 63)
     with pytest.raises(OverflowError):
