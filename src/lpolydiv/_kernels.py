@@ -6,10 +6,11 @@ between them from p, m and the terms, so a count is refused before its field:
 
 * ``qf`` when every exponent is p^a (a linear term) or p^a + 1 (a quadratic
   term).  Then Tr(f(x)) is a quadratic form plus a linear form over GF(p) in
-  the coordinates of x, and its number of zeros follows from the form's rank
-  and type in O(m^3) operations, without visiting a single element
-  (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2, Thms 6.26-6.27; for p = 2,
-  the Walsh sum of the form).  ck, ak, ckp and the lmw check take this path.
+  the coordinates of x.  One elimination, the same for every p, splits the
+  form into squares (odd p only) and hyperbolic planes until an affine part
+  is left, and reads its number of zeros off them in O(m^3) operations,
+  without visiting a single element (Lidl-Niederreiter, *Finite Fields*,
+  ch. 6 §2, Thms 6.26-6.27).  ck, ak, ckp and the lmw check take this path.
   Its Gram matrix comes from :func:`_trace_form`, the one builder of it: the
   digits of the twisted powers times the Hankel matrix of the trace vector.
 * ``recurrence`` for any other term list over GF(2) (ek's 1/x term): along
@@ -83,47 +84,6 @@ def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
     return [[sum(map(operator.mul, d, t[j : j + m])) % p for j in range(m)] for d in rows]
 
 
-def _qf_binary_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
-    """Zeros of Q(x) = x^T M x + l.x over GF(2)^m, from the Walsh sum of Q.
-
-    Over GF(2) the diagonal of M is linear (x_i^2 = x_i) and the pair i < j
-    carries M_ij + M_ji, so Q is an alternating matrix A plus a linear mask.
-    Each elimination of a pair (i, j) with A_ij = 1 rewrites
-    x_i x_j + x_i u + x_j v = (x_i + v)(x_j + u) + uv, where u, v are affine
-    in the other variables; summing x_i, x_j out doubles the Walsh sum and
-    leaves the form Q' + uv on m - 2 variables.  After h eliminations A is
-    zero: the sum is 0 if a linear term is left (the linear part does not
-    vanish on the radical), else (-1)^c 2^(m-h) with c the constant.
-    """
-    m = ctx.m
-    g = _trace_form(ctx, quads)
-    alt = [sum((g[i][j] ^ g[j][i]) << j for j in range(m)) for i in range(m)]
-    lin = sum((linear * ctx._traces[i] + g[i][i]) % 2 << i for i in range(m))
-    const = h = 0
-    for i in range(m):
-        if not alt[i]:
-            continue
-        j = (alt[i] & -alt[i]).bit_length() - 1
-        keep = ~((1 << i) | (1 << j))
-        u, v = alt[i] & keep, alt[j] & keep
-        li, lj = (lin >> i) & 1, (lin >> j) & 1
-        for k in range(m):
-            row = alt[k] & keep
-            if (u >> k) & 1:
-                row ^= v
-            if (v >> k) & 1:
-                row ^= u
-            alt[k] = row
-        alt[i] = alt[j] = 0
-        lin = (lin & keep) ^ (u & v) ^ (u if lj else 0) ^ (v if li else 0)
-        const ^= li & lj
-        h += 1
-    if lin:
-        return 1 << (m - 1)
-    half = 1 << (m - h - 1)
-    return (1 << (m - 1)) + (-half if const else half)
-
-
 def _diagonal_count(p: int, r: int, delta: int, b: int) -> int:
     """Solutions y in GF(p)^r of d_1 y_1^2 + ... + d_r y_r^2 = b, prod d_t = delta.
 
@@ -140,51 +100,54 @@ def _diagonal_count(p: int, r: int, delta: int, b: int) -> int:
     return p ** (r - 1) + nu * p ** ((r - 2) // 2) * jacobi_symbol(sign * delta, p)
 
 
-def _qf_odd_count(ctx: FieldContext, quads: Sequence[int], linear: int) -> int:
-    """Zeros of Q(x) = x^T S x + l.x over GF(p)^m, p odd, by completing squares.
+def _qf_count(p: int, g: Sequence[Sequence[int]], lin: Sequence[int]) -> int:
+    """Zeros over GF(p)^m of Q(x) = sum_ij g_ij x_i x_j + sum_i lin_i x_i, for every p.
 
-    S_ij = (Tr(e_i^(p^a) e_j) + Tr(e_i e_j^(p^a))) / 2 summed over the twists
-    a, and l_i = (number of linear terms) Tr(e_i).  Each pivot d = S_ii != 0
-    is split off as d y^2, leaving a form on the other variables; a zero
-    diagonal with S_ij != 0 is first made a pivot by x_j -> x_j + x_i.  After
-    r pivots what is left is linear plus a constant c: a nonzero linear part
-    is balanced, otherwise the diagonal form of rank r must equal -c.
+    Q has square coefficients d_i = g_ii and cross coefficients b_ij = g_ij + g_ji,
+    held in one symmetric matrix a with a_ij = b_ij and a_ii = 2 d_i.  Over
+    GF(2), x_i^2 = x_i moves each d_i into the linear part, and a_ii = 0.
+    Each step takes variables off Q, with U and V affine in the others:
+
+    * a square, while some d_i != 0 (odd p only):
+      d_i x_i^2 + x_i U = d_i (x_i + U/2d_i)^2 - U^2/4d_i;
+    * else a hyperbolic plane, c = b_ij != 0:
+      c x_i x_j + x_i U + x_j V = c (x_i + V/c)(x_j + U/c) - UV/c.
+
+    Either way the other variables gain -UV/c, with V = U and c = 4 d_i for
+    a square.  After r squares, of product delta, and h planes, Q is affine
+    in the rest with constant const.  A nonzero linear part takes every
+    value equally often.  Otherwise Q = 0 where the squares sum to
+    -const - s and the planes to s, which they do at p^(2h-1) - p^(h-1)
+    points for s != 0 and at p^h more for s = 0 (Lidl-Niederreiter,
+    *Finite Fields*, ch. 6 §2).
     """
-    p, m = ctx.p, ctx.m
-    half = (p + 1) // 2
-    g = _trace_form(ctx, quads)
-    s = [[(g[i][j] + g[j][i]) * half % p for j in range(m)] for i in range(m)]
-    lin = [linear * t % p for t in ctx._traces[:m]]
-    const, delta, rank = 0, 1, 0
-    live = list(range(m))
+    m, fold = len(g), p == 2
+    a = [[(x + y) % p for x, y in zip(row, col)] for row, col in zip(g, zip(*g))]
+    lin = [(l + fold * g[i][i]) % p for i, l in enumerate(lin)]
+    live = set(range(m))
+    const, delta, r, h = 0, 1, 0, 0
     while True:
-        piv = next((i for i in live if s[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in live for j in live if i != j and s[i][j]), None)
-            if pair is None:
-                break
-            piv, j = pair
-            for k in live:
-                s[piv][k] = (s[piv][k] + s[j][k]) % p
-            for k in live:
-                s[k][piv] = (s[k][piv] + s[k][j]) % p
-            lin[piv] = (lin[piv] + lin[j]) % p
-        d = s[piv][piv]
-        dinv = pow(d, -1, p)
-        live.remove(piv)
-        col = [s[k][piv] for k in range(m)]
+        if (i := next((i for i in live if a[i][i]), None)) is not None:
+            j, c = i, 2 * a[i][i]
+            delta, r = delta * a[i][i] * (p + 1) // 2 % p, r + 1  # d_i = a_ii / 2
+        elif (pair := next(((i, j) for i in live for j in live if a[i][j]), None)) is not None:
+            (i, j), h = pair, h + 1
+            c = a[i][j]
+        else:
+            break
+        live -= {i, j}
+        cinv = pow(c, -1, p)
+        u, v, li, lj = a[i], a[j], lin[i], lin[j]
         for k in live:
-            if col[k]:
-                f = col[k] * dinv
-                for l in live:
-                    s[k][l] = (s[k][l] - f * col[l]) % p
-                lin[k] = (lin[k] - f * lin[piv]) % p
-        const = (const - lin[piv] * lin[piv] * dinv * half * half) % p
-        delta = delta * d % p
-        rank += 1
+            uk, vk = u[k] * cinv % p, v[k] * cinv % p
+            if uk or vk:  # over GF(2), the square U_k V_k x_k^2 / c is linear
+                a[k] = [(x - uk * y - vk * z) % p for x, y, z in zip(a[k], v, u)]
+                lin[k] = (lin[k] - uk * lj - vk * li - fold * uk * v[k]) % p
+        const = (const - li * lj * cinv) % p
     if any(lin[k] for k in live):
         return p ** (m - 1)
-    return p ** (m - rank) * _diagonal_count(p, rank, delta, -const % p)
+    planes = (p**h - 1) * p ** (h + r) // p  # p^r square sums, p^(2h-1) - p^(h-1) plane points each
+    return p ** (m - r - 2 * h) * (planes + p**h * _diagonal_count(p, r, delta, -const % p))
 
 
 def _min_poly(ctx: FieldContext, h: int) -> int:
@@ -288,7 +251,7 @@ def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     exponents = tuple(exponents)
     classified = choose_kernel(ctx.p, ctx.m, exponents)
     if classified is not None:
-        qf_count = _qf_binary_count if ctx.p == 2 else _qf_odd_count
-        return qf_count(ctx, *classified)
+        quads, linear = classified
+        return _qf_count(ctx.p, _trace_form(ctx, quads), [linear * t for t in ctx._traces[: ctx.m]])
     # the kernel counts the nonzero x; x = 0 is a zero when f(0) = 0
     return _recurrence_count(ctx, exponents) + all(e > 0 for e in exponents)

@@ -3,7 +3,8 @@
 Everything here recomputes expected values from first principles, staying off
 the code paths under test: solution counting enumerates (x, y) pairs against
 the raw curve equations, the bit oracle enumerates GF(2^m) against trace
-forms built from field arithmetic alone, the trace-form oracle builds the qf
+forms built from field arithmetic alone, the form oracle evaluates a
+quadratic form at every point of GF(p)^m, the trace-form oracle builds the qf
 kernel's Gram matrix one field product and trace per entry, count prediction
 expands the zeta function's logarithmic derivative as a power series,
 polynomial division is ascending long division over the rationals,
@@ -160,6 +161,18 @@ def walk_zero_count(ctx, exponents):
         stride = e % n if n > 1 else 0
         acc += tr_exp[(idx * stride) % n]
     return int(np.count_nonzero(acc % ctx.p == 0))
+
+
+def form_zero_count(p, g, lin):
+    """Points of GF(p)^m where sum_ij g_ij x_i x_j + sum_i lin_i x_i = 0, by evaluating at each.
+
+    The points are the rows of one integer array, in one vectorized pass.
+    """
+    m = len(g)
+    points = np.indices((p,) * m, dtype=np.int64).reshape(m, -1).T
+    values = np.einsum("ni,ij,nj->n", points, np.array(g, dtype=np.int64), points)
+    values += points @ np.array(lin, dtype=np.int64)
+    return int(np.count_nonzero(values % p == 0))
 
 
 def trace_form_by_entries(ctx, quads):

@@ -3,11 +3,13 @@
 Enumeration stays the oracle: the bit oracle in ``helpers`` visits every
 element of GF(2^m), with a trace form built from field arithmetic alone, and
 the walk oracle visits every nonzero element of GF(p^m) through discrete-log
-tables; both kernels must agree with them wherever they are affordable.
+tables; both kernels must agree with them wherever they are affordable.  The
+form oracle evaluates a random quadratic form at every point of GF(p)^m.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from lpolydiv import _kernels
 from lpolydiv._kernels import (
     _diagonal_count,
     _min_poly,
+    _qf_count,
     _recurrence_count,
     _trace_form,
     choose_kernel,
@@ -23,7 +26,7 @@ from lpolydiv._kernels import (
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
 from lpolydiv.gf import FieldContext, FieldLimitError, check_field_limits, make_field
 from lpolydiv.lseries import lpoly_from_counts, predicted_count
-from helpers import bit_zero_count, trace_form_by_entries, walk_zero_count
+from helpers import bit_zero_count, form_zero_count, trace_form_by_entries, walk_zero_count
 
 CK_TERMS = [((1 << k) + 1, 1) for k in range(1, 7)]
 AK_TERMS = [(1 << k, 1) for k in (1, 2)]
@@ -64,7 +67,7 @@ def test_ck_counts_take_the_values_of_their_quadratic_form():
             assert walsh == 0 or walsh * walsh == 1 << (m + math.gcd(2 * k, m)), (m, k)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_qf_matches_table_walk_odd(p):
     term_lists = [
         (p + 1, 1),  # ckp, k = 1
@@ -73,6 +76,7 @@ def test_qf_matches_table_walk_odd(p):
         (p + 1, p * p + 1),  # two quadratic terms
         (p, 1),  # linear only, the trace counted twice
         (2, p + 1, p),
+        (p,) * p,  # p times the trace is 0: every element is a zero
     ]
     for m in itertools.count(1):
         ctx = make_field(p, m)
@@ -81,6 +85,31 @@ def test_qf_matches_table_walk_odd(p):
         for terms in term_lists:
             walk = walk_zero_count(ctx, terms) + 1
             assert trace_zero_count(ctx, terms) == walk, (m, terms)
+
+
+def test_qf_count_matches_evaluation_on_random_forms():
+    """_qf_count against the form evaluated at every point of GF(p)^m, p^m <= 4096.
+
+    g is random and need not be symmetric; its diagonal is zero half the time,
+    so odd p also meets forms whose first step is a plane, and the linear part
+    is zero or random.  Trace forms never take most of these shapes.
+    """
+    rng = random.Random(2024)
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while p**m <= 4096:
+            for _ in range(8):
+                fill = rng.random()  # the share of nonzero entries
+                g = [[rng.randrange(p) * (rng.random() < fill) for _ in range(m)] for _ in range(m)]
+                if rng.random() < 0.5:
+                    for i in range(m):
+                        g[i][i] = 0
+                for lin in ([0] * m, [rng.randrange(p) for _ in range(m)]):
+                    assert _qf_count(p, g, lin) == form_zero_count(p, g, lin), (p, g, lin)
+                    cases += 1
+            m += 1
+    assert cases == 544
 
 
 def _supported_degrees(p):
