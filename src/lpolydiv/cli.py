@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: count, lpoly, conjecture, and verify {morphism,lmw,involution,
-as-image}.  Primary output goes to stdout in either human-readable table
-form or line-delimited JSON records (--format records); diagnostics go to stderr.
+Subcommands: count, lpoly, conjecture, and verify {morphism,lmw,involution,as-image}.
+Primary output goes to stdout in either human-readable table form or line-delimited
+JSON records (--format records), each of which ``_emit`` begins with "record", the
+command's name, and under verify next with "check", the check's name; diagnostics go to stderr.
 Exit codes are stable for scripting: 0 means success/verified, 1 a
 verification or consistency failure, 2 a usage error (bad parameters,
 oversize field, unusable cache directory), 141 a stdout reader gone away.
@@ -40,9 +41,10 @@ def _cache(args) -> "cache.CountCache":
     return cache.CountCache(os.path.join(cache_dir, "counts.jsonl"))
 
 
-def _emit(args, record: dict, table_line: str):
+def _emit(args, fields: dict, table_line: str):
     if args.format == "records":
-        print(json.dumps(record, separators=(",", ":")))
+        head = {"record": args.command, **({"check": args.check} if args.command == "verify" else {})}
+        print(json.dumps({**head, **fields}, separators=(",", ":")))
     else:
         print(table_line)
 
@@ -60,7 +62,6 @@ def cmd_count(args) -> int:
     _emit(
         args,
         {
-            "record": "count",
             "family": spec.family,
             "k": spec.k,
             "p": spec.p,
@@ -76,8 +77,7 @@ def cmd_count(args) -> int:
 def cmd_lpoly(args) -> int:
     spec = _spec(args)
     lpoly = lseries.lpoly_from_counts(curves.count_series(spec, cache=_cache(args)))
-    record = {"record": "lpoly", "family": spec.family, "k": spec.k, "p": spec.p}
-    record.update(lseries.lpoly_to_record(lpoly))
+    record = {"family": spec.family, "k": spec.k, "p": spec.p, **lseries.lpoly_to_record(lpoly)}
     _emit(args, record, f"L({spec.label}) = {lpoly}")
     return 0
 
@@ -101,7 +101,6 @@ def cmd_conjecture(args) -> int:
         _emit(
             args,
             {
-                "record": "conjecture",
                 "family": args.family,
                 "p": args.p,
                 "k": k,
@@ -121,7 +120,7 @@ def cmd_verify_morphism(args) -> int:
     holds = sympoly.verify_covering(args.k, args.l)
     _emit(
         args,
-        {"record": "verify", "check": "morphism", "k": args.k, "l": args.l, "holds": holds},
+        {"k": args.k, "l": args.l, "holds": holds},
         f"covering identity (k={args.k}, l={args.l}): {'holds' if holds else 'FAILS'}",
     )
     return 0 if holds else 1
@@ -134,8 +133,6 @@ def cmd_verify_lmw(args) -> int:
     _emit(
         args,
         {
-            "record": "verify",
-            "check": "lmw",
             "n": args.n,
             "k": args.k,
             "j": args.j,
@@ -156,8 +153,6 @@ def cmd_verify_involution(args) -> int:
     _emit(
         args,
         {
-            "record": "verify",
-            "check": "involution",
             "k": args.k,
             "found": found,
             "b": sympoly.format_terms(b) if found else None,
@@ -180,8 +175,6 @@ def cmd_verify_as_image(args) -> int:
     _emit(
         args,
         {
-            "record": "verify",
-            "check": "as-image",
             "p": args.p,
             "h": sympoly.format_terms(h),
             "in_image": decision.in_image,

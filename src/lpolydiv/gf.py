@@ -153,7 +153,7 @@ def _clmod(a: int, f: int) -> int:
     return a
 
 
-def _ptrim(a: list[int]) -> list[int]:
+def _ptrim(a: list) -> list:  # ints mod p, or the Fractions of lseries._frac_gcd
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -265,9 +265,7 @@ class FieldContext:
         self.modulus = modulus
 
     def __repr__(self) -> str:
-        if self.m == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.m})"
+        return _field_name(self.p, self.m)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -395,7 +393,7 @@ def _field_name(p: int, m: int) -> str:
     # that large is named by that bound.
     if m.bit_length() > 64:
         return f"GF({p}^m), m >= 2^64,"
-    return f"GF({p}^{m})"
+    return f"GF({p})" if m == 1 else f"GF({p}^{m})"
 
 
 def _int(value) -> int:

@@ -22,7 +22,7 @@ import json
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, _within_hasse_weil, hasse_weil_ok
-from .gf import _series_quotient
+from .gf import _ptrim, _series_quotient
 
 
 class LSeriesError(ValueError):
@@ -144,10 +144,7 @@ class DivisionResult(NamedTuple):
 def _as_coeffs(poly) -> tuple[int, ...]:
     if isinstance(poly, LPolynomial):
         return poly.coeffs
-    c = tuple(map(int_from_decimal, poly))
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    return c
+    return tuple(_ptrim(list(map(int_from_decimal, poly)))) or (0,)
 
 
 def divides(denom, numer) -> DivisionResult:
@@ -180,13 +177,7 @@ def divides(denom, numer) -> DivisionResult:
 
 def _frac_gcd(a: list, b: list) -> list:
     """A gcd of two polynomials given as ascending lists of Fractions."""
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a[:]), trim(b[:])
+    a, b = _ptrim(a[:]), _ptrim(b[:])
     while b:
         inv = 1 / b[-1]
         b = [c * inv for c in b]
@@ -195,7 +186,7 @@ def _frac_gcd(a: list, b: list) -> list:
             off = len(a) - len(b)
             for i in range(len(b)):
                 a[off + i] -= lead * b[i]
-            trim(a)
+            _ptrim(a)
         a, b = b, a
     return a
 

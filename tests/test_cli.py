@@ -631,6 +631,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "L(C_1) = 2t^2+2t+1\n"
+    # lpolydiv.cli run as a module prints what the package entry point prints
+    argv = ["verify", "involution", "--k", "4", "--format", "records"]
+    outs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
+        for module in ("lpolydiv", "lpolydiv.cli")
+    ]
+    assert [proc.returncode for proc in outs] == [0, 0], outs[1].stderr
+    record = '{"record":"verify","check":"involution","k":4,"found":true,"b":"x^8+x^4+x^2+x"}\n'
+    assert outs[1].stdout == outs[0].stdout == record
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -641,6 +650,9 @@ def test_module_entry_point_exit_codes(tmp_path):
         # a regular file given as the cache directory
         (["count", "--family", "ck", "--k", "1", "--m", "3",
           "--cache-dir", str(tmp_path / "counts.jsonl")], 2, "counts.jsonl/counts.jsonl"),
+        (["count", "--family", "ckp", "--p", "4194319", "--k", "1", "--m", "1",
+          "--cache-dir", str(tmp_path / "unused")], 2,
+         "error: GF(4194319) exceeds the odd-characteristic order limit 2^22\n"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "lpolydiv", *argv], capture_output=True, text=True

@@ -9,6 +9,7 @@ from lpolydiv.gf import (
     FieldLimitError,
     _BinaryField,
     _is_irreducible,
+    check_field_limits,
     is_prime,
     jacobi_symbol,
     make_field,
@@ -149,6 +150,7 @@ def test_make_field_picks_the_context_class_by_characteristic():
     assert type(make_field(2, 5)) is _BinaryField
     for p, m in [(3, 2), (5, 1)]:
         assert type(make_field(p, m)) is FieldContext
+    assert [repr(make_field(p, m)) for p, m in [(2, 5), (3, 1), (3, 2)]] == ["GF(2^5)", "GF(3)", "GF(3^2)"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,6 +265,10 @@ def test_make_field_errors():
         make_field(2, 33)
     with pytest.raises(FieldLimitError):
         make_field(3, 15)
+    # 4194319 is the smallest prime above 2^22; a degree-1 field is named as its repr names it
+    with pytest.raises(FieldLimitError) as refused:
+        check_field_limits(4194319, 1)
+    assert str(refused.value) == "GF(4194319) exceeds the odd-characteristic order limit 2^22"
 
 
 @pytest.mark.parametrize("p, m, bad", [(2, True, "True"), (2, 1.0, "1.0"), (2.0, 1, "2.0")])

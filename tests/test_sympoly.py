@@ -54,6 +54,8 @@ def test_zero_coefficients_dropped():
     assert SparsePoly(3, {4: 3, 1: 2}) == SparsePoly(3, {1: 2})
     assert (SparsePoly(2, {1: 1}) + SparsePoly(2, {1: 1})).is_zero()
     assert SparsePoly(2, {}).degree() == -1
+    # comparing with an int is left to the int (NotImplemented), so no SparsePoly equals one
+    assert (x_pow(2, 1) == 1) is False and (x_pow(2, 0) == 1) is False
 
 
 _PRIMES = (2, 3, 5)
@@ -252,6 +254,7 @@ def test_format_and_parse():
     b = SparsePoly(3, {4: 2, 1: 1, 0: 2})
     assert format_terms(b) == "2*x^4+x+2"
     assert format_terms(SparsePoly(5)) == "0"
+    assert repr(b) == "SparsePoly(p=3, 2*x^4+x+2)"
     for poly in (a, b, SparsePoly(5), x_pow(7, 0, 3), SparsePoly(3, {1: 2})):
         assert parse_terms(format_terms(poly), poly.p) == poly
     assert parse_terms("1*x^2 + x + 1", 2) == SparsePoly(2, {2: 1, 1: 1, 0: 1})
