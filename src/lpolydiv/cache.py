@@ -13,7 +13,10 @@ only the final line without its newline: readers warn about such a torn line
 and ignore it, and the next store cuts it off before appending.  A malformed
 record anywhere else is corruption and raises :class:`CountIntegrityError`, and
 so do two records that store different counts for one key; repeats of one
-count are legal, since concurrent writers can make them.
+count are legal, since concurrent writers can make them.  One rule,
+:func:`_key_and_count`, judges each record read or written: family a string,
+k, p, m and n ints by :func:`lpolydiv.gf._int`.  So the reader refuses every
+record its writer could not write.  Unknown family strings are read, unmatched.
 """
 
 import fcntl
@@ -25,6 +28,13 @@ from pathlib import Path
 
 from .curves import CountIntegrityError, CurveSpec
 from .gf import _int
+
+
+def _key_and_count(rec) -> tuple[tuple, int]:
+    """The (family, k, p, m) key and count n of a record, else ValueError, KeyError or TypeError."""
+    if not isinstance(rec["family"], str):
+        raise TypeError(f"expected a family name, got {rec['family']!r}")
+    return (rec["family"], _int(rec["k"]), _int(rec["p"]), _int(rec["m"])), _int(rec["n"])
 
 
 class CountCache:
@@ -46,10 +56,8 @@ class CountCache:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                key = (rec["family"], _int(rec["k"]), _int(rec["p"]), _int(rec["m"]))
-                n = _int(rec["n"])
-            except (ValueError, KeyError, TypeError) as exc:
+                key, n = _key_and_count(json.loads(line))
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
                 raise CountIntegrityError(
                     f"{self.path}:{lineno}: malformed count record"
                 ) from exc
@@ -73,14 +81,9 @@ class CountCache:
         return self._load().get((spec.family, spec.k, spec.p, m))
 
     def store(self, spec: CurveSpec, m: int, n: int) -> None:
-        rec = {
-            "family": spec.family,
-            "k": _int(spec.k),  # by the reader's rule, before the file is touched
-            "p": _int(spec.p),
-            "m": _int(m),
-            "n": _int(n),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
+        rec = {"family": spec.family, "k": spec.k, "p": spec.p, "m": m, "n": n}
+        key, n = _key_and_count(rec)  # by the reader's rule, before the file is touched
+        rec["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         line = (json.dumps(rec, separators=(",", ":")) + "\n").encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
@@ -93,4 +96,4 @@ class CountCache:
                 raise OSError(f"short write appending to {self.path}")
         finally:
             os.close(fd)
-        self._load()[(spec.family, spec.k, spec.p, m)] = n
+        self._load()[key] = n

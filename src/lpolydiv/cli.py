@@ -49,16 +49,11 @@ def _emit(args, fields: dict, table_line: str):
         print(table_line)
 
 
-def _spec(args) -> "curves.CurveSpec":
-    return curves.CurveSpec(args.family, args.k, args.p)
-
-
 def cmd_count(args) -> int:
-    spec = _spec(args)
+    spec = curves.CurveSpec(args.family, args.k, args.p)
     if args.m < 1:
         raise ValueError("--m must be >= 1")
     n, provenance = curves.count_field(spec, args.m, cache=_cache(args))
-    provenance = "fresh" if provenance == "counted" else provenance
     _emit(
         args,
         {
@@ -75,7 +70,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_lpoly(args) -> int:
-    spec = _spec(args)
+    spec = curves.CurveSpec(args.family, args.k, args.p)
     lpoly = lseries.lpoly_from_counts(curves.count_series(spec, cache=_cache(args)))
     record = {"family": spec.family, "k": spec.k, "p": spec.p, **lseries.lpoly_to_record(lpoly)}
     _emit(args, record, f"L({spec.label}) = {lpoly}")

@@ -70,16 +70,18 @@ def _repr(value) -> str:
 
 
 class CurveSpec(_Value):
-    """One curve of the four families: family tag, parameter k, characteristic p."""
+    """One curve of the four families: family tag, parameter k, characteristic p.
+
+    k and p must be ints, as the cache reads them: anything else, a bool
+    included, raises TypeError "expected an integer".
+    """
 
     __slots__ = ("family", "k", "p")
 
     def __init__(self, family: str, k: int, p: int = 2):
-        self._set(family, k, p)
+        self._set(family, _int(k), _int(p))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if type(self.k) is not int or type(self.p) is not int:  # bools too, as the cache reads them
-            raise TypeError(f"k and p must be ints, got {type(k).__name__} and {type(p).__name__}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.family == "ckp":
@@ -116,7 +118,7 @@ class CurveSpec(_Value):
 
 
 class PointCounts(_Value):
-    """N_1..N_M for one curve, with per-entry provenance ('counted'/'cached').
+    """N_1..N_M for one curve, with per-entry provenance: 'fresh' (counted now) or 'cached'.
 
     Each count must be an int, bools refused, as the cache reads them.
     """
@@ -125,10 +127,6 @@ class PointCounts(_Value):
 
     def __init__(self, spec: CurveSpec, counts: tuple[int, ...], provenance: tuple[str, ...]):
         self._set(spec, tuple(map(_int, counts)), provenance)
-
-    @property
-    def base_q(self) -> int:
-        return self.spec.p
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -186,7 +184,7 @@ def _within_hasse_weil(spec: CurveSpec, n: int, m: int) -> bool:
 
 
 def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
-    """N_m with its provenance ('counted' or 'cached'), consulting/filling the cache.
+    """N_m with its provenance, 'fresh' or 'cached', consulting and filling the cache.
 
     Every count, cached or fresh, must pass the Hasse-Weil bound before it is
     returned or stored.  A cached count builds no field.
@@ -196,12 +194,12 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     provenance = "cached"
     if n is None:
         n = point_count(spec, m)
-        provenance = "counted"
+        provenance = "fresh"
     if not _within_hasse_weil(spec, n, m):
         raise CountIntegrityError(
             f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
         )
-    if provenance == "counted" and cache is not None:
+    if provenance == "fresh" and cache is not None:
         cache.store(spec, m, n)
     return n, provenance
 

@@ -55,13 +55,6 @@ class LPolynomial(_Value):
         return format_int_poly(self.coeffs)
 
 
-def _as_counts(counts) -> tuple[Sequence[int], int | None, int | None]:
-    if isinstance(counts, PointCounts):
-        # a genus past the counts is refused, so it is capped there: p^k for a huge k is never formed
-        return counts.counts, counts.spec.genus_at_most(len(counts) + 1), counts.base_q
-    return tuple(map(int_from_decimal, counts)), None, None
-
-
 def _newton_coeffs(sums: Sequence[int], diagnosis: str) -> list[int]:
     """a_0..a_n from the power sums s_1..s_n, by exact Newton division."""
     a = [1]
@@ -80,7 +73,11 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     equation supplies the upper half); surplus counts are replayed through
     the finished polynomial as a consistency check.
     """
-    seq, auto_g, auto_q = _as_counts(counts)
+    if isinstance(counts, PointCounts):
+        # a genus past the counts is refused, so it is capped there: p^k for a huge k is never formed
+        seq, auto_g, auto_q = counts.counts, counts.spec.genus_at_most(len(counts) + 1), counts.spec.p
+    else:
+        seq, auto_g, auto_q = tuple(map(int_from_decimal, counts)), None, None
     g = auto_g if g is None else int_from_decimal(g)
     q = auto_q if q is None else int_from_decimal(q)
     if g is None or q is None:
@@ -236,7 +233,7 @@ def int_to_decimal(n: int) -> str:
 def int_from_decimal(text) -> int:
     """The one rule for an integer input: an int, or a decimal string of any length.
 
-    A string is an optional sign, then digits, judged the same way at every
+    A string is an optional sign, then ASCII digits, judged the same way at every
     length; a float, a bool, or a string with spaces or underscores is refused.
     """
     if type(text) is int:
@@ -244,7 +241,7 @@ def int_from_decimal(text) -> int:
     if type(text) is not str:
         raise TypeError(f"expected an int or a decimal string, got {type(text).__name__}")
     digits = text[1:] if text[:1] in ("+", "-") else text
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         raise ValueError(f"invalid decimal integer of {len(text)} characters")
     value = 0
     for start in range(0, len(digits), _CHUNK_DIGITS):

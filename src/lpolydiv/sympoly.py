@@ -288,7 +288,7 @@ def involution_search(k: int) -> SparsePoly | None:
 
 # -- text format ----------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?x(?:\^(\d+))?$|^(\d+)$")
+_TERM_RE = re.compile(r"(?:([0-9]+)\*)?x(?:\^([0-9]+))?|([0-9]+)")  # by fullmatch: "$" would pass a final "\n"
 
 
 def format_terms(a: SparsePoly) -> str:
@@ -312,7 +312,7 @@ def parse_terms(text: str, p: int) -> SparsePoly:
         return SparsePoly(p)
     terms = []
     for chunk in text.split("+"):
-        match = _TERM_RE.match(chunk)
+        match = _TERM_RE.fullmatch(chunk)
         if match is None:
             raise ValueError(f"cannot parse term {chunk!r}")
         coeff, exp, const = match.groups()

@@ -40,7 +40,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("args", [("ck", True), ("ck", 1.5), ("ckp", 1, 3.0), ("ck", 2, 2.0)])
 def test_spec_refuses_a_k_or_p_that_is_not_an_int(args):
     # refused at construction, not by a bare TypeError deep in a count or as a cache record
-    with pytest.raises(TypeError, match="k and p must be ints"):
+    with pytest.raises(TypeError, match="expected an integer"):
         CurveSpec(*args)
 
 
@@ -95,7 +95,7 @@ def test_value_class_defaults_and_derived_fields():
     assert CurveSpec("ck", 3) == CurveSpec(family="ck", k=3, p=2)
     assert CurveSpec(k=3, family="ck").p == 2
     counts = PointCounts(_C1_3, (3, 9, 27), ("counted",) * 3)
-    assert len(counts) == 3 and counts.base_q == 3
+    assert len(counts) == 3 and counts.spec.p == 3
 
 
 def test_genus_examples():
@@ -184,7 +184,7 @@ def test_lmw_twists_equal_mod_the_degree():
 def test_count_series_examples():
     series = count_series(CurveSpec("ck", 2), 2)
     assert series.counts == (5, 9)
-    assert series.provenance == ("counted", "counted")
+    assert series.provenance == ("fresh", "fresh")
     assert len(count_series(CurveSpec("ek", 1), 1)) == 1
     with pytest.raises(ValueError, match="at least one extension"):
         count_series(CurveSpec("ck", 2), 0)
@@ -312,7 +312,7 @@ def test_count_cache_round_trip(tmp_path):
     cache = CountCache(tmp_path / "counts.jsonl")
     spec = CurveSpec("ck", 2)
     first = count_series(spec, 3, cache=cache)
-    assert first.provenance == ("counted",) * 3
+    assert first.provenance == ("fresh",) * 3
     second = count_series(spec, 3, cache=cache)
     assert second.provenance == ("cached",) * 3
     assert second.counts == first.counts
@@ -407,7 +407,7 @@ def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys, monke
     intact = path.read_bytes()
     path.write_bytes(intact + intact.splitlines(keepends=True)[0][:25])  # killed mid-write
     again = count_series(spec, 3, cache=CountCache(path))
-    assert again.provenance == ("cached", "cached", "counted")
+    assert again.provenance == ("cached", "cached", "fresh")
     assert "torn final line" in capsys.readouterr().err
     # the store cut the torn fragment off before appending
     lines = path.read_bytes().splitlines(keepends=True)
@@ -419,7 +419,7 @@ def test_torn_final_cache_line_is_ignored_with_a_warning(tmp_path, capsys, monke
         with pytest.raises(OSError, match="short write"):
             CountCache(path).store(spec, 4, 17)
     again = count_series(spec, 4, cache=CountCache(path))
-    assert again.provenance == ("cached",) * 3 + ("counted",)
+    assert again.provenance == ("cached",) * 3 + ("fresh",)
     assert len(path.read_bytes().splitlines()) == 4
 
 
@@ -447,6 +447,28 @@ def test_malformed_interior_cache_record_is_an_integrity_error(tmp_path, bad):
     path.write_bytes(first + bad + second)
     with pytest.raises(CountIntegrityError, match=r"counts\.jsonl:2: malformed"):
         CountCache(path).lookup(CurveSpec("ck", 1), 1)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # no writer stores a family that is not a string
+        *(b'{"family":%s,"k":1,"p":2,"m":1,"n":5}\n' % family for family in (b'["ck"]', b'{"a":1}', b"7", b"null")),
+        b"[" * 100_000 + b"]" * 100_000 + b"\n",  # too deep for the json module
+    ],
+    ids=["list", "dict", "int", "null", "nested"],
+)
+def test_cache_reader_refuses_every_record_its_writer_could_not_write(tmp_path, capsys, line):
+    from lpolydiv import cli
+    from lpolydiv.curves import CountIntegrityError
+
+    path = tmp_path / "counts.jsonl"
+    path.write_bytes(line)
+    with pytest.raises(CountIntegrityError, match=r"counts\.jsonl:1: malformed count record$"):
+        CountCache(path).lookup(CurveSpec("ck", 1), 1)
+    assert cli.main(["count", "--family", "ck", "--k", "1", "--m", "1", "--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:1: malformed count record\n")
+    assert path.read_bytes() == line
 
 
 @pytest.mark.parametrize(

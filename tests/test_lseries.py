@@ -349,11 +349,17 @@ def test_decimal_conversion_matches_str_below_the_limit(n):
 # the short forms int() would take are refused too: one rule at every length
 @pytest.mark.parametrize(
     "text",
-    ["1" * 700 + "x", " " + "1" * 700, "--" + "1" * 700, "1_0" * 300, "1_000", " 7 ", "7\n", "", "+-1"],
+    [
+        "1" * 700 + "x", " " + "1" * 700, "--" + "1" * 700, "1_0" * 300, "1_000", " 7 ", "7\n", "", "+-1",
+        # digits of other scripts, which int() and str.isdecimal() take
+        "\u0661\u0662", "-\u0661", "\uff12", "12\u0663",
+    ],
 )
 def test_long_decimal_text_must_be_sign_and_digits(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid decimal integer"):
         int_from_decimal(text)
+    with pytest.raises(ValueError, match="invalid decimal integer"):
+        LPolynomial(text, 1, ["1", "2", "2"])
 
 
 @pytest.mark.parametrize(

@@ -258,5 +258,7 @@ def test_format_and_parse():
     for poly in (a, b, SparsePoly(5), x_pow(7, 0, 3), SparsePoly(3, {1: 2})):
         assert parse_terms(format_terms(poly), poly.p) == poly
     assert parse_terms("1*x^2 + x + 1", 2) == SparsePoly(2, {2: 1, 1: 1, 0: 1})
-    with pytest.raises(ValueError):
-        parse_terms("x^-1", 2)
+    # digits of other scripts, which int() and \d take, and a final newline, which "$" takes
+    for text in ("x^-1", "\u0663*x^\u0661\u0662+x", "x^\uff12", "\u0661", "x\n", "x+1\n"):
+        with pytest.raises(ValueError, match="cannot parse term"):
+            parse_terms(text, 5)
