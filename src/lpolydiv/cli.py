@@ -54,18 +54,8 @@ def cmd_count(args) -> int:
     if args.m < 1:
         raise ValueError("--m must be >= 1")
     n, provenance = curves.count_field(spec, args.m, cache=_cache(args))
-    _emit(
-        args,
-        {
-            "family": spec.family,
-            "k": spec.k,
-            "p": spec.p,
-            "m": args.m,
-            "n": n,
-            "provenance": provenance,
-        },
-        f"{spec.label} / GF({spec.p}^{args.m}): N_{args.m} = {n} ({provenance})",
-    )
+    record = {"family": spec.family, "k": spec.k, "p": spec.p, "m": args.m, "n": n, "provenance": provenance}
+    _emit(args, record, f"{spec.label} / GF({spec.p}^{args.m}): N_{args.m} = {n} ({provenance})")
     return 0
 
 
@@ -183,6 +173,17 @@ def cmd_verify_as_image(args) -> int:
 
 REQUIRED = object()  # the default of an option that must be given
 
+
+def _int(value: str) -> int:
+    """An int option's value: an optional sign, then ASCII digits (int() takes "١", "1_0", " 3")."""
+    digits = value[1:] if value[:1] in ("+", "-") else value
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"invalid int value: {value!r}")
+    return int(value)
+
+
+_int.__name__ = "int"  # argparse names the type in its usage error: "invalid int value: 'x'"
+
 # An option is (flag, type, default, help), its type int, str or a tuple of choices.
 _COMMON = (
     ("--workers", int, 1, "accepted and ignored: every count runs in this process (must be >= 1)"),
@@ -237,7 +238,7 @@ def _plain(argv: list[str]) -> types.SimpleNamespace | None:
         if value is None or not eq and value.startswith("-") or kind not in (int, str) and value not in kind:
             return None
         try:
-            given[flag] = int(value) if kind is int else value
+            given[flag] = _int(value) if kind is int else value
         except ValueError:
             return None
     if REQUIRED in given.values():
@@ -268,7 +269,7 @@ def _argparse():
         for flag, kind, default, text in _options(path):
             note = " (required)" if default is REQUIRED else "" if default is None else f" (default: {default})"
             parser.add_argument(
-                flag, type=int if kind is int else None, choices=kind if isinstance(kind, tuple) else None,
+                flag, type=_int if kind is int else None, choices=kind if isinstance(kind, tuple) else None,
                 help=text + note, **({"required": True} if default is REQUIRED else {"default": default}),
             )
         parser.set_defaults(func=COMMANDS[path][0])

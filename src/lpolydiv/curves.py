@@ -1,16 +1,17 @@
 """Curve families and exact point counting over extension towers.
 
-Four families over the prime field:
+Each family is a preset of one curve y^p - y = x^(p^k + c) + x^e, a row of ``_PRESETS``:
 
-  ck   y^2 + y  = x^(2^k + 1) + x   over GF(2), genus 2^(k-1)
-  ek   y^2 + xy = x^(2^k + 3) + x   over GF(2), genus 2^(k-1) + 1
-  ak   y^2 + y  = x^(2^k) + x      over GF(2), genus 0
-  ckp  y^p - y  = x^(p^k + 1) + x   over GF(p), p odd, genus (p-1) p^k / 2
+  ck   y^2 + y  = x^(2^k + 1) + x   over GF(2)         (c, e) = (1, 1)
+  ek   y^2 + xy = x^(2^k + 3) + x   over GF(2)         (c, e) = (1, -1), after y = xz
+  ak   y^2 + y  = x^(2^k) + x       over GF(2)         (c, e) = (0, 1)
+  ckp  y^p - y  = x^(p^k + 1) + x   over GF(p), p odd  (c, e) = (1, 1)
 
-Counting is trace-based: a fiber above x has p points when the absolute
-trace of the defining value vanishes, else none (with the x = 0 fiber of ek
-contributing the single point y = 0).  For ek and x != 0, substituting
-y = xz turns the fiber condition into Tr(x^(2^k + 1) + 1/x) = 0.
+Every fact of a curve is read off its row.  One rule gives the genus (Stichtenoth, Algebraic
+Function Fields and Codes, Prop. 3.7.8): g = (p - 1)/2 (sum over the poles P of f of (d_P + 1) - 2).
+The pole at infinity has d = p^k + 1 and, for e = -1, the pole at 0 has d = 1, so
+g = (p - 1)(p^k + 2 [e = -1])/2; c = 0 reduces f to 0, and g = 0.  A fiber above x has
+p points when the absolute trace of f(x) vanishes, else none; e = -1 adds the point (0, 0).
 """
 
 import math
@@ -18,7 +19,13 @@ import math
 from .gf import _int, check_field_limits, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
-FAMILIES = ("ck", "ek", "ak", "ckp")
+# family -> (label pattern, p: 2 or None for any odd prime, c, e)
+_PRESETS = {
+    "ck": ("C_{k}", 2, 1, 1),
+    "ek": ("E_{k}", 2, 1, -1),
+    "ak": ("A_{k}", 2, 0, 1),
+    "ckp": ("C_{k}^({p})", None, 1, 1),
+}
 
 
 class _Value:
@@ -80,41 +87,31 @@ class CurveSpec(_Value):
 
     def __init__(self, family: str, k: int, p: int = 2):
         self._set(family, _int(k), _int(p))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.family not in _PRESETS:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(_PRESETS)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.family == "ckp":
+        p = _PRESETS[self.family][1]
+        if p is None:
             if self.p == 2 or not is_prime(self.p):
-                raise ValueError(f"family ckp needs an odd prime p, got {self.p}")
-        elif self.p != 2:
-            raise ValueError(f"family {self.family} is defined over GF(2), got p={self.p}")
+                raise ValueError(f"family {self.family} needs an odd prime p, got {self.p}")
+        elif self.p != p:
+            raise ValueError(f"family {self.family} is defined over GF({p}), got p={self.p}")
 
     @property
     def genus(self) -> int:
-        if self.family == "ck":
-            return 1 << (self.k - 1)
-        if self.family == "ek":
-            return (1 << (self.k - 1)) + 1
-        if self.family == "ak":
-            return 0
-        return (self.p - 1) * self.p**self.k // 2
+        _, _, c, e = _PRESETS[self.family]
+        return (self.p - 1) * (self.p**self.k + 2 * (e == -1)) // 2 if c else 0
 
     def genus_at_most(self, cap: int) -> int:
         """min(genus, cap), without forming a genus past cap (p^k for a huge k)."""
-        if self.family != "ak" and self.k - 1 > cap.bit_length():
-            return cap  # every other genus is at least 2^(k-1)
+        if _PRESETS[self.family][2] and self.k - 1 > cap.bit_length():
+            return cap  # every genus with c = 1 is at least 2^(k-1)
         return min(self.genus, cap)
 
     @property
     def label(self) -> str:
-        if self.family == "ck":
-            return f"C_{self.k}"
-        if self.family == "ek":
-            return f"E_{self.k}"
-        if self.family == "ak":
-            return f"A_{self.k}"
-        return f"C_{self.k}^({self.p})"
+        return _PRESETS[self.family][0].format(k=self.k, p=self.p)
 
 
 class PointCounts(_Value):
@@ -140,11 +137,9 @@ class CountIntegrityError(RuntimeError):
 def _fiber_terms(spec: CurveSpec, m: int) -> tuple[int, int]:
     """Exponents of f over GF(p^m), whose fiber above x has points iff Tr(f(x)) = 0; limits checked."""
     check_field_limits(spec.p, m)
+    _, _, c, e = _PRESETS[spec.family]
     # x^(p^m) = x on GF(p^m), so the twist p^k acts as p^(k mod m)
-    twist = spec.p ** (spec.k % m)
-    # ek: x = 0 gives y^2 = 0, exactly one point; x != 0 gives two points
-    # iff Tr(x^(2^k + 1) + 1/x) = 0 (substitute y = xz).
-    terms = {"ak": (twist, 1), "ek": (twist + 1, -1)}.get(spec.family, (twist + 1, 1))  # ck, ckp
+    terms = (spec.p ** (spec.k % m) + c, e)
     _kernels.choose_kernel(spec.p, m, terms)
     return terms
 
@@ -153,19 +148,19 @@ def affine_count(spec: CurveSpec, m: int) -> int:
     """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
     terms = _fiber_terms(spec, m)  # before make_field's modulus search
     zeros = _kernels.trace_zero_count(make_field(spec.p, m), terms)
-    return 1 + 2 * zeros if spec.family == "ek" else spec.p * zeros
+    return spec.p * zeros + (terms[1] == -1)  # e = -1: (0, 0), where 1/x is not defined
 
 
 def point_count(spec: CurveSpec, m: int) -> int:
     """N_m: points of the smooth model over GF(p^m)."""
     n = affine_count(spec, m)
-    if spec.family == "ak":
-        # The ak affine model factors as (y + B(x))(y + B(x) + 1) with
+    if not _PRESETS[spec.family][2]:
+        # c = 0 (ak): the affine model factors as (y + B(x))(y + B(x) + 1) with
         # B(x) = x + x^2 + ... + x^(2^(k-1)), two disjoint rational components
         # each isomorphic to the x-line.  The smooth model is one component,
         # a projective line, hence half the affine solutions plus one.
         return n // 2 + 1
-    # one degree-1 place at infinity on the smooth model of every family
+    # one degree-1 place at infinity on the smooth model of every other curve
     return n + 1
 
 

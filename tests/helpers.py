@@ -12,7 +12,8 @@ irreducibility is decided by trial division over all low-degree monic
 polynomials, and so is primality.  The covering-defect oracle takes every
 power by SparsePoly's schoolbook product, and the involution oracle scans all
 2^k candidates.
-The command-line oracle is the argparse parser the CLI's table parser replaced.
+The command-line oracle is the argparse parser the CLI's table parser replaced,
+reading an int option by a regular expression: an optional sign, then ASCII digits.
 
 The table walk and the wide ek pair check read the field's discrete-log
 tables (a stdlib array and bytes) through zero-copy numpy views, built once
@@ -22,6 +23,7 @@ test dependency only, from the ``test`` extra; the package itself needs none.
 
 import argparse
 import functools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -366,16 +368,25 @@ def brute_smallest_irreducible(p, m):
     raise AssertionError("no irreducible found")
 
 
+def _ascii_int(value):
+    if not re.fullmatch(r"[+-]?[0-9]+", value):
+        raise ValueError(value)
+    return int(value)
+
+
+_ascii_int.__name__ = "int"  # argparse's usage error names it: "invalid int value"
+
+
 def _add_common(parser):
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_ascii_int, default=1)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--format", choices=("table", "records"), default="table")
 
 
 def _add_family(parser):
     parser.add_argument("--family", required=True, choices=("ck", "ek", "ak", "ckp"))
-    parser.add_argument("--k", required=True, type=int)
-    parser.add_argument("--p", type=int, default=2)
+    parser.add_argument("--k", required=True, type=_ascii_int)
+    parser.add_argument("--p", type=_ascii_int, default=2)
 
 
 def build_parser():
@@ -385,7 +396,7 @@ def build_parser():
 
     p_count = sub.add_parser("count")
     _add_family(p_count)
-    p_count.add_argument("--m", required=True, type=int)
+    p_count.add_argument("--m", required=True, type=_ascii_int)
     _add_common(p_count)
     p_count.set_defaults(func=cli.cmd_count)
 
@@ -396,8 +407,8 @@ def build_parser():
 
     p_conj = sub.add_parser("conjecture")
     p_conj.add_argument("--family", required=True, choices=("ck", "ek", "ckp"))
-    p_conj.add_argument("--kmax", required=True, type=int)
-    p_conj.add_argument("--p", type=int, default=2)
+    p_conj.add_argument("--kmax", required=True, type=_ascii_int)
+    p_conj.add_argument("--p", type=_ascii_int, default=2)
     _add_common(p_conj)
     p_conj.set_defaults(func=cli.cmd_conjecture)
 
@@ -405,25 +416,25 @@ def build_parser():
     vsub = p_verify.add_subparsers(dest="check", required=True)
 
     v_mor = vsub.add_parser("morphism")
-    v_mor.add_argument("--k", required=True, type=int)
-    v_mor.add_argument("--l", required=True, type=int)
+    v_mor.add_argument("--k", required=True, type=_ascii_int)
+    v_mor.add_argument("--l", required=True, type=_ascii_int)
     _add_common(v_mor)
     v_mor.set_defaults(func=cli.cmd_verify_morphism)
 
     v_lmw = vsub.add_parser("lmw")
-    v_lmw.add_argument("--n", required=True, type=int)
-    v_lmw.add_argument("--k", required=True, type=int)
-    v_lmw.add_argument("--j", type=int, default=0)
+    v_lmw.add_argument("--n", required=True, type=_ascii_int)
+    v_lmw.add_argument("--k", required=True, type=_ascii_int)
+    v_lmw.add_argument("--j", type=_ascii_int, default=0)
     _add_common(v_lmw)
     v_lmw.set_defaults(func=cli.cmd_verify_lmw)
 
     v_inv = vsub.add_parser("involution")
-    v_inv.add_argument("--k", required=True, type=int)
+    v_inv.add_argument("--k", required=True, type=_ascii_int)
     _add_common(v_inv)
     v_inv.set_defaults(func=cli.cmd_verify_involution)
 
     v_asi = vsub.add_parser("as-image")
-    v_asi.add_argument("--p", type=int, default=3)
+    v_asi.add_argument("--p", type=_ascii_int, default=3)
     v_asi.add_argument("--poly", default=None)
     _add_common(v_asi)
     v_asi.set_defaults(func=cli.cmd_verify_as_image)

@@ -192,6 +192,7 @@ VALID_ARGV = [
     "verify lmw --n 25 --k 1 --j 0 --j 3",
     "verify involution --k 4",
     "verify involution --k -1 --w 3",
+    "verify involution --k +4 --workers=+1",
     "verify as-image",
     "verify as-image --p 2 --poly x^6+x^3+x^2+x",
     "verify as-image --po=x^2 --p 5 --c ''",
@@ -248,6 +249,14 @@ USAGE_ERRORS = {
     "bad format": ["verify", "involution", "--k", "4", "--format=json"],
     "missing required": ["count", "--family", "ck", "--k", "1"],
     "stray positional": ["verify", "involution", "--k", "4", "extra"],
+    # An int option is an optional sign, then ASCII digits: none of the other values int() takes.
+    "arabic-indic digits": ["count", "--family", "ck", "--k", "\u0661", "--m", "\u0663"],
+    "underscore in an int": ["count", "--family", "ck", "--k", "1_0", "--m", "1"],
+    "fullwidth digit": ["count", "--family", "ck", "--k=\uff13", "--m", "1"],
+    "space before an int": ["count", "--family", "ck", "--k", " 3", "--m", "1"],
+    "non-ascii digit after a prefix": ["count", "--fam", "ck", "--k", "\u0663", "--m", "1"],
+    "non-ascii degree": ["verify", "lmw", "--n", "\u0667", "--k", "1"],
+    "non-ascii workers": ["verify", "involution", "--k", "4", "--workers", "\u0662"],
 }
 
 
@@ -283,6 +292,14 @@ def test_option_given_two_dashes_takes_them_as_its_value(argv, expected):
         assert {key: outcome[key] for key in expected} == expected
     else:
         assert outcome[0] == expected[0] and outcome[1].startswith(expected[1]), outcome
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "ck", "--k", "\u0661", "--m", "3"],  # read from the table, then by argparse
+    ["count", "--fam", "ck", "--k", "\u0661", "--m", "3"],  # read by argparse alone
+])
+def test_int_option_error_keeps_argparse_wording(argv):
+    assert _outcome(cli.parse_args, argv) == (2, "lpolydiv count: error: argument --k: invalid int value: '\u0661'")
 
 
 @pytest.mark.parametrize("argv, path", [

@@ -19,7 +19,7 @@ from lpolydiv.curves import (
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
-from lpolydiv.lseries import LPolynomial, lpoly_from_counts
+from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts
 from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
 
@@ -112,6 +112,42 @@ def test_genus_at_most_is_the_capped_genus():
     for spec in specs:
         for cap in (0, 1, 5, 100, 1 << 64):
             assert spec.genus_at_most(cap) == min(spec.genus, cap), (spec, cap)
+
+
+GENUS_SPECS = (
+    [CurveSpec("ck", k) for k in range(1, 5)] + [CurveSpec("ek", k) for k in range(1, 4)]
+    + [CurveSpec("ak", k) for k in range(1, 4)] + [CurveSpec("ckp", 1, 3)]
+)
+
+
+def _accepted_genera(counts, p, genera):
+    accepted = set()
+    for h in genera:
+        try:
+            lpoly_from_counts(counts, g=h, q=p)
+        except LSeriesError:
+            continue
+        accepted.add(h)
+    return accepted
+
+
+@pytest.mark.parametrize("spec", GENUS_SPECS, ids=lambda spec: spec.label)
+def test_counts_pin_the_genus_rule(spec):
+    # N_1..N_(2g+1) rebuild an L-polynomial at the rule's genus g, and their g + 1 surplus counts
+    # refuse every other h in [g - 3, g + 3] below 2g + 1; at h = 2g + 1 no count is left over.
+    g = spec.genus
+    counts = count_series(spec, 2 * g + 1).counts
+    genera = range(g - 3, min(g + 4, 2 * g + 1))
+    assert _accepted_genera(counts, spec.p, genera) == {g}
+
+
+def test_two_surplus_counts_do_not_pin_the_genus():
+    # The check above is blind with fewer surplus counts: given N_1..N_(g+2), these curves pass at
+    # a wrong genus too.  Surplus counts check consistency, not the genus.
+    for spec, also in [(CurveSpec("ck", 4), {6, 7, 9}), (CurveSpec("ck", 5), {17}), (CurveSpec("ckp", 1, 3), {4})]:
+        g = spec.genus
+        counts = count_series(spec, g + 2).counts
+        assert _accepted_genera(counts, spec.p, range(g - 3, g + 2)) == {g} | also, spec
 
 
 def test_labels():
