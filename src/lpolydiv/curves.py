@@ -218,8 +218,6 @@ def count_series(spec: CurveSpec, upto: int | None = None, *, cache=None) -> Poi
     """
     if upto is None:
         upto = series_length(spec)
-    elif upto < 1:
-        raise ValueError(f"need at least one extension, got {upto}")
     else:
         _fiber_terms(spec, upto)
     results = [count_field(spec, m, cache=cache) for m in range(1, upto + 1)]

@@ -19,7 +19,7 @@ from lpolydiv.curves import (
     point_count,
 )
 from lpolydiv.gf import FieldLimitError, make_field
-from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts
+from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts, predicted_count
 from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
 
@@ -48,8 +48,8 @@ def test_spec_refuses_a_k_or_p_that_is_not_an_int(args):
 def test_point_counts_refuse_a_count_that_is_not_an_int(counts):
     # not read as N_1 = 1 by lpoly_from_counts, nor failing inside hasse_weil_check
     with pytest.raises(TypeError, match="expected an integer"):
-        PointCounts(CurveSpec("ck", 1), counts, ("counted",) * len(counts))
-    assert PointCounts(CurveSpec("ck", 1), [5], ("counted",)).counts == (5,)
+        PointCounts(CurveSpec("ck", 1), counts, ("fresh",) * len(counts))
+    assert PointCounts(CurveSpec("ck", 1), [5], ("fresh",)).counts == (5,)
 
 
 _C1_3 = CurveSpec("ckp", 1, 3)
@@ -61,10 +61,10 @@ _C1_3 = CurveSpec("ckp", 1, 3)
         (CurveSpec, {"family": "ck", "k": 3, "p": 2}, ("ck", 4), "CurveSpec(family='ck', k=3, p=2)"),
         (
             PointCounts,
-            {"spec": _C1_3, "counts": (3, 9), "provenance": ("counted", "cached")},
-            (_C1_3, (3, 9), ("counted", "counted")),
+            {"spec": _C1_3, "counts": (3, 9), "provenance": ("fresh", "cached")},
+            (_C1_3, (3, 9), ("fresh", "fresh")),
             "PointCounts(spec=CurveSpec(family='ckp', k=1, p=3), counts=(3, 9), "
-            "provenance=('counted', 'cached'))",
+            "provenance=('fresh', 'cached'))",
         ),
         (
             LPolynomial,
@@ -94,7 +94,7 @@ def test_value_classes_are_frozen_records(cls, fields, other, text):
 def test_value_class_defaults_and_derived_fields():
     assert CurveSpec("ck", 3) == CurveSpec(family="ck", k=3, p=2)
     assert CurveSpec(k=3, family="ck").p == 2
-    counts = PointCounts(_C1_3, (3, 9, 27), ("counted",) * 3)
+    counts = PointCounts(_C1_3, (3, 9, 27), ("fresh",) * 3)
     assert len(counts) == 3 and counts.spec.p == 3
 
 
@@ -179,6 +179,28 @@ def test_point_count_examples():
     assert point_count(CurveSpec("ek", 1), 1) == 4
 
 
+# The largest qf field of each characteristic, more odd-p qf counts (one over a large prime)
+# and the largest recurrence field, each counted on no cache.  A curve whose genus is within
+# the field limits has its count predicted by its own L-polynomial; past them the pinned
+# number is the only check.  C_6's N_32, the largest p = 2 qf count, is fixed by
+# test_acceptance's L(C_6).
+@pytest.mark.parametrize(
+    "spec, m, n, from_lpoly",
+    [
+        (CurveSpec("ckp", 2, 3), 13, 1596511, True),
+        (CurveSpec("ek", 5), 20, 1047584, True),
+        (CurveSpec("ckp", 1, 5), 8, 393751, False),
+        (CurveSpec("ckp", 1, 2039), 2, 4159561, False),
+        (CurveSpec("ckp", 2, 13), 5, 369097, False),
+    ],
+    ids=["C_2^(3)-N_13", "E_5-N_20", "C_1^(5)-N_8", "C_1^(2039)-N_2", "C_2^(13)-N_5"],
+)
+def test_largest_field_counts(spec, m, n, from_lpoly):
+    assert count_field(spec, m) == (n, "fresh")
+    if from_lpoly:
+        assert predicted_count(lpoly_from_counts(count_series(spec)), m) == n
+
+
 ORACLE_GRID = (
     [("ck", k, 2, m) for k in (1, 2, 3) for m in range(1, 7)]
     + [("ek", k, 2, m) for k in (1, 2) for m in range(1, 6)]
@@ -222,7 +244,7 @@ def test_count_series_examples():
     assert series.counts == (5, 9)
     assert series.provenance == ("fresh", "fresh")
     assert len(count_series(CurveSpec("ek", 1), 1)) == 1
-    with pytest.raises(ValueError, match="at least one extension"):
+    with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
         count_series(CurveSpec("ck", 2), 0)
 
 

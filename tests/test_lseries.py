@@ -55,7 +55,7 @@ def test_from_counts_errors():
     # too few counts for a genus (3^10^7) that is refused without being formed
     start = time.perf_counter()
     with pytest.raises(LSeriesError, match="need at least g counts"):
-        lpoly_from_counts(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("counted",)))
+        lpoly_from_counts(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("fresh",)))
     assert time.perf_counter() - start < 2
 
 
@@ -272,14 +272,14 @@ def test_hasse_weil_check():
     ok, _ = hasse_weil_check(count_series(CurveSpec("ck", 1), 3))
     assert ok
     fake = count_series(CurveSpec("ck", 1), 1)
-    broken = type(fake)(fake.spec, (100,), ("counted",))
+    broken = type(fake)(fake.spec, (100,), ("fresh",))
     ok, idx = hasse_weil_check(broken)
     assert not ok and idx == 0
     genus0 = count_series(CurveSpec("ak", 1), 3)
     assert hasse_weil_check(genus0).ok
     # the bound is decided without forming the genus 3^10^7
     start = time.perf_counter()
-    assert hasse_weil_check(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("counted",))).ok
+    assert hasse_weil_check(PointCounts(CurveSpec("ckp", 10**7, 3), (4,), ("fresh",))).ok
     assert time.perf_counter() - start < 2
 
 
