@@ -10,9 +10,10 @@ between them from p, m and the terms, so a count is refused before its field:
   form into squares (odd p only) and hyperbolic planes until an affine part
   is left, and reads its number of zeros off them in O(m^3) operations,
   without visiting a single element (Lidl-Niederreiter, *Finite Fields*,
-  ch. 6 §2, Thms 6.26-6.27).  ck, ak, ckp and the lmw check take this path.
-  Its Gram matrix comes from :func:`_trace_form`, the one builder of it: the
-  digits of the twisted powers times the Hankel matrix of the trace vector.
+  ch. 6 §2, Thms 6.26-6.27).  ck, ckp, the lmw check and ak's *affine*
+  count take this path.  Its Gram matrix comes from :func:`_trace_form`, the
+  one builder of it: the digits of the twisted powers times the Hankel
+  matrix of the trace vector.
 * ``recurrence`` for any other term list over GF(2) (ek's 1/x term): along
   the powers of a generator g, Tr(f(g^i)) is a linear recurring sequence of
   order at most r m for r terms, annihilated by the product of the terms'
@@ -44,24 +45,6 @@ def _log_exact(p: int, n: int) -> int | None:
     return a if n == 1 else None
 
 
-def _classify_terms(p: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
-    """Split exponents into Frobenius twists for the quadratic-form kernels.
-
-    Returns (quadratic twist orders a of the p^a + 1 terms, number of p^a
-    terms), or None if some exponent fits neither shape.
-    """
-    quads: list[int] = []
-    linear = 0
-    for e in exponents:
-        if _log_exact(p, e) is not None:
-            linear += 1
-        elif (a := _log_exact(p, e - 1)) is not None:
-            quads.append(a)
-        else:
-            return None
-    return quads, linear
-
-
 def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
     """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p over the twists a, basis e_i = x^i.
 
@@ -70,7 +53,7 @@ def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
     t_n = Tr(x^n), G is the digit matrix of w times the Hankel matrix t_(l+j).
     """
     p, m, t = ctx.p, ctx.m, ctx._traces
-    x = p if m > 1 else -ctx.modulus[0] % p  # the residue class of X
+    x = p  # the residue class of X; at m = 1 no power of it is read
     w = [0] * m
     for a in quads:
         y, powers = ctx.pow(x, p ** (a % m)), [1]
@@ -231,16 +214,23 @@ def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], 
     """
     if 0 in exponents:
         raise ValueError("constant terms are not supported")
-    # a negative exponent fits neither quadratic-form shape
-    classified = _classify_terms(p, exponents)
-    if classified is None and p != 2:
-        raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
-    if classified is None and p**m > MAX_RECURRENCE_ORDER:
-        raise FieldLimitError(
-            f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
-            f"order 2^{MAX_RECURRENCE_ORDER.bit_length() - 1} (MAX_RECURRENCE_ORDER)"
-        )
-    return classified
+    quads: list[int] = []
+    linear = 0
+    for e in exponents:  # a negative exponent fits neither quadratic-form shape
+        if _log_exact(p, e) is not None:
+            linear += 1
+        elif (a := _log_exact(p, e - 1)) is not None:
+            quads.append(a)
+        elif p != 2:
+            raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
+        elif p**m > MAX_RECURRENCE_ORDER:
+            raise FieldLimitError(
+                f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
+                f"order 2^{MAX_RECURRENCE_ORDER.bit_length() - 1} (MAX_RECURRENCE_ORDER)"
+            )
+        else:
+            return None
+    return quads, linear
 
 
 def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:

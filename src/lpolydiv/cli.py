@@ -51,8 +51,6 @@ def _emit(args, fields: dict, table_line: str):
 
 def cmd_count(args) -> int:
     spec = curves.CurveSpec(args.family, args.k, args.p)
-    if args.m < 1:
-        raise ValueError("--m must be >= 1")
     n, provenance = curves.count_field(spec, args.m, cache=_cache(args))
     record = {"family": spec.family, "k": spec.k, "p": spec.p, "m": args.m, "n": n, "provenance": provenance}
     _emit(args, record, f"{spec.label} / GF({spec.p}^{args.m}): N_{args.m} = {n} ({provenance})")

@@ -10,8 +10,8 @@ Each family is a preset of one curve y^p - y = x^(p^k + c) + x^e, a row of ``_PR
 Every fact of a curve is read off its row.  One rule gives the genus (Stichtenoth, Algebraic
 Function Fields and Codes, Prop. 3.7.8): g = (p - 1)/2 (sum over the poles P of f of (d_P + 1) - 2).
 The pole at infinity has d = p^k + 1 and, for e = -1, the pole at 0 has d = 1, so
-g = (p - 1)(p^k + 2 [e = -1])/2; c = 0 reduces f to 0, and g = 0.  A fiber above x has
-p points when the absolute trace of f(x) vanishes, else none; e = -1 adds the point (0, 0).
+g = (p - 1)(p^k + 2 [e = -1])/2; c = 0 reduces f to 0, g = 0, and L = 1 gives N_m = p^m + 1.
+A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e = -1 adds (0, 0).
 """
 
 import math
@@ -153,15 +153,11 @@ def affine_count(spec: CurveSpec, m: int) -> int:
 
 def point_count(spec: CurveSpec, m: int) -> int:
     """N_m: points of the smooth model over GF(p^m)."""
-    n = affine_count(spec, m)
-    if not _PRESETS[spec.family][2]:
-        # c = 0 (ak): the affine model factors as (y + B(x))(y + B(x) + 1) with
-        # B(x) = x + x^2 + ... + x^(2^(k-1)), two disjoint rational components
-        # each isomorphic to the x-line.  The smooth model is one component,
-        # a projective line, hence half the affine solutions plus one.
-        return n // 2 + 1
+    if not _PRESETS[spec.family][2]:  # c = 0 (ak): genus 0, so L = 1 and N_m = p^m + 1
+        check_field_limits(spec.p, m)
+        return spec.p**m + 1
     # one degree-1 place at infinity on the smooth model of every other curve
-    return n + 1
+    return affine_count(spec, m) + 1
 
 
 def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:

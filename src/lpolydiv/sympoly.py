@@ -272,14 +272,14 @@ def involution_search(k: int) -> SparsePoly | None:
     mask by 1 + x in GF(2)[x] is x^k + 1.  That product is injective and
     x^k + 1 = (1 + x)(1 + x + ... + x^(k-1)), so mask = 2^k - 1 is the only
     solution: B = sum of x^(2^i), i < k.  B(1) = k mod 2, so B exists iff k
-    is even.
+    is even, and an odd k of any size gives None without building a polynomial.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > 62:
-        raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
     if k % 2:
         return None
+    if k > 62:
+        raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
     b = SparsePoly(2, ((1 << i, 1) for i in range(k)))
     if b**2 + b != x_pow(2, 1 << k) + x_pow(2, 1):
         raise AssertionError("involution candidate does not re-verify")

@@ -217,6 +217,7 @@ def _outcome(parse, argv):
             return exc.code, err.getvalue().splitlines()[-1] if exc.code == 2 else None
 
 
+@pytest.mark.filterwarnings("error")
 def test_parser_agrees_with_argparse_on_random_argv():
     # Every command and flag, unique and ambiguous prefixes of them, valid and invalid values,
     # "-h", "--" and negative numbers, drawn in any order after a random command path.
@@ -260,6 +261,7 @@ USAGE_ERRORS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_exits_2_with_usage_and_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -302,9 +304,11 @@ def test_int_option_error_keeps_argparse_wording(argv):
     assert _outcome(cli.parse_args, argv) == (2, "lpolydiv count: error: argument --k: invalid int value: '\u0661'")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, path", [
     (["-h"], ""), (["verify", "--help"], "verify"), (["count", "-h"], "count"),
     (["count", "--family", "ck", "--he"], "count"), (["verify", "as-image", "-h"], "verify as-image"),
+    (["--help"], ""), (["count", "--help"], "count"), (["count", "--fam", "ck", "-h"], "count"),
 ])
 def test_help_lists_every_option_and_exits_0(argv, path, capsys):
     with pytest.raises(SystemExit) as exc:

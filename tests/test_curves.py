@@ -307,6 +307,19 @@ def test_ak_is_rational():
             assert point_count(CurveSpec("ak", k), m) == 2**m + 1
 
 
+def test_ak_counts_build_no_field(monkeypatch):
+    # genus 0: L = 1 gives N_m = 2^m + 1, so no field is built and no kernel runs
+    def refuse(p, m):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr("lpolydiv.curves.make_field", refuse)
+    for k in (1, 2, 3):
+        for m in (1, 5, 32):
+            assert point_count(CurveSpec("ak", k), m) == 2**m + 1
+        with pytest.raises(FieldLimitError):
+            point_count(CurveSpec("ak", k), 33)
+
+
 def test_lmw_zero_count_examples():
     assert lmw_zero_count(3, 1, 0) == 2
     assert lmw_zero_count(1, 1, 0) == 2

@@ -1,5 +1,7 @@
 import importlib
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,17 @@ def test_lazy_submodules_are_the_imported_modules():
         module = importlib.import_module(f"lpolydiv.{name}")
         assert getattr(lpolydiv, name) is module is sys.modules[f"lpolydiv.{name}"]
     assert lpolydiv.curves.CurveSpec is lpolydiv.CurveSpec
+
+
+def test_readme_example_prints_what_it_says():
+    # the README's one library example, run in a fresh interpreter as a reader would run it
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme.count("```python\n") == 1
+    example = readme.split("```python\n")[1].split("```\n")[0]
+    script = example + 'import sys\nassert "numpy" not in sys.modules\n'
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, second, third = proc.stdout.splitlines()
+    assert "divides=True, quotient=(1, 0, 0, 4, 0, 0, 8)" in first
+    assert second == "16t^2+8t+1 False"
+    assert third == "True"

@@ -219,8 +219,11 @@ def test_involution_examples():
     assert involution_search(4) == SparsePoly(2, {1: 1, 2: 1, 4: 1, 8: 1})
     with pytest.raises(ValueError, match="k must be >= 1"):
         involution_search(0)
+    # an odd k has no B whatever its size, so only an even k past 62 overflows
+    assert involution_search(63) is None
+    assert involution_search(10**9 + 1) is None
     with pytest.raises(ValueError, match="overflow"):
-        involution_search(63)
+        involution_search(64)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
