@@ -1,8 +1,7 @@
 """Counting kernels behind the point counters.
 
 Every kernel counts field elements x with Tr(f(x)) = 0 for f(x) = sum of
-x**e over a term list, and :func:`choose_kernel` makes the one choice
-between them from p, m and the terms, so a count is refused before its field:
+x**e over a term list, the kernel that :func:`lpolydiv.gf.choose_kernel` picks:
 
 * ``qf`` when every exponent is p^a (a linear term) or p^a + 1 (a quadratic
   term).  Then Tr(f(x)) is a quadratic form plus a linear form over GF(p) in
@@ -11,38 +10,21 @@ between them from p, m and the terms, so a count is refused before its field:
   is left, and reads its number of zeros off them in O(m^3) operations,
   without visiting a single element (Lidl-Niederreiter, *Finite Fields*,
   ch. 6 §2, Thms 6.26-6.27).  ck, ckp, the lmw check and ak's *affine*
-  count take this path.  Its Gram matrix comes from :func:`_trace_form`, the
-  one builder of it: the digits of the twisted powers times the Hankel
-  matrix of the trace vector.
+  count take this path, with the Gram matrix of :func:`_trace_form`.
 * ``recurrence`` for any other term list over GF(2) (ek's 1/x term): along
   the powers of a generator g, Tr(f(g^i)) is a linear recurring sequence of
   order at most r m for r terms, annihilated by the product of the terms'
   minimal polynomials over GF(2).  That product expands the sequence over the
   whole multiplicative group by doubling a packed prefix, checked against
   2 r m computed terms, with the carry-less multiply and reduce of
-  :mod:`gf`, up to order :data:`MAX_RECURRENCE_ORDER`.
-  No table is built.  No family needs it in odd characteristic, so odd p
-  with such terms is refused.
+  :mod:`gf`.  No table is built.
 """
 
 import functools
 import operator
 from typing import Sequence
 
-from .gf import FieldContext, FieldLimitError, _clmod, _clmul, _digits, _field_name, _undigits, jacobi_symbol
-
-MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero element
-
-
-def _log_exact(p: int, n: int) -> int | None:
-    """a with p**a == n, or None when n is not a power of p."""
-    if n < 1:
-        return None
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a if n == 1 else None
+from .gf import FieldContext, _clmod, _clmul, _digits, _undigits, choose_kernel, jacobi_symbol
 
 
 def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
@@ -205,32 +187,6 @@ def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     if bits & ((1 << count) - 1) != head or (bits >> n) & ((1 << size) - 1) != start:
         raise AssertionError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
     return n - (bits & ((1 << n) - 1)).bit_count()
-
-
-def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
-    """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound.
-
-    The recurrence counts over GF(2) alone, so odd p with other terms is refused.
-    """
-    if 0 in exponents:
-        raise ValueError("constant terms are not supported")
-    quads: list[int] = []
-    linear = 0
-    for e in exponents:  # a negative exponent fits neither quadratic-form shape
-        if _log_exact(p, e) is not None:
-            linear += 1
-        elif (a := _log_exact(p, e - 1)) is not None:
-            quads.append(a)
-        elif p != 2:
-            raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
-        elif p**m > MAX_RECURRENCE_ORDER:
-            raise FieldLimitError(
-                f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
-                f"order 2^{MAX_RECURRENCE_ORDER.bit_length() - 1} (MAX_RECURRENCE_ORDER)"
-            )
-        else:
-            return None
-    return quads, linear
 
 
 def trace_zero_count(ctx: FieldContext, exponents: Sequence[int]) -> int:

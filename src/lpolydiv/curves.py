@@ -16,7 +16,7 @@ A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e 
 
 import math
 
-from .gf import _int, check_field_limits, is_prime, jacobi_symbol, make_field
+from .gf import _int, check_field_limits, choose_kernel, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 # family -> (label pattern, p: 2 or None for any odd prime, c, e)
@@ -117,13 +117,15 @@ class CurveSpec(_Value):
 class PointCounts(_Value):
     """N_1..N_M for one curve, with per-entry provenance: 'fresh' (counted now) or 'cached'.
 
-    Each count must be an int, bools refused, as the cache reads them.
+    Each count must be an int, bools refused, as the cache reads them, with one provenance.
     """
 
     __slots__ = ("spec", "counts", "provenance")
 
     def __init__(self, spec: CurveSpec, counts: tuple[int, ...], provenance: tuple[str, ...]):
-        self._set(spec, tuple(map(_int, counts)), provenance)
+        self._set(spec, tuple(map(_int, counts)), tuple(provenance))
+        if len(self.provenance) != len(self.counts) or any(h not in ("fresh", "cached") for h in self.provenance):
+            raise ValueError(f"need one provenance, 'fresh' or 'cached', per count, got {self.provenance!r}")
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -135,12 +137,14 @@ class CountIntegrityError(RuntimeError):
 
 
 def _fiber_terms(spec: CurveSpec, m: int) -> tuple[int, int]:
-    """Exponents of f over GF(p^m), whose fiber above x has points iff Tr(f(x)) = 0; limits checked."""
+    """Exponents of f over GF(p^m), whose fiber above x has points iff Tr(f(x)) = 0.
+
+    The one refusal of every count, cached or fresh: the field limits, then choose_kernel."""
     check_field_limits(spec.p, m)
     _, _, c, e = _PRESETS[spec.family]
     # x^(p^m) = x on GF(p^m), so the twist p^k acts as p^(k mod m)
     terms = (spec.p ** (spec.k % m) + c, e)
-    _kernels.choose_kernel(spec.p, m, terms)
+    choose_kernel(spec.p, m, terms)
     return terms
 
 
@@ -154,7 +158,7 @@ def affine_count(spec: CurveSpec, m: int) -> int:
 def point_count(spec: CurveSpec, m: int) -> int:
     """N_m: points of the smooth model over GF(p^m)."""
     if not _PRESETS[spec.family][2]:  # c = 0 (ak): genus 0, so L = 1 and N_m = p^m + 1
-        check_field_limits(spec.p, m)
+        _fiber_terms(spec, m)
         return spec.p**m + 1
     # one degree-1 place at infinity on the smooth model of every other curve
     return affine_count(spec, m) + 1
@@ -180,7 +184,7 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     Every count, cached or fresh, must pass the Hasse-Weil bound before it is
     returned or stored.  A cached count builds no field.
     """
-    check_field_limits(spec.p, m)
+    _fiber_terms(spec, m)
     n = cache.lookup(spec, m) if cache is not None else None
     provenance = "cached"
     if n is None:
@@ -195,27 +199,25 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     return n, provenance
 
 
-def series_length(spec: CurveSpec) -> int:
-    """The genus g, for the counts N_1..N_g an L-polynomial needs; refused past the field limits.
+def series_length(spec: CurveSpec, upto: int | None = None) -> int:
+    """upto, by default the genus g: the counts N_1..N_g an L-polynomial needs, none for g = 0.
 
-    The genus is capped at 2^64, far above every limit, so p^k for a huge k is never formed.
+    A series is refused by its largest field, as :func:`count_field` would refuse it.  The
+    genus is capped at 2^64, far above every limit, so p^k for a huge k is never formed.
     """
-    g = spec.genus_at_most(1 << 64)
-    if g:
-        check_field_limits(spec.p, g)
-    return g
+    if upto is None and not (upto := spec.genus_at_most(1 << 64)):
+        return 0
+    _fiber_terms(spec, upto)
+    return upto
 
 
 def count_series(spec: CurveSpec, upto: int | None = None, *, cache=None) -> PointCounts:
     """N_1..N_upto by :func:`count_field`, one extension at a time.
 
-    upto defaults to :func:`series_length`: the genus, none for genus 0.  An
-    oversize series is refused by its largest field, before any count.
+    upto defaults to the genus; :func:`series_length` refuses an oversize series
+    before any count.
     """
-    if upto is None:
-        upto = series_length(spec)
-    else:
-        _fiber_terms(spec, upto)
+    upto = series_length(spec, upto)
     results = [count_field(spec, m, cache=cache) for m in range(1, upto + 1)]
     return PointCounts(spec, tuple(n for n, _ in results), tuple(how for _, how in results))
 

@@ -24,7 +24,8 @@ Fields*, ch. 1 §4 and ch. 2 §3), run as :func:`_series_quotient`, the
 package's one exact ascending series division, which :mod:`lpolydiv.lseries`
 also runs for power sums and divisibility.  The vector is built on first use.
 
-Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22.
+Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22; terms that
+need the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 """
@@ -35,6 +36,7 @@ from typing import Sequence
 
 MAX_BINARY_DEGREE = 32
 MAX_ODD_ORDER = 1 << 22
+MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero element
 
 # Discrete-log tables above this size would dominate memory and build time.
 MAX_TABLE_ORDER = 1 << 20
@@ -423,12 +425,49 @@ def check_field_limits(p: int, m: int) -> None:
         )
 
 
+def _log_exact(p: int, n: int) -> int | None:
+    """a with p**a == n, or None when n is not a power of p."""
+    if n < 1:
+        return None
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a if n == 1 else None
+
+
+def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
+    """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound.
+
+    The recurrence counts over GF(2) alone, so odd p with other terms is refused.
+    """
+    if 0 in exponents:
+        raise ValueError("constant terms are not supported")
+    quads: list[int] = []
+    linear = 0
+    for e in exponents:  # a negative exponent fits neither quadratic-form shape
+        if _log_exact(p, e) is not None:
+            linear += 1
+        elif (a := _log_exact(p, e - 1)) is not None:
+            quads.append(a)
+        elif p != 2:
+            raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
+        elif p**m > MAX_RECURRENCE_ORDER:
+            raise FieldLimitError(
+                f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
+                f"order 2^{MAX_RECURRENCE_ORDER.bit_length() - 1} (MAX_RECURRENCE_ORDER)"
+            )
+        else:
+            return None
+    return quads, linear
+
+
 # typed: True and 1 are equal keys, and a cached GF(2) must not answer make_field(2, True)
 @functools.lru_cache(maxsize=None, typed=True)
 def make_field(p: int, m: int) -> FieldContext:
     """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
 
-    Only counts build one: size checks and cached counts call :func:`check_field_limits`.
+    Only counts build one: size checks and cached counts search no modulus.
     """
     check_field_limits(p, m)
     context = _BinaryField if p == 2 else FieldContext

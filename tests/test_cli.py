@@ -714,6 +714,23 @@ def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):
     assert "Hasse-Weil" in err
 
 
+def test_a_cached_count_is_refused_where_a_fresh_one_is(tmp_path, capsys):
+    from lpolydiv.cache import CountCache
+    from lpolydiv.curves import CurveSpec, count_series
+    from lpolydiv.lseries import lpoly_from_counts, predicted_count
+
+    # N_21 of E_1 is within the field limits but past the recurrence kernel's order
+    argv = ("count", "--family", "ek", "--k", "1", "--m", "21")
+    empty = run(capsys, *argv, "--cache-dir", str(tmp_path / "empty"))
+    spec = CurveSpec("ek", 1)
+    n = predicted_count(lpoly_from_counts(count_series(spec)), 21)
+    CountCache(tmp_path / "counts.jsonl").store(spec, 21, n)
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == empty
+    code, out, err = empty
+    assert code == 2 and out == ""
+    assert "MAX_RECURRENCE_ORDER" in err
+
+
 def test_malformed_cache_record_exits_1(tmp_path, capsys):
     (tmp_path / "counts.jsonl").write_text("not json\n")
     code, out, err = run(

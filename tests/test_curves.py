@@ -52,6 +52,17 @@ def test_point_counts_refuse_a_count_that_is_not_an_int(counts):
     assert PointCounts(CurveSpec("ck", 1), [5], ("fresh",)).counts == (5,)
 
 
+def test_point_counts_hold_one_provenance_per_count():
+    spec = CurveSpec("ck", 1)
+    listed = PointCounts(spec, (3, 5), ["fresh", "cached"])
+    assert listed.provenance == ("fresh", "cached")
+    assert listed == PointCounts(spec, (3, 5), ("fresh", "cached"))
+    assert hash(listed) == hash(PointCounts(spec, (3, 5), ("fresh", "cached")))
+    for provenance in (("fresh",), ("fresh",) * 4, ("fresh", "fresh", "stale"), ("cached", None, "fresh")):
+        with pytest.raises(ValueError, match="one provenance, 'fresh' or 'cached', per count"):
+            PointCounts(spec, (3, 5, 9), provenance)
+
+
 _C1_3 = CurveSpec("ckp", 1, 3)
 
 
