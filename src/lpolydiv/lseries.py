@@ -8,13 +8,15 @@ links the two for every m >= 1:
 
     s_m = -(m a_m + s_1 a_(m-1) + ... + s_(m-1) a_1)
 
-Solved for a_m it rebuilds the coefficients, and that division by m must be
-exact; a remainder signals a wrong genus, a wrong infinity count, or
-corrupted input, and raises.  The same recurrence read as the power series
--t L'(t) / L(t) gives the power sums, by the one exact ascending series division
-that also decides divisibility: one pass over the numerator and one check
-that the quotient's tail is zero.  That division is :func:`lpolydiv.gf._series_quotient`,
-which also builds each field's trace vector.
+One builder, for counts and base changes alike, solves it for a_1..a_g, each
+division by m exact, takes a_(g+1)..a_(2g) from the functional equation, and
+requires every further s_m to satisfy it; a remainder or a mismatch signals a
+wrong genus, a wrong infinity count, or corrupted input, and raises naming m.
+The same recurrence read as the power series -t L'(t) / L(t) gives the power sums,
+by the one exact ascending series division that also decides divisibility: one
+pass over the numerator and one check that the quotient's tail is zero.  That
+division is :func:`lpolydiv.gf._series_quotient`, which also builds each field's
+trace vector.
 All arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
@@ -55,25 +57,33 @@ class LPolynomial(_Value):
         return format_int_poly(self.coeffs)
 
 
-def _newton_coeffs(sums: Sequence[int], diagnosis: str) -> list[int]:
-    """a_0..a_n from the power sums s_1..s_n, by exact Newton division."""
+def _from_power_sums(q: int, g: int, sums: Sequence[int], diagnosis: str) -> LPolynomial:
+    """The genus-g L-polynomial over GF(q) with power sums s_1, s_2, ... (module docstring);
+    the sum stops at a_(2g), since every later a_m is required to be 0."""
     a = [1]
     for m in range(1, len(sums) + 1):
-        quot, rem = divmod(-sum(sums[i - 1] * a[m - i] for i in range(1, m + 1)), m)
-        if rem:
-            raise LSeriesError(f"Newton division not exact at m={m}: {diagnosis}")
-        a.append(quot)
-    return a
+        t = sum(sums[i - 1] * a[m - i] for i in range(max(1, m - 2 * g), m + 1))
+        if m <= g:
+            a_m, rem = divmod(-t, m)
+            if rem:
+                raise LSeriesError(f"Newton division not exact at m={m}: {diagnosis}")
+        else:
+            a_m = q ** (m - g) * a[2 * g - m] if m <= 2 * g else 0
+            if t + m * a_m:
+                raise LSeriesError(f"s_{m} is inconsistent with s_1..s_{g} at genus {g}: {diagnosis}")
+        if m <= 2 * g:
+            a.append(a_m)
+    a += [q ** (i - g) * a[2 * g - i] for i in range(len(a), 2 * g + 1)]
+    return LPolynomial(q, g, a)
 
 
 def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPolynomial:
     """Reconstruct the L-polynomial from N_1..N_M, M >= g.
 
-    Only the first g counts determine the coefficients (the functional
-    equation supplies the upper half); surplus counts are replayed through
-    the finished polynomial as a consistency check, not a check of g: given
-    N_1..N_(g+2), C_4 (g = 8) also passes at 6, 7 and 9, C_5 (g = 16) at 17,
-    and C_1^(3) (g = 3) at 4.
+    Only the first g counts determine the coefficients; each surplus count must
+    fit the functional equation (m <= 2g) or the degree (m > 2g) in the same
+    Newton pass, a consistency check, not a check of g: given N_1..N_(g+2),
+    C_4 (g = 8) also passes at 6, 7 and 9, C_5 (g = 16) at 17, and C_1^(3) at 4.
     """
     if isinstance(counts, PointCounts):
         # a genus past the counts is refused, so it is capped there: p^k for a huge k is never formed
@@ -89,20 +99,8 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     for m, n in enumerate(seq, start=1):
         if not hasse_weil_ok(n, q, m, g):
             raise LSeriesError(f"count N_{m} = {n} violates the Hasse-Weil bound")
-    s = [q**m + 1 - seq[m - 1] for m in range(1, g + 1)]
-    a = _newton_coeffs(s, "wrong genus, wrong point at infinity, or corrupted counts")
-    a += [q ** (i - g) * a[2 * g - i] for i in range(g + 1, 2 * g + 1)]
-    lpoly = LPolynomial(q, g, tuple(a))
-    if len(seq) > g:
-        sums = power_sums(lpoly, len(seq))
-        for m in range(g + 1, len(seq) + 1):
-            expected = q**m + 1 - sums[m - 1]
-            if expected != seq[m - 1]:
-                raise LSeriesError(
-                    f"count N_{m} = {seq[m - 1]} is inconsistent with the polynomial "
-                    f"built from N_1..N_{g} (expected {expected})"
-                )
-    return lpoly
+    sums = [q**m + 1 - n for m, n in enumerate(seq, start=1)]
+    return _from_power_sums(q, g, sums, "wrong genus, wrong point at infinity, or corrupted counts")
 
 
 def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:
@@ -129,9 +127,8 @@ def base_change(lpoly: LPolynomial, s: int) -> LPolynomial:
     s = int_from_decimal(s)
     if s < 1:
         raise ValueError(f"extension degree must be >= 1, got {s}")
-    sp = power_sums(lpoly, 2 * lpoly.g * s)[s - 1 :: s]
-    a = _newton_coeffs(sp, "base change of an invalid L-polynomial")
-    return LPolynomial(lpoly.q**s, lpoly.g, tuple(a))
+    sums = power_sums(lpoly, lpoly.g * s)[s - 1 :: s]
+    return _from_power_sums(lpoly.q**s, lpoly.g, sums, "base change of an invalid L-polynomial")
 
 
 class DivisionResult(NamedTuple):

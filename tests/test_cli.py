@@ -258,6 +258,8 @@ USAGE_ERRORS = {
     "non-ascii digit after a prefix": ["count", "--fam", "ck", "--k", "\u0663", "--m", "1"],
     "non-ascii degree": ["verify", "lmw", "--n", "\u0667", "--k", "1"],
     "non-ascii workers": ["verify", "involution", "--k", "4", "--workers", "\u0662"],
+    # Past Python's int-to-text limit, which every record of the value would hit.
+    "int of 4301 digits": ["count", "--family", "ck", "--k", "1" * 4301, "--m", "1"],
 }
 
 
@@ -302,6 +304,14 @@ def test_option_given_two_dashes_takes_them_as_its_value(argv, expected):
 ])
 def test_int_option_error_keeps_argparse_wording(argv):
     assert _outcome(cli.parse_args, argv) == (2, "lpolydiv count: error: argument --k: invalid int value: '\u0661'")
+
+
+def test_int_option_stops_at_python_int_to_text_limit():
+    # int_from_decimal reads any length; an option stops where str() of the value would
+    at, over = "9" * 4300, "9" * 4301
+    assert _outcome(cli.parse_args, ["count", "--family", "ck", "--k", at, "--m", "1"])["k"] == int(at)
+    assert _outcome(cli.parse_args, ["count", "--fam", "ck", "--k", over, "--m", "1"]) == (
+        2, f"lpolydiv count: error: argument --k: invalid int value: '{over}'")
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpolydiv.curves import CurveSpec, PointCounts, count_series
+from lpolydiv.curves import CurveSpec, PointCounts, count_series, hasse_weil_ok
 from lpolydiv.lseries import (
     LPolynomial,
     LSeriesError,
@@ -62,6 +62,21 @@ def test_from_counts_errors():
 def test_surplus_counts_accepted_when_consistent():
     series = count_series(CurveSpec("ck", 2), 4)
     assert lpoly_from_counts(series) == C2
+
+
+@pytest.mark.parametrize("spec", [CurveSpec("ck", 2), CurveSpec("ckp", 1, 3)], ids=lambda spec: spec.label)
+def test_each_surplus_count_is_checked(spec):
+    # A surplus N_m moved one step toward q^m + 1 stays within Hasse-Weil, yet breaks the
+    # functional equation (g < m <= 2g) or the degree (m > 2g) of the polynomial from N_1..N_g.
+    g, q = spec.genus, spec.p
+    counts = count_series(spec, 2 * g + 2).counts
+    assert lpoly_from_counts(counts, g=g, q=q) == lpoly_from_counts(counts[:g], g=g, q=q)
+    for m in range(g + 1, 2 * g + 3):
+        changed = list(counts)
+        changed[m - 1] += 1 if counts[m - 1] <= q**m + 1 else -1
+        assert hasse_weil_ok(changed[m - 1], q, m, g)
+        with pytest.raises(LSeriesError, match=rf"^s_{m} is inconsistent with s_1\.\.s_{g} at genus {g}: "):
+            lpoly_from_counts(changed, g=g, q=q)
 
 
 def test_constructor_validation():
@@ -135,6 +150,13 @@ def test_base_change_counts_align():
     series = count_series(CurveSpec("ck", 1), 8)
     lp2 = base_change(C1, 2)
     assert [predicted_count(lp2, m) for m in (1, 2, 3, 4)] == [series.counts[1], series.counts[3], series.counts[5], series.counts[7]]
+    # base_change rebuilds a_1..a_g and takes the upper half from the functional equation;
+    # the counts N_(sj), j <= 2g, read that half back
+    for spec, s in [(CurveSpec("ck", 3), 2), (CurveSpec("ck", 3), 3), (CurveSpec("ek", 2), 2), (CurveSpec("ckp", 1, 3), 2)]:
+        g = spec.genus
+        counts = count_series(spec, 2 * g * s).counts
+        lifted = base_change(lpoly_from_counts(counts[:g], g=g, q=spec.p), s)
+        assert [predicted_count(lifted, j) for j in range(1, 2 * g + 1)] == list(counts[s - 1 :: s]), (spec, s)
 
 
 def test_base_change_counts_align_odd_characteristic():
