@@ -110,8 +110,7 @@ def cmd_verify_morphism(args) -> int:
 
 
 def cmd_verify_lmw(args) -> int:
-    counted = curves.lmw_zero_count(args.n, args.k, args.j)  # refuses an oversize field first
-    predicted = curves.lmw_formula(args.n, args.k, args.j)
+    counted, predicted = curves.lmw_compare(args.n, args.k, args.j)
     agree = counted == predicted
     _emit(
         args,

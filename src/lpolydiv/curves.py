@@ -11,12 +11,13 @@ Every fact of a curve is read off its row.  One rule gives the genus (Stichtenot
 Function Fields and Codes, Prop. 3.7.8): g = (p - 1)/2 (sum over the poles P of f of (d_P + 1) - 2).
 The pole at infinity has d = p^k + 1 and, for e = -1, the pole at 0 has d = 1, so
 g = (p - 1)(p^k + 2 [e = -1])/2; c = 0 reduces f to 0, g = 0, and L = 1 gives N_m = p^m + 1.
+Every check reads the genus capped at :data:`lpolydiv.gf.GENUS_CAP` (``capped_genus``).
 A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e = -1 adds (0, 0).
 """
 
 import math
 
-from .gf import _int, check_field_limits, choose_kernel, is_prime, jacobi_symbol, make_field
+from .gf import GENUS_CAP, _int, check_field_limits, choose_kernel, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 # family -> (label pattern, p: 2 or None for any odd prime, c, e)
@@ -103,11 +104,12 @@ class CurveSpec(_Value):
         _, _, c, e = _PRESETS[self.family]
         return (self.p - 1) * (self.p**self.k + 2 * (e == -1)) // 2 if c else 0
 
-    def genus_at_most(self, cap: int) -> int:
-        """min(genus, cap), without forming a genus past cap (p^k for a huge k)."""
-        if _PRESETS[self.family][2] and self.k - 1 > cap.bit_length():
-            return cap  # every genus with c = 1 is at least 2^(k-1)
-        return min(self.genus, cap)
+    @property
+    def capped_genus(self) -> int:
+        """min(genus, GENUS_CAP), the genus every check reads, without forming p^k for a huge k."""
+        if _PRESETS[self.family][2] and self.k >= GENUS_CAP.bit_length():
+            return GENUS_CAP  # every genus with c = 1 is at least 2^(k-1)
+        return min(self.genus, GENUS_CAP)
 
     @property
     def label(self) -> str:
@@ -169,20 +171,11 @@ def hasse_weil_ok(n: int, q: int, m: int, g: int) -> bool:
     return (n - q**m - 1) ** 2 <= 4 * g * g * q**m
 
 
-def _within_hasse_weil(spec: CurveSpec, n: int, m: int) -> bool:
-    """hasse_weil_ok for the curve's genus.
-
-    Any genus of at least |N - q^m - 1| passes, so the bound is decided at
-    that cap without forming a huge genus.
-    """
-    return hasse_weil_ok(n, spec.p, m, spec.genus_at_most(abs(n - spec.p**m - 1)))
-
-
 def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     """N_m with its provenance, 'fresh' or 'cached', consulting and filling the cache.
 
-    Every count, cached or fresh, must pass the Hasse-Weil bound before it is
-    returned or stored.  A cached count builds no field.
+    Every count, cached or fresh, must pass the Hasse-Weil bound at the capped
+    genus before it is returned or stored.  A cached count builds no field.
     """
     _fiber_terms(spec, m)
     n = cache.lookup(spec, m) if cache is not None else None
@@ -190,10 +183,8 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     if n is None:
         n = point_count(spec, m)
         provenance = "fresh"
-    if not _within_hasse_weil(spec, n, m):
-        raise CountIntegrityError(
-            f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound"
-        )
+    if not hasse_weil_ok(n, spec.p, m, spec.capped_genus):
+        raise CountIntegrityError(f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound")
     if provenance == "fresh" and cache is not None:
         cache.store(spec, m, n)
     return n, provenance
@@ -203,9 +194,9 @@ def series_length(spec: CurveSpec, upto: int | None = None) -> int:
     """upto, by default the genus g: the counts N_1..N_g an L-polynomial needs, none for g = 0.
 
     A series is refused by its largest field, as :func:`count_field` would refuse it.  The
-    genus is capped at 2^64, far above every limit, so p^k for a huge k is never formed.
+    genus is read capped (:data:`lpolydiv.gf.GENUS_CAP`), far above every field limit.
     """
-    if upto is None and not (upto := spec.genus_at_most(1 << 64)):
+    if upto is None and not (upto := spec.capped_genus):
         return 0
     _fiber_terms(spec, upto)
     return upto
@@ -245,3 +236,11 @@ def lmw_formula(n: int, k: int, j: int = 0) -> int:
             "the closed form does not apply"
         )
     return (1 << (n - 1)) + jacobi_symbol(2, n) * (1 << ((n - 1) // 2))
+
+
+def lmw_compare(n: int, k: int, j: int = 0) -> tuple[int, int]:
+    """(lmw_zero_count, lmw_formula), refusing n and j, the field limit, then the hypothesis first."""
+    _check_lmw(n, k, j)
+    check_field_limits(2, n)  # before the closed form, which forms 2^(n-1)
+    predicted = lmw_formula(n, k, j)
+    return lmw_zero_count(n, k, j), predicted

@@ -41,6 +41,10 @@ MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero el
 # Discrete-log tables above this size would dominate memory and build time.
 MAX_TABLE_ORDER = 1 << 20
 
+# Every genus is read at most this large: a count that a field within the limits can give is
+# within 2^45 of q^m + 1, so it passes Hasse-Weil past the cap, and p^k for a huge k is not formed.
+GENUS_CAP = 1 << 64
+
 
 class FieldLimitError(ValueError):
     """Field parameters outside the supported size limits."""
@@ -390,11 +394,10 @@ class _BinaryField(FieldContext):
 
 
 def _field_name(p: int, m: int) -> str:
-    # Python refuses to format ints past 4300 decimal digits, and a series for
-    # a huge genus asks for its field with the genus capped at 2^64; a degree
-    # that large is named by that bound.
-    if m.bit_length() > 64:
-        return f"GF({p}^m), m >= 2^64,"
+    # Python refuses to format ints past 4300 decimal digits, and a series for a huge
+    # genus asks for its field at GENUS_CAP; a degree that large is named by the cap.
+    if m >= GENUS_CAP:
+        return f"GF({p}^m), m >= 2^{GENUS_CAP.bit_length() - 1},"
     return f"GF({p})" if m == 1 else f"GF({p}^{m})"
 
 
@@ -417,11 +420,11 @@ def check_field_limits(p: int, m: int) -> None:
     if p == 2:
         if m > MAX_BINARY_DEGREE:
             raise FieldLimitError(f"{_field_name(p, m)} exceeds the degree limit {MAX_BINARY_DEGREE}")
-    # p**m > 2**m, so m > 22 is over the limit before p**m, which a huge m
-    # makes slower than any count, is computed
-    elif m > 22 or p**m > MAX_ODD_ORDER:
+    # p**m > 2**m, so m past log2 of the limit is over it before p**m, which a
+    # huge m makes slower than any count, is computed
+    elif m >= MAX_ODD_ORDER.bit_length() or p**m > MAX_ODD_ORDER:
         raise FieldLimitError(
-            f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^22"
+            f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^{MAX_ODD_ORDER.bit_length() - 1}"
         )
 
 

@@ -23,7 +23,7 @@ All arithmetic is arbitrary-precision integer (or exact rational), never float.
 import json
 from typing import NamedTuple, Sequence
 
-from .curves import PointCounts, _Value, _within_hasse_weil, hasse_weil_ok
+from .curves import PointCounts, _Value, hasse_weil_ok
 from .gf import _ptrim, _series_quotient
 
 
@@ -78,7 +78,7 @@ def _from_power_sums(q: int, g: int, sums: Sequence[int], diagnosis: str) -> LPo
 
 
 def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPolynomial:
-    """Reconstruct the L-polynomial from N_1..N_M, M >= g.
+    """Reconstruct the L-polynomial from N_1..N_M, M >= g, g by default the spec's capped genus.
 
     Only the first g counts determine the coefficients; each surplus count must
     fit the functional equation (m <= 2g) or the degree (m > 2g) in the same
@@ -86,8 +86,7 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     C_4 (g = 8) also passes at 6, 7 and 9, C_5 (g = 16) at 17, and C_1^(3) at 4.
     """
     if isinstance(counts, PointCounts):
-        # a genus past the counts is refused, so it is capped there: p^k for a huge k is never formed
-        seq, auto_g, auto_q = counts.counts, counts.spec.genus_at_most(len(counts) + 1), counts.spec.p
+        seq, auto_g, auto_q = counts.counts, counts.spec.capped_genus, counts.spec.p
     else:
         seq, auto_g, auto_q = tuple(map(int_from_decimal, counts)), None, None
     g = auto_g if g is None else int_from_decimal(g)
@@ -205,11 +204,10 @@ class HasseWeilResult(NamedTuple):
 
 
 def hasse_weil_check(counts: PointCounts) -> HasseWeilResult:
-    """Verify |N_m - q^m - 1| <= 2 g q^(m/2) for every entry; exact arithmetic."""
-    for i, n in enumerate(counts.counts):
-        if not _within_hasse_weil(counts.spec, n, i + 1):
-            return HasseWeilResult(False, i)
-    return HasseWeilResult(True, None)
+    """Verify |N_m - q^m - 1| <= 2 g q^(m/2), g the capped genus, for every entry; exact arithmetic."""
+    p, g = counts.spec.p, counts.spec.capped_genus
+    bad = next((i for i, n in enumerate(counts.counts) if not hasse_weil_ok(n, p, i + 1, g)), None)
+    return HasseWeilResult(bad is None, bad)
 
 
 # -- serialization ----------------------------------------------------------

@@ -159,7 +159,7 @@ def _digit_power(a: SparsePoly, d: int) -> SparsePoly:
 def _tower(k: int, l: int) -> tuple[int, int]:
     if l < 1 or k <= l or k % l:
         raise ValueError(f"need 1 <= l < k with l | k, got k={k}, l={l}")
-    if k > 63:
+    if k >= MAX_EXPONENT.bit_length():  # x^(2^k) is past the term bound
         raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
     return 1 << l, k // l
 
@@ -207,7 +207,7 @@ def verify_trace_morphism(n: int, k: int) -> bool:
     """Check T^(2^k) + T = x^(2^(n k)) + x for T = sum of x^(2^(i k)), i < n."""
     if n <= 1 or k < 1:
         raise ValueError(f"need n > 1 and k >= 1, got n={n}, k={k}")
-    if n * k > 63:
+    if n * k >= MAX_EXPONENT.bit_length():
         raise ValueError(f"n*k = {n * k} would overflow the 64-bit exponent bound")
     t = SparsePoly(2, ((1 << (i * k), 1) for i in range(n)))
     lhs = t ** (1 << k) + t
@@ -278,7 +278,7 @@ def involution_search(k: int) -> SparsePoly | None:
         raise ValueError(f"k must be >= 1, got {k}")
     if k % 2:
         return None
-    if k > 62:
+    if k >= MAX_EXPONENT.bit_length():  # x^(2^k) is past the term bound
         raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
     b = SparsePoly(2, ((1 << i, 1) for i in range(k)))
     if b**2 + b != x_pow(2, 1 << k) + x_pow(2, 1):

@@ -403,8 +403,10 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
         (("verify", "lmw", "--n", "33", "--k", "1"), "lmw_formula", "degree limit"),
         # curves binds make_field by name; gf.make_field is lru_cached
         (("count", "--family", "ek", "--k", "1", "--m", "21"), "make_field", "MAX_RECURRENCE_ORDER"),
+        # gcd(31 + 31, 31) != 1: refused before GF(2^31) is built and counted
+        (("verify", "lmw", "--n", "31", "--k", "31"), "make_field", "hypothesis"),
     ],
-    ids=["verify-lmw-33", "ek-21"],
+    ids=["verify-lmw-33", "ek-21", "verify-lmw-31-hypothesis"],
 )
 def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, argv, skipped, limit):
     def refuse(*args):
@@ -718,6 +720,20 @@ def test_count_rejects_a_cached_count_outside_hasse_weil(tmp_path, capsys):
     CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 1), 3, 999)
     code, out, err = run(
         capsys, "count", "--family", "ck", "--k", "1", "--m", "3", "--cache-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert "Hasse-Weil" in err
+
+
+def test_a_cached_count_no_field_can_give_is_refused_past_the_genus_cap(tmp_path, capsys):
+    from lpolydiv.cache import CountCache
+    from lpolydiv.curves import CurveSpec
+
+    # the genus of C_(10^8) is far past the cap, but N_1 = 2^70 is not a count of GF(2)
+    CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 10**8), 1, 1 << 70)
+    code, out, err = run(
+        capsys, "count", "--family", "ck", "--k", "100000000", "--m", "1", "--cache-dir", str(tmp_path)
     )
     assert code == 1
     assert out == ""

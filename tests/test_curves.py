@@ -18,7 +18,7 @@ from lpolydiv.curves import (
     lmw_zero_count,
     point_count,
 )
-from lpolydiv.gf import FieldLimitError, make_field
+from lpolydiv.gf import GENUS_CAP, FieldLimitError, make_field
 from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts, predicted_count
 from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
 
@@ -117,12 +117,23 @@ def test_genus_examples():
     assert CurveSpec("ck", 1).genus == 1
 
 
-def test_genus_at_most_is_the_capped_genus():
+def test_capped_genus_is_the_genus_up_to_the_cap(monkeypatch):
     specs = [CurveSpec(f, k) for f in ("ck", "ek", "ak") for k in range(1, 12)]
     specs += [CurveSpec("ckp", k, p) for p in (3, 5) for k in range(1, 12)]
+    # either side of the cap: 2^63, 2^64 and 2^65; 2^63 + 1 and 2^64 + 1; 3^40 and 3^41
+    specs += [CurveSpec(f, k) for f in ("ck", "ek") for k in (64, 65, 66)]
+    specs += [CurveSpec("ckp", k, 3) for k in (40, 41)]
+    assert GENUS_CAP == 1 << 64
     for spec in specs:
-        for cap in (0, 1, 5, 100, 1 << 64):
-            assert spec.genus_at_most(cap) == min(spec.genus, cap), (spec, cap)
+        assert spec.capped_genus == min(spec.genus, GENUS_CAP), spec
+
+    def refuse(self):
+        raise AssertionError("genus formed")
+
+    # p^k for k = 10^8 has tens of millions of digits: the cap is read off k alone
+    monkeypatch.setattr(CurveSpec, "genus", property(refuse))
+    for spec in (CurveSpec("ck", 10**8), CurveSpec("ek", 10**8), CurveSpec("ckp", 10**8, 3)):
+        assert spec.capped_genus == GENUS_CAP, spec
 
 
 GENUS_SPECS = (

@@ -305,6 +305,15 @@ def test_hasse_weil_check():
     assert time.perf_counter() - start < 2
 
 
+def test_hasse_weil_check_refuses_a_count_past_the_genus_cap():
+    # the genus of C_(10^8) is past the cap; N_1 = 2^70 is not a count of GF(2),
+    # while N_1 = 3 (|s_1| = 0) is within the bound
+    spec = CurveSpec("ck", 10**8)
+    assert hasse_weil_check(PointCounts(spec, (1 << 70, 3), ("cached", "fresh"))) == (False, 0)
+    assert hasse_weil_check(PointCounts(spec, (3, 1 << 70), ("fresh", "cached"))) == (False, 1)
+    assert hasse_weil_check(PointCounts(spec, (3,), ("fresh",))).ok
+
+
 @pytest.mark.parametrize(
     "family,k,p",
     [("ck", 1, 2), ("ck", 2, 2), ("ck", 3, 2), ("ek", 1, 2), ("ek", 2, 2), ("ckp", 1, 3)],
