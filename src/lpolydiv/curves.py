@@ -134,8 +134,8 @@ class PointCounts(_Value):
 
 
 class CountIntegrityError(RuntimeError):
-    """A computed or cached count violates the Hasse-Weil bound, a cache record is malformed,
-    or two cache records store different counts for one key."""
+    """A computed or cached count violates the Hasse-Weil bound or the fiber rule, a cache
+    record is malformed, or two cache records store different counts for one key."""
 
 
 def _fiber_terms(spec: CurveSpec, m: int) -> tuple[int, int]:
@@ -175,9 +175,12 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
     """N_m with its provenance, 'fresh' or 'cached', consulting and filling the cache.
 
     Every count, cached or fresh, must pass the Hasse-Weil bound at the capped
-    genus before it is returned or stored.  A cached count builds no field.
+    genus, then the fiber rule, before it is returned or stored: with b = 1 + [e = -1],
+    N_m = b mod p and b <= N_m <= p^(m+1) + b, since each fiber has 0 or p points,
+    e = -1 adds (0, 0) and one point is at infinity.  The rule reads no genus, so it
+    also holds past the cap.  A cached count builds no field.
     """
-    _fiber_terms(spec, m)
+    terms = _fiber_terms(spec, m)
     n = cache.lookup(spec, m) if cache is not None else None
     provenance = "cached"
     if n is None:
@@ -185,6 +188,11 @@ def count_field(spec: CurveSpec, m: int, *, cache=None) -> tuple[int, str]:
         provenance = "fresh"
     if not hasse_weil_ok(n, spec.p, m, spec.capped_genus):
         raise CountIntegrityError(f"N_{m} = {n} for {spec.label} violates the Hasse-Weil bound")
+    base = 1 + (terms[1] == -1)
+    if (n - base) % spec.p or not base <= n <= spec.p ** (m + 1) + base:
+        raise CountIntegrityError(
+            f"N_{m} = {n} for {spec.label} violates the fiber rule N = {base} mod p, {base} <= N <= p^(m+1) + {base}"
+        )
     if provenance == "fresh" and cache is not None:
         cache.store(spec, m, n)
     return n, provenance

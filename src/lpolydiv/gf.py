@@ -20,9 +20,9 @@ t_n = Tr(x^n), n < 2m - 1, and Tr(a) = sum_(i<m) digit_i(a) t_i mod p (for
 p = 2, the parity of a & trace_mask, the vector packed into bits).  The t_n
 are the power sums of the modulus's roots, so Newton's identities give them
 from its coefficients with no field multiplication (Lidl-Niederreiter, *Finite
-Fields*, ch. 1 §4 and ch. 2 §3), run as :func:`_series_quotient`, the
-package's one exact ascending series division, which :mod:`lpolydiv.lseries`
-also runs for power sums and divisibility.  The vector is built on first use.
+Fields*, ch. 1 §4 and ch. 2 §3), by :func:`_power_sums`, the package's one
+power-sum function, which :mod:`lpolydiv.lseries` also runs for an
+L-polynomial.  The vector is built on first use.
 
 Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22; terms that
 need the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
@@ -198,7 +198,7 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 # Over the integers, not F_p: the package's one exact ascending series division,
-# for the trace vector here and for the power sums and divisibility of lseries.
+# for the power sums below and for the divisibility of lseries.
 def _series_quotient(numer: Sequence[int], denom: Sequence[int]) -> list[int]:
     """The first len(numer) coefficients of the power series numer/denom (denom[0] != 0),
     by exact ascending division; the list stops short at the first step that leaves the integers."""
@@ -211,6 +211,13 @@ def _series_quotient(numer: Sequence[int], denom: Sequence[int]) -> list[int]:
             break
         quo.append(c)
     return quo
+
+
+def _power_sums(coeffs: Sequence[int], upto: int) -> list[int]:
+    """s_1..s_upto of the reciprocal roots of 1 + c_1 T + c_2 T^2 + ... (coeffs[0] = 1):
+    the series -T c'(T) / c(T), Newton's identities, every step exact."""
+    c = tuple(coeffs) + (0,) * (upto + 1 - len(coeffs))
+    return _series_quotient([-n * c[n] for n in range(upto + 1)], coeffs)[1:]
 
 
 def _is_irreducible(f: int, p: int, m: int) -> bool:
@@ -321,14 +328,11 @@ class FieldContext:
         """t_n = Tr(x^n) for n < 2m - 1, x the residue class of X.
 
         t_0 = m, and for n >= 1 Tr(x^n) is the n-th power sum of the modulus's
-        roots: the coefficient of T^n in -T r'(T) / r(T), r the reversed modulus
-        T^m f(1/T) = 1 + c_(m-1) T + ... + c_0 T^m, taken over the integers and
-        reduced mod p.
+        roots, :func:`_power_sums` of the reversed modulus T^m f(1/T) =
+        1 + c_(m-1) T + ... + c_0 T^m, taken over the integers and reduced mod p.
         """
         p, m = self.p, self.m
-        r = self.modulus[::-1]
-        sums = _series_quotient([-n * r[n] if n <= m else 0 for n in range(2 * m - 1)], r)
-        return (m % p, *(s % p for s in sums[1:]))
+        return (m % p, *(s % p for s in _power_sums(self.modulus[::-1], 2 * m - 2)))
 
     def generator(self) -> int:
         """Smallest multiplicative generator in packed-int order."""

@@ -12,11 +12,11 @@ One builder, for counts and base changes alike, solves it for a_1..a_g, each
 division by m exact, takes a_(g+1)..a_(2g) from the functional equation, and
 requires every further s_m to satisfy it; a remainder or a mismatch signals a
 wrong genus, a wrong infinity count, or corrupted input, and raises naming m.
-The same recurrence read as the power series -t L'(t) / L(t) gives the power sums,
-by the one exact ascending series division that also decides divisibility: one
-pass over the numerator and one check that the quotient's tail is zero.  That
-division is :func:`lpolydiv.gf._series_quotient`, which also builds each field's
-trace vector.
+The power sums of an L-polynomial come from :func:`lpolydiv.gf._power_sums`, the
+package's one power-sum function, which also builds each field's trace vector.
+It runs the exact ascending series division :func:`lpolydiv.gf._series_quotient`
+that also decides divisibility: one pass over the numerator and one check that
+the quotient's tail is zero.
 All arithmetic is arbitrary-precision integer (or exact rational), never float.
 """
 
@@ -24,7 +24,7 @@ import json
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, hasse_weil_ok
-from .gf import _ptrim, _series_quotient
+from .gf import _power_sums, _ptrim, _series_quotient
 
 
 class LSeriesError(ValueError):
@@ -103,13 +103,8 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
 
 
 def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:
-    """s_1..s_upto of the reciprocal roots: the power series -t L'(t) / L(t).
-
-    That is Newton's recurrence with a_m = 0 past 2g, run as one exact
-    ascending division, every step exact because a_0 = 1.
-    """
-    a = lpoly.coeffs + (0,) * (upto - 2 * lpoly.g)
-    return _series_quotient([-m * a[m] for m in range(upto + 1)], lpoly.coeffs)[1:]
+    """s_1..s_upto of the reciprocal roots, by :func:`lpolydiv.gf._power_sums`."""
+    return _power_sums(lpoly.coeffs, upto)
 
 
 def predicted_count(lpoly: LPolynomial, m: int) -> int:

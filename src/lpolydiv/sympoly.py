@@ -164,10 +164,17 @@ def _tower(k: int, l: int) -> tuple[int, int]:
     return 1 << l, k // l
 
 
+def _trace_sum(n: int, s: int) -> SparsePoly:
+    """T = sum of x^(2^(i s)), i < n, over GF(2), refused where x^(2^(n s)) passes the term bound."""
+    if n * s >= MAX_EXPONENT.bit_length():
+        raise ValueError(f"x^(2^{n * s}) would overflow the 64-bit exponent bound")
+    return SparsePoly(2, ((1 << (i * s), 1) for i in range(n)))
+
+
 def build_f(k: int, l: int) -> SparsePoly:
-    """x-coordinate map of the tower morphism: sum of x^(q^j), j < r."""
-    q, r = _tower(k, l)
-    return SparsePoly(2, ((q**j, 1) for j in range(r)))
+    """x-coordinate map of the tower morphism: sum of x^(q^j), j < r, the trace sum with s = l."""
+    _, r = _tower(k, l)
+    return _trace_sum(r, l)
 
 
 def build_g(k: int, l: int) -> SparsePoly:
@@ -204,15 +211,11 @@ def verify_covering(k: int, l: int) -> bool:
 
 
 def verify_trace_morphism(n: int, k: int) -> bool:
-    """Check T^(2^k) + T = x^(2^(n k)) + x for T = sum of x^(2^(i k)), i < n."""
+    """Check T^(2^k) + T = x^(2^(n k)) + x for the trace sum T = sum of x^(2^(i k)), i < n."""
     if n <= 1 or k < 1:
         raise ValueError(f"need n > 1 and k >= 1, got n={n}, k={k}")
-    if n * k >= MAX_EXPONENT.bit_length():
-        raise ValueError(f"n*k = {n * k} would overflow the 64-bit exponent bound")
-    t = SparsePoly(2, ((1 << (i * k), 1) for i in range(n)))
-    lhs = t ** (1 << k) + t
-    rhs = x_pow(2, 1 << (n * k)) + x_pow(2, 1)
-    return lhs == rhs
+    t = _trace_sum(n, k)
+    return t ** (1 << k) + t == x_pow(2, 1 << (n * k)) + x_pow(2, 1)
 
 
 # -- additive image decision --------------------------------------------------
@@ -271,19 +274,17 @@ def involution_search(k: int) -> SparsePoly | None:
     the first condition reads (mask << 1) ^ mask == 2^k + 1: the product of
     mask by 1 + x in GF(2)[x] is x^k + 1.  That product is injective and
     x^k + 1 = (1 + x)(1 + x + ... + x^(k-1)), so mask = 2^k - 1 is the only
-    solution: B = sum of x^(2^i), i < k.  B(1) = k mod 2, so B exists iff k
-    is even, and an odd k of any size gives None without building a polynomial.
+    solution: B = sum of x^(2^i), i < k, the trace sum with s = 1.  B(1) = k mod 2,
+    so B exists iff k is even, and an odd k of any size gives None without building
+    a polynomial.  B is re-verified by :func:`verify_trace_morphism` (k, 1).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k % 2:
         return None
-    if k >= MAX_EXPONENT.bit_length():  # x^(2^k) is past the term bound
-        raise ValueError(f"k = {k} would overflow the 64-bit exponent bound")
-    b = SparsePoly(2, ((1 << i, 1) for i in range(k)))
-    if b**2 + b != x_pow(2, 1 << k) + x_pow(2, 1):
+    if not verify_trace_morphism(k, 1):
         raise AssertionError("involution candidate does not re-verify")
-    return b
+    return _trace_sum(k, 1)
 
 
 # -- text format ----------------------------------------------------------------

@@ -740,6 +740,30 @@ def test_a_cached_count_no_field_can_give_is_refused_past_the_genus_cap(tmp_path
     assert "Hasse-Weil" in err
 
 
+@pytest.mark.parametrize(
+    "k, m, n",
+    [
+        (6, 1, -1),  # below the point at infinity, though within Hasse-Weil at genus 32
+        (3, 2, 6),  # within Hasse-Weil, |6 - 5| <= 16, but fibers of 0 or 2 points make N_2 odd
+        (10**8, 1, 1 << 50),  # within Hasse-Weil at the capped genus, but no count of GF(2)
+    ],
+    ids=["C6-N1-negative", "C3-N2-even", "C1e8-N1-2^50"],
+)
+def test_a_cached_count_off_the_fiber_rule_exits_1(tmp_path, capsys, k, m, n):
+    from lpolydiv.cache import CountCache
+    from lpolydiv.curves import CurveSpec
+
+    cache_file = tmp_path / "counts.jsonl"
+    CountCache(cache_file).store(CurveSpec("ck", k), m, n)
+    before = cache_file.read_bytes()
+    code, out, err = run(
+        capsys, "count", "--family", "ck", "--k", str(k), "--m", str(m), "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
+    assert "fiber rule" in err
+    assert cache_file.read_bytes() == before
+
+
 def test_a_cached_count_is_refused_where_a_fresh_one_is(tmp_path, capsys):
     from lpolydiv.cache import CountCache
     from lpolydiv.curves import CurveSpec, count_series
