@@ -204,7 +204,7 @@ COMMANDS = {
     "verify lmw": (cmd_verify_lmw, "trace-form zero count vs closed formula", (
         ("--n", int, REQUIRED, "odd degree"), ("--k", int, REQUIRED, "twist"), ("--j", int, 0, "twist below k"))),
     "verify involution": (cmd_verify_involution, "search translation involutions", (("--k", int, REQUIRED, "level"),)),
-    "verify as-image": (cmd_verify_as_image, "decide h = g^p - g by leading-term peeling", (
+    "verify as-image": (cmd_verify_as_image, "decide h = g^p - g by its chain criterion", (
         ("--p", int, 3, "characteristic"),
         ("--poly", str, None, "polynomial text (default: the degree-p tower obstruction)"))),
 }

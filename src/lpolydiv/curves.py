@@ -12,6 +12,8 @@ Function Fields and Codes, Prop. 3.7.8): g = (p - 1)/2 (sum over the poles P of 
 The pole at infinity has d = p^k + 1 and, for e = -1, the pole at 0 has d = 1, so
 g = (p - 1)(p^k + 2 [e = -1])/2; c = 0 reduces f to 0, g = 0, and L = 1 gives N_m = p^m + 1.
 Every check reads the genus capped at :data:`lpolydiv.gf.GENUS_CAP` (``capped_genus``).
+So is the p-rank (Deuring-Shafarevich; Subrao, Manuscripta Math. 16, 1975):
+gamma = (p - 1)(r - 1) for the r poles of f, which is p - 1 for e = -1 and 0 otherwise.
 A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e = -1 adds (0, 0).
 """
 
@@ -103,6 +105,11 @@ class CurveSpec(_Value):
     def genus(self) -> int:
         _, _, c, e = _PRESETS[self.family]
         return (self.p - 1) * (self.p**self.k + 2 * (e == -1)) // 2 if c else 0
+
+    @property
+    def p_rank(self) -> int:
+        """gamma = (p - 1)(r - 1), r the number of poles of f (Deuring-Shafarevich): p - 1 for e = -1, else 0."""
+        return (self.p - 1) * (_PRESETS[self.family][3] == -1)
 
     @property
     def capped_genus(self) -> int:

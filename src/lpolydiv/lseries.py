@@ -12,6 +12,8 @@ One builder, for counts and base changes alike, solves it for a_1..a_g, each
 division by m exact, takes a_(g+1)..a_(2g) from the functional equation, and
 requires every further s_m to satisfy it; a remainder or a mismatch signals a
 wrong genus, a wrong infinity count, or corrupted input, and raises naming m.
+The L built from a curve's counts must then have that curve's p-rank as its
+degree mod p.
 The power sums of an L-polynomial come from :func:`lpolydiv.gf._power_sums`, the
 package's one power-sum function, which also builds each field's trace vector.
 It runs the exact ascending series division :func:`lpolydiv.gf._series_quotient`
@@ -84,11 +86,15 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     fit the functional equation (m <= 2g) or the degree (m > 2g) in the same
     Newton pass, a consistency check, not a check of g: given N_1..N_(g+2),
     C_4 (g = 8) also passes at 6, 7 and 9, C_5 (g = 16) at 17, and C_1^(3) at 4.
+    The counts of a PointCounts must also give L the curve's p-rank: by
+    Deuring-Shafarevich the degree of L mod p, the largest i with p not dividing
+    a_i, is :attr:`~lpolydiv.curves.CurveSpec.p_rank`.  A bare count sequence names
+    no curve and skips that check.
     """
     if isinstance(counts, PointCounts):
-        seq, auto_g, auto_q = counts.counts, counts.spec.capped_genus, counts.spec.p
+        seq, auto_g, auto_q, rank = counts.counts, counts.spec.capped_genus, counts.spec.p, counts.spec.p_rank
     else:
-        seq, auto_g, auto_q = tuple(map(int_from_decimal, counts)), None, None
+        seq, auto_g, auto_q, rank = tuple(map(int_from_decimal, counts)), None, None, None
     g = auto_g if g is None else int_from_decimal(g)
     q = auto_q if q is None else int_from_decimal(q)
     if g is None or q is None:
@@ -99,7 +105,10 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
         if not hasse_weil_ok(n, q, m, g):
             raise LSeriesError(f"count N_{m} = {n} violates the Hasse-Weil bound")
     sums = [q**m + 1 - n for m, n in enumerate(seq, start=1)]
-    return _from_power_sums(q, g, sums, "wrong genus, wrong point at infinity, or corrupted counts")
+    lpoly = _from_power_sums(q, g, sums, "wrong genus, wrong point at infinity, or corrupted counts")
+    if rank is not None and rank != (d := max(i for i, a in enumerate(lpoly.coeffs) if a % auto_q)):
+        raise LSeriesError(f"L mod {auto_q} has degree {d}, not {counts.spec.label}'s p-rank {rank}: corrupted counts")
+    return lpoly
 
 
 def power_sums(lpoly: LPolynomial, upto: int) -> list[int]:

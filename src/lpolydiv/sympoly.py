@@ -8,9 +8,14 @@ parameters that would overflow it.
 On top of the ring arithmetic sit the checks this package exists for: the
 covering identity f^(q+1) + f = x^(q^r + 1) + x + g^2 + g behind the tower
 morphisms of the ck family, the trace morphism identity for the ak family,
-the additive-image decision procedure for h = g^p - g, and the translation
-involutions (x, y) -> (x + 1, y + B(x)), which have a closed form and are
-not searched.
+the additive-image decision for h = g^p - g, and the translation involutions
+(x, y) -> (x + 1, y + B(x)).  No check searches.  The additive image is read off
+a chain criterion (Stichtenoth, Algebraic Function Fields and Codes, Sec. 3.7):
+h = g^p - g has a solution iff, for each p-free u and for the constant, the
+coefficients of h at x^(p^j u), j >= 0, sum to 0 mod p.  The degree-p tower
+obstruction x^(p^2+p) + x^(2p) + x^(p+1) + x^p fails it for odd p at u = p + 1,
+whose chain holds x^(p(p+1)) and x^(p+1) and sums to 2; for p = 2 every chain
+sums to 0.  The involution has a closed form.
 
 Powers are taken by the base-p digits of the exponent: a^p is the Frobenius
 image sum of c x^(p e), exact over GF(p), so only the digits cost schoolbook
@@ -240,27 +245,33 @@ def tower_obstruction(p: int) -> SparsePoly:
 
 
 def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
-    """Decide whether h = g^p - g for some polynomial g over GF(p).
+    """Decide whether h = g^p - g for some polynomial g over GF(p), by the chain criterion.
 
-    Greedy leading-term peeling: a top term c x^d with p | d is killed by
-    subtracting (c x^(d/p))^p - c x^(d/p), since c^(1/p) = c in GF(p).  A top
-    term whose degree p does not divide (or a leftover nonzero constant) is
-    unreachable.  A returned witness has been re-verified exactly.
+    Over GF(p), g^p - g = sum of g_e (x^(p e) - x^e), so h moves coefficients only
+    along the chains u, p u, p^2 u, ... with u free of p, and along each chain they
+    telescope: h is an image iff, for every p-free u and for the constant (u = 0),
+    the coefficients of h at the exponents p^j u sum to 0 mod p.  Then the witness
+    has coefficient sum_(i>j) h_(p^i u) at p^j u, and no constant term; it is
+    re-verified exactly.  Otherwise stuck_degree is the largest u whose chain sum is
+    nonzero, the degree at which leading-term peeling stops.
+
+    In :func:`tower_obstruction`, x^(p^2+p) = x^(p (p+1)) and x^(p+1) share the chain
+    of u = p + 1 and sum to 2, nonzero for odd p, so odd p is stuck at p + 1.  For
+    p = 2 the chains of 3 (x^6, x^3) and of 1 (x^4, x^2) each sum to 0, and the
+    witness is x^3 + x^2.
     """
     p = h.p
-    work = dict(h.terms)
-    witness = []
-    while work:
-        d = max(work)
-        if d == 0 or d % p:
-            return ArtinSchreierDecision(False, None, d)
-        c = work.pop(d)
-        e = d // p
-        witness.append((e, c))
-        _add_terms(work, ((e, c),), p)
+    chains, witness = {}, []
+    for e, c in h.terms.items():
+        while e and e % p == 0:  # c x^(p^i u) feeds the witness at p^j u for every j < i
+            e //= p
+            witness.append((e, c))
+        _add_terms(chains, ((e, c),), p)
+    if chains:
+        return ArtinSchreierDecision(False, None, max(chains))
     g = SparsePoly(p, witness)
     if frobenius(g) - g != h:
-        raise AssertionError("peeling produced a witness that does not re-verify")
+        raise AssertionError("the chain criterion produced a witness that does not re-verify")
     return ArtinSchreierDecision(True, g, None)
 
 

@@ -10,8 +10,9 @@ expands the zeta function's logarithmic derivative as a power series,
 polynomial division is ascending long division over the rationals,
 irreducibility is decided by trial division over all low-degree monic
 polynomials, and so is primality.  The covering-defect oracle takes every
-power by SparsePoly's schoolbook product, and the involution oracle scans all
-2^k candidates.
+power by SparsePoly's schoolbook product, the involution oracle scans all
+2^k candidates, and the additive-image oracle is the greedy leading-term peel
+that the chain criterion replaced.
 The command-line oracle is the argparse parser the CLI's table parser replaced,
 reading an int option by a regular expression: an optional sign, then ASCII digits.
 
@@ -228,6 +229,31 @@ def involution_scan(k):
         for mask in range(1 << k)
         if ((mask << 1) ^ mask) == target and mask.bit_count() % 2 == 0
     ]
+
+
+def peel_artin_schreier(h):
+    """(in_image, witness, stuck_degree) for h = g^p - g, by greedy leading-term peeling.
+
+    A top term c x^d with p | d is killed by subtracting (c x^(d/p))^p - c x^(d/p),
+    since c^(1/p) = c in GF(p); a top term whose degree p does not divide, or a
+    leftover nonzero constant, is unreachable.  One max() per step.
+    """
+    p = h.p
+    work = dict(h.terms)
+    witness = []
+    while work:
+        d = max(work)
+        if d == 0 or d % p:
+            return False, None, d
+        c = work.pop(d)
+        e = d // p
+        witness.append((e, c))
+        c = (work.get(e, 0) + c) % p
+        if c:
+            work[e] = c
+        else:
+            work.pop(e, None)
+    return True, SparsePoly(p, witness), None
 
 
 def trial_division_is_prime(n):

@@ -764,6 +764,18 @@ def test_a_cached_count_off_the_fiber_rule_exits_1(tmp_path, capsys, k, m, n):
     assert cache_file.read_bytes() == before
 
 
+def test_a_cached_count_off_the_p_rank_exits_1(tmp_path, capsys):
+    from lpolydiv.cache import CountCache
+    from lpolydiv.curves import CurveSpec
+
+    # N_2 = 7 for C_2 (true value 9) passes Hasse-Weil, the fiber rule and Newton, and gives
+    # L = 4t^4+4t^3+3t^2+2t+1, of degree 2 mod 2 where C_2's p-rank is 0
+    CountCache(tmp_path / "counts.jsonl").store(CurveSpec("ck", 2), 2, 7)
+    code, out, err = run(capsys, "lpoly", "--family", "ck", "--k", "2", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert "p-rank 0" in err
+
+
 def test_a_cached_count_is_refused_where_a_fresh_one_is(tmp_path, capsys):
     from lpolydiv.cache import CountCache
     from lpolydiv.curves import CurveSpec, count_series

@@ -79,6 +79,44 @@ def test_each_surplus_count_is_checked(spec):
             lpoly_from_counts(changed, g=g, q=q)
 
 
+IN_REACH = (
+    [CurveSpec("ck", k) for k in range(1, 7)] + [CurveSpec("ek", k) for k in range(1, 6)]
+    + [CurveSpec("ckp", k, 3) for k in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("spec", IN_REACH, ids=lambda spec: spec.label)
+def test_every_curve_in_reach_has_its_p_rank(spec):
+    # Deuring-Shafarevich: deg(L mod p) = (p - 1)(r - 1), r the poles of f; only ek has two
+    assert spec.p_rank == (spec.family == "ek")
+    lp = lpoly_from_counts(count_series(spec))
+    assert max(i for i, a in enumerate(lp.coeffs) if a % spec.p) == spec.p_rank
+
+
+def test_the_p_rank_refuses_corrupted_counts_that_pass_newton():
+    # One N_m, m <= g, moved by +-p, +-2p or +-3p keeps the fiber rule.  53 of these series pass
+    # Hasse-Weil and exact Newton as bare counts; as a curve's counts, 23 give L a degree mod p
+    # off the p-rank and are refused, and the other 30 still build an L.
+    passed = refused = 0
+    for spec in [spec for spec in IN_REACH if spec.label not in ("C_1", "C_6", "E_1")]:
+        series, g, p = count_series(spec), spec.genus, spec.p
+        for m in range(1, g + 1):
+            for delta in (-3 * p, -2 * p, -p, p, 2 * p, 3 * p):
+                counts = list(series.counts)
+                counts[m - 1] += delta
+                try:
+                    lpoly_from_counts(counts, g=g, q=p)
+                except LSeriesError:
+                    continue
+                passed += 1
+                try:
+                    lpoly_from_counts(PointCounts(spec, tuple(counts), series.provenance))
+                except LSeriesError as exc:
+                    assert f"{spec.label}'s p-rank {spec.p_rank}" in str(exc)
+                    refused += 1
+    assert (passed, refused) == (53, 23)
+
+
 def test_constructor_validation():
     for args, message in [
         ((1, 1, (1, 0, 1)), "bad parameters q=1, g=1"),

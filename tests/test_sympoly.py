@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from lpolydiv.sympoly import (
     verify_trace_morphism,
     x_pow,
 )
-from helpers import build_g_fixed_scale, involution_scan, schoolbook_covering_defect
+from helpers import build_g_fixed_scale, involution_scan, peel_artin_schreier, schoolbook_covering_defect
 
 
 def test_frobenius_square_char2():
@@ -211,6 +213,39 @@ def test_artin_schreier_roundtrip(pi, data):
     assert result.in_image
     assert frobenius(result.witness) - result.witness == h
     assert result.witness == g  # g drawn without constant term, so unique
+
+
+def _chain_exponents(p):
+    """Exponents p^j u, so that terms share chains; u = 0 gives the constant."""
+    return st.builds(lambda u, j: p**j * u, st.integers(0, 40), st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 13)), kind=st.sampled_from(("image", "perturbed", "arbitrary")),
+       data=st.data())
+def test_artin_schreier_criterion_matches_the_peel(p, kind, data):
+    coeffs = st.integers(1, p - 1)
+    h = SparsePoly(p, data.draw(st.dictionaries(_chain_exponents(p), coeffs, max_size=10)))
+    if kind != "arbitrary":
+        h = frobenius(h) - h
+    if kind == "perturbed":
+        h = h + x_pow(p, data.draw(_chain_exponents(p)), data.draw(coeffs))
+    decision = artin_schreier_image(h)
+    assert tuple(decision) == peel_artin_schreier(h)
+    if decision.in_image:
+        assert frobenius(decision.witness) - decision.witness == h
+
+
+def test_artin_schreier_decision_is_linear():
+    # 32,000 terms over GF(3): the chain criterion reads each once, where the peel took a max()
+    # over the remaining terms per step
+    g = SparsePoly(3, ((3 * i + 1, 1) for i in range(16000)))
+    h = frobenius(g) - g
+    assert len(h.terms) == 32000
+    start = time.perf_counter()
+    decision = artin_schreier_image(h)
+    assert time.perf_counter() - start < 1
+    assert decision.in_image and decision.witness == g
 
 
 def test_involution_examples():
