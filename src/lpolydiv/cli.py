@@ -80,7 +80,6 @@ def cmd_conjecture(args) -> int:
         l_k = lseries.lpoly_from_counts(curves.count_series(spec, cache=store))
         result = lseries.divides(l_base, l_k)
         all_ok = all_ok and result.divides
-        quotient = lseries.format_int_poly(result.quotient) if result.divides else "-"
         _emit(
             args,
             {
@@ -92,7 +91,8 @@ def cmd_conjecture(args) -> int:
                 "fail_index": result.fail_index,
             },
             f"k={k}: L({base.label}) divides L({spec.label}): "
-            f"{'yes, quotient ' + quotient if result.divides else 'NO (fails at coefficient ' + str(result.fail_index) + ')'}",
+            + (f"yes, quotient {lseries.format_int_poly(result.quotient)}" if result.divides
+               else f"NO (fails at coefficient {result.fail_index})"),
         )
     if args.format == "table":
         print(f"all divisible: {'yes' if all_ok else 'no'}")

@@ -19,7 +19,7 @@ A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e 
 
 import math
 
-from .gf import GENUS_CAP, _int, check_field_limits, choose_kernel, is_prime, jacobi_symbol, make_field
+from .gf import GENUS_CAP, _int, check_field_limits, choose_kernel, int_to_decimal, is_prime, jacobi_symbol, make_field
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 # family -> (label pattern, p: 2 or None for any odd prime, c, e)
@@ -70,8 +70,6 @@ class _Value:
 
 def _repr(value) -> str:
     """repr(value), with each int, alone or in a tuple, written past Python's digit limit."""
-    from .lseries import int_to_decimal  # lseries imports this module
-
     if type(value) is int:
         return int_to_decimal(value)
     if type(value) is tuple:  # (1,) keeps its comma

@@ -28,6 +28,10 @@ Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22; terms that
 need the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
+
+The package's integer rules live here too, below every other module: :func:`_int` takes
+an int alone, :func:`int_from_decimal` reads an int or a decimal string of any length,
+and :func:`int_to_decimal` writes one past Python's digit limit.
 """
 
 import functools
@@ -410,6 +414,41 @@ def _int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+# Python refuses str(n) and int(text) past a digit limit (4300 by default, at least
+# 640), which a base change soon passes; these convert 600 digits at a time.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n), for an int of any length."""
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
+
+
+def int_from_decimal(text) -> int:
+    """The one rule for an integer input: an int, or a decimal string of any length.
+
+    A string is an optional sign, then ASCII digits, judged the same way at every
+    length; a float, a bool, or a string with spaces or underscores is refused.
+    """
+    if type(text) is int:
+        return text
+    if type(text) is not str:
+        raise TypeError(f"expected an int or a decimal string, got {type(text).__name__}")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start : start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text[0] == "-" else value
 
 
 def check_field_limits(p: int, m: int) -> None:

@@ -20,13 +20,15 @@ It runs the exact ascending series division :func:`lpolydiv.gf._series_quotient`
 that also decides divisibility: one pass over the numerator and one check that
 the quotient's tail is zero.
 All arithmetic is arbitrary-precision integer (or exact rational), never float.
+Integers are read and written by :func:`lpolydiv.gf.int_from_decimal` and
+:func:`lpolydiv.gf.int_to_decimal`, imported here, so they resolve from this module too.
 """
 
 import json
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, hasse_weil_ok
-from .gf import _power_sums, _ptrim, _series_quotient
+from .gf import _power_sums, _ptrim, _series_quotient, int_from_decimal, int_to_decimal
 
 
 class LSeriesError(ValueError):
@@ -215,41 +217,6 @@ def hasse_weil_check(counts: PointCounts) -> HasseWeilResult:
 
 
 # -- serialization ----------------------------------------------------------
-
-# Python refuses str(n) and int(text) past a digit limit (4300 by default, at least
-# 640), which a base change soon passes; these convert 600 digits at a time.
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def int_to_decimal(n: int) -> str:
-    """str(n), for an int of any length."""
-    rest, chunks = abs(n), []
-    while rest >= _CHUNK:
-        rest, low = divmod(rest, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
-
-
-def int_from_decimal(text) -> int:
-    """The one rule for an integer input: an int, or a decimal string of any length.
-
-    A string is an optional sign, then ASCII digits, judged the same way at every
-    length; a float, a bool, or a string with spaces or underscores is refused.
-    """
-    if type(text) is int:
-        return text
-    if type(text) is not str:
-        raise TypeError(f"expected an int or a decimal string, got {type(text).__name__}")
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"invalid decimal integer of {len(text)} characters")
-    value = 0
-    for start in range(0, len(digits), _CHUNK_DIGITS):
-        chunk = digits[start : start + _CHUNK_DIGITS]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if text[0] == "-" else value
-
 
 def lpoly_to_record(lpoly: LPolynomial) -> dict:
     return {"q": lpoly.q, "g": lpoly.g, "coeffs": [int_to_decimal(c) for c in lpoly.coeffs]}

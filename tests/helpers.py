@@ -9,7 +9,8 @@ kernel's Gram matrix one field product and trace per entry, count prediction
 expands the zeta function's logarithmic derivative as a power series,
 polynomial division is ascending long division over the rationals,
 irreducibility is decided by trial division over all low-degree monic
-polynomials, and so is primality.  The covering-defect oracle takes every
+polynomials, and so is primality.  The ck and ckp counts also have Coulter's
+closed forms, which read k only through gcd(k, m).  The covering-defect oracle takes every
 power by SparsePoly's schoolbook product, the involution oracle scans all
 2^k candidates, and the additive-image oracle is the greedy leading-term peel
 that the chain criterion replaced.
@@ -24,6 +25,7 @@ test dependency only, from the ``test`` extra; the package itself needs none.
 
 import argparse
 import functools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -254,6 +256,54 @@ def peel_artin_schreier(h):
         else:
             work.pop(e, None)
     return True, SparsePoly(p, witness), None
+
+
+def _v2(n):
+    return (n & -n).bit_length() - 1
+
+
+def closed_form_count(spec, m):
+    """N_m = q + 1 + S_m of ck or ckp over GF(q), q = p^m, by Coulter's closed forms.
+
+    With d = gcd(k, m) and r = m/d, ck (Coulter, New Zealand J. Math. 28, 1999) has
+      r odd:                       S_m = (2/r)^d 2^((m+d)/2), (2/r) the Jacobi symbol;
+      r even, v2(m) = v2(k) + 1:   S_m = 0;
+      otherwise:                   S_m = eps 2^(m/2+d), eps = +1 if d is odd and r = 4 mod 8,
+                                   else -1.
+    The even-r sign eps was fitted to counts, not derived from the theorem's b != 0 case.
+    ckp (derived from Coulter, Acta Arith. 83, 1998), with f = p - 1 if p | m, else -1:
+      r even, m = 2u:              S_m = -p^(u+d) f if u/d is even, -p^u f if u/d is odd;
+      r odd, m even:               S_m = -s p^(m/2) f, s = 1 if p = 1 mod 4, else (-1)^(m/2);
+      m odd, p | m:                S_m = 0;
+      m odd, p not dividing m:     S_m = (-m/p) t p^((m+1)/2), t = 1 if p = 1 mod 4,
+                                   else (-1)^((m+1)/2).
+    One ckp sign was likewise fixed against counts.
+    """
+    k, p = spec.k, spec.p
+    d = math.gcd(k, m)
+    r = m // d
+    if spec.family == "ck":
+        if r % 2:
+            s = (1 if r % 8 in (1, 7) else -1) ** d * 2 ** ((m + d) // 2)
+        elif _v2(m) == _v2(k) + 1:
+            s = 0
+        else:
+            s = (1 if d % 2 and r % 8 == 4 else -1) * 2 ** (m // 2 + d)
+        return 2**m + 1 + s
+    assert spec.family == "ckp"
+    f = p - 1 if m % p == 0 else -1
+    quarter = p % 4 == 1
+    if r % 2 == 0:
+        u = m // 2
+        s = -(p ** (u + d) if (u // d) % 2 == 0 else p**u) * f
+    elif m % 2 == 0:
+        s = -(1 if quarter else (-1) ** (m // 2)) * p ** (m // 2) * f
+    elif m % p == 0:
+        s = 0
+    else:
+        legendre = 1 if pow(-m % p, (p - 1) // 2, p) == 1 else -1
+        s = legendre * (1 if quarter else (-1) ** ((m + 1) // 2)) * p ** ((m + 1) // 2)
+    return p**m + 1 + s
 
 
 def trial_division_is_prime(n):

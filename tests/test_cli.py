@@ -98,6 +98,14 @@ def test_conjecture_ck(tmp_path, capsys):
     assert lines[-1] == "all divisible: yes"
 
 
+def test_conjecture_failed_division_line(tmp_path, capsys, monkeypatch):
+    failed = cli.lseries.DivisionResult(False, None, 3)
+    monkeypatch.setattr("lpolydiv.lseries.divides", lambda a, b: failed)
+    code, out, _ = run(capsys, "conjecture", "--family", "ck", "--kmax", "2", "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out == "k=2: L(C_1) divides L(C_2): NO (fails at coefficient 3)\nall divisible: no\n"
+
+
 def test_conjecture_records(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -20,7 +20,7 @@ from lpolydiv.curves import (
 )
 from lpolydiv.gf import GENUS_CAP, FieldLimitError, make_field
 from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts, predicted_count
-from helpers import bit_zero_count, oracle_affine_count, walk_zero_count
+from helpers import bit_zero_count, closed_form_count, oracle_affine_count, walk_zero_count
 
 
 def test_spec_validation():
@@ -321,6 +321,25 @@ def test_ck_matches_c1_on_coprime_odd_extensions():
         for m in (1, 3, 5, 7, 9):
             if math.gcd(k, m) == 1:
                 assert point_count(CurveSpec("ck", k), m) == c1[m]
+
+
+def test_ck_counts_match_the_closed_form():
+    # up to GF(2^32), past the bit oracle's GF(2^24)
+    cases = [(CurveSpec("ck", k), m) for k in range(1, 41) for m in range(1, 33)]
+    assert len(cases) == 1280
+    assert [(spec.k, m) for spec, m in cases if point_count(spec, m) != closed_form_count(spec, m)] == []
+
+
+def test_ckp_counts_match_the_closed_form():
+    cases = [
+        (CurveSpec("ckp", k, p), m)
+        for p in (3, 5, 7, 11, 13)
+        for m in range(1, 23)
+        if p**m <= 1 << 22
+        for k in range(1, 2 * m + 3)
+    ]
+    assert len(cases) == 480
+    assert [(spec.p, spec.k, m) for spec, m in cases if point_count(spec, m) != closed_form_count(spec, m)] == []
 
 
 def test_ak_is_rational():
