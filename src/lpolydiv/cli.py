@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         # SIGPIPE does, with fd 1 discarding so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # OSError: an unusable cache directory; its message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2

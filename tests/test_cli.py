@@ -6,11 +6,12 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from helpers import build_parser
 
-from lpolydiv import cli
+from lpolydiv import cli, sympoly
 
 
 def run(capsys, *argv):
@@ -182,7 +183,9 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "conjecture", "--family", "ck", "--kmax", "1", "--cache-dir", str(tmp_path))
     assert code == 2 and "--kmax must be >= 2" in err
     code, _, err = run(capsys, "verify", "morphism", "--k", "64", "--l", "1")
-    assert code == 2 and "64-bit exponent bound" in err
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "verify", "morphism", "--k", str(sympoly.MAX_LEVEL + 1), "--l", "1")
+    assert code == 2 and "level bound MAX_LEVEL = 512" in err
 
 
 VALID_ARGV = [
@@ -430,8 +433,8 @@ def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, a
     "argv, code",
     [
         (("verify", "involution", "--k", "62"), 0),
-        # p = 2^61 - 1 is prime: x^(p^2 + p) is past the 64-bit term bound
-        (("verify", "as-image", "--p", "2305843009213693951"), 2),
+        # p = 2^61 - 1 is prime: x^(p^2 + p) has 122 bits, and exponents have no width
+        (("verify", "as-image", "--p", "2305843009213693951"), 0),
         (("count", "--family", "ckp", "--p", "2305843009213693951", "--k", "1", "--m", "1"), 2),
         # the twist p^k is taken mod m, and the genus is not formed
         (("count", "--family", "ck", "--k", "100000000", "--m", "3"), 0),
@@ -456,6 +459,77 @@ def test_large_parameters_finish_in_two_seconds(tmp_path, argv, code):
         capture_output=True, text=True, timeout=2,
     )
     assert proc.returncode == code, proc.stderr
+
+
+FUZZ_VALUES = (0, -1, 1 << 63, (1 << 64) + 1, 10**4000, -(10**4000), 10**4000 + 1)
+FUZZ_BASE = {
+    "count": "--family ck --k 1 --m 1", "lpoly": "--family ck --k 1", "conjecture": "--family ck --kmax 2",
+    "verify morphism": "--k 2 --l 1", "verify lmw": "--n 3 --k 1", "verify involution": "--k 2",
+    "verify as-image": "",
+}
+
+
+def test_extreme_int_options_exit_cleanly(tmp_path, capsys):
+    # every int option of every command, one at a time, at values past any machine width;
+    # 10^4000 is within Python's 4,300-digit limit on int text, so it parses
+    assert set(FUZZ_BASE) == {path for path, (func, _, _) in cli.COMMANDS.items() if func}
+    lines = [
+        [*path.split(), *base.split(), f"{flag}={value}", f"--cache-dir={tmp_path}"]
+        for path, base in FUZZ_BASE.items()
+        for flag, kind, _, _ in cli._options(path) if kind is int
+        for value in FUZZ_VALUES
+    ]
+    lines += [["verify", "as-image", f"--poly=x^{value}"] for value in FUZZ_VALUES]
+    for argv in lines:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+
+
+@pytest.mark.parametrize("k, l", [(64, 1), (128, 1), (256, 2), (300, 3), (256, 1)])
+def test_verify_morphism_reaches_past_64_bits(capsys, k, l):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "morphism", "--k", str(k), "--l", str(l))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == f"covering identity (k={k}, l={l}): holds\n"
+
+
+def test_involution_past_64_bits_prints_within_the_int_text_limit(capsys):
+    k = sympoly.MAX_LEVEL - sympoly.MAX_LEVEL % 2  # the largest even k the bound admits
+    code, out, err = run(capsys, "verify", "involution", "--k", str(k))
+    assert code == 0 and err == ""
+    assert out.startswith(f"involution search k={k}: B = x^{1 << (k - 1)}+x^{1 << (k - 2)}+")
+    code, out, _ = run(capsys, "verify", "involution", "--k", "64")
+    assert code == 0 and f"x^{1 << 63}+" in out
+
+
+def test_as_image_reads_exponents_past_64_bits(capsys):
+    code, out, _ = run(capsys, "verify", "as-image", "--p", "2305843009213693951")
+    assert code == 0 and out.endswith("not an additive image (stuck at degree 2305843009213693952)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "morphism", "--k", str(sympoly.MAX_LEVEL + 1), "--l", "1"), f"k = {sympoly.MAX_LEVEL + 1}"),
+        # a bound on r = k / l alone would admit this pair: g of 10^6 terms of about 2 * 10^6 bits
+        (("verify", "morphism", "--k", "2000000", "--l", "1000000"), "k = 2000000"),
+        # the trace sum of n = 10^6 would hold about 62 GB of exponents
+        (("verify", "involution", "--k", "1000000"), "x^(2^1000000)"),
+    ],
+    ids=["morphism-E+1", "morphism-2e6-1e6", "involution-1e6"],
+)
+def test_level_bound_refuses_before_any_term_is_built(capsys, monkeypatch, argv, named):
+    def refuse(*args):
+        raise AssertionError("a polynomial was built before the refusal")
+
+    monkeypatch.setattr("lpolydiv.sympoly._add_terms", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{named} is past the level bound MAX_LEVEL = 512" in err
 
 
 def test_count_commands_leave_numpy_unloaded(tmp_path):
