@@ -241,19 +241,16 @@ def lmw_zero_count(n: int, k: int, j: int = 0) -> int:
 
 
 def lmw_formula(n: int, k: int, j: int = 0) -> int:
-    """Predicted zero count 2^(n-1) + (2/n) 2^((n-1)/2), n odd, gcd(k +- j, n) = 1."""
+    """Predicted zero count 2^(n-1) + (2/n) 2^((n-1)/2), n odd, gcd(k +- j, n) = 1.
+
+    n and j are refused first, then GF(2^n) past the field limits, before 2^(n-1)
+    is formed, then the hypothesis.
+    """
     _check_lmw(n, k, j)
+    check_field_limits(2, n)
     if math.gcd(k + j, n) != 1 or math.gcd(k - j, n) != 1:
         raise ValueError(
             f"hypothesis gcd(k+j, n) = gcd(k-j, n) = 1 fails for k={k}, j={j}, n={n}; "
             "the closed form does not apply"
         )
     return (1 << (n - 1)) + jacobi_symbol(2, n) * (1 << ((n - 1) // 2))
-
-
-def lmw_compare(n: int, k: int, j: int = 0) -> tuple[int, int]:
-    """(lmw_zero_count, lmw_formula), refusing n and j, the field limit, then the hypothesis first."""
-    _check_lmw(n, k, j)
-    check_field_limits(2, n)  # before the closed form, which forms 2^(n-1)
-    predicted = lmw_formula(n, k, j)
-    return lmw_zero_count(n, k, j), predicted

@@ -163,7 +163,7 @@ def _clmod(a: int, f: int) -> int:
     return a
 
 
-def _ptrim(a: list) -> list:  # ints mod p, or the Fractions of lseries._frac_gcd
+def _ptrim(a: list[int]) -> list[int]:  # drops trailing zeros in place, mod p here or over Z in lseries
     while a and a[-1] == 0:
         a.pop()
     return a

@@ -10,8 +10,9 @@ links the two for every m >= 1:
 
 One builder, for counts and base changes alike, solves it for a_1..a_g, each
 division by m exact, takes a_(g+1)..a_(2g) from the functional equation, and
-requires every further s_m to satisfy it; a remainder or a mismatch signals a
-wrong genus, a wrong infinity count, or corrupted input, and raises naming m.
+requires every further s_m to equal the power sum of the L so built; a remainder
+or a mismatch signals a wrong genus, a wrong infinity count, or corrupted input,
+and raises naming m.
 The L built from a curve's counts must then have that curve's p-rank as its
 degree mod p.
 The power sums of an L-polynomial come from :func:`lpolydiv.gf._power_sums`, the
@@ -19,12 +20,13 @@ package's one power-sum function, which also builds each field's trace vector.
 It runs the exact ascending series division :func:`lpolydiv.gf._series_quotient`
 that also decides divisibility: one pass over the numerator and one check that
 the quotient's tail is zero.
-All arithmetic is arbitrary-precision integer (or exact rational), never float.
+All arithmetic is arbitrary-precision integer, never float.
 Integers are read and written by :func:`lpolydiv.gf.int_from_decimal` and
 :func:`lpolydiv.gf.int_to_decimal`, imported here, so they resolve from this module too.
 """
 
 import json
+import math
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, hasse_weil_ok
@@ -62,22 +64,20 @@ class LPolynomial(_Value):
 
 
 def _from_power_sums(q: int, g: int, sums: Sequence[int], diagnosis: str) -> LPolynomial:
-    """The genus-g L-polynomial over GF(q) with power sums s_1, s_2, ... (module docstring);
-    the sum stops at a_(2g), since every later a_m is required to be 0."""
+    """The genus-g L-polynomial over GF(q) with power sums s_1, s_2, ... (module docstring):
+    Newton for a_1..a_g, the functional equation for the rest, and any surplus s_m, m > g,
+    compared with the power sums of that L by :func:`lpolydiv.gf._power_sums`."""
     a = [1]
-    for m in range(1, len(sums) + 1):
-        t = sum(sums[i - 1] * a[m - i] for i in range(max(1, m - 2 * g), m + 1))
-        if m <= g:
-            a_m, rem = divmod(-t, m)
-            if rem:
-                raise LSeriesError(f"Newton division not exact at m={m}: {diagnosis}")
-        else:
-            a_m = q ** (m - g) * a[2 * g - m] if m <= 2 * g else 0
-            if t + m * a_m:
-                raise LSeriesError(f"s_{m} is inconsistent with s_1..s_{g} at genus {g}: {diagnosis}")
-        if m <= 2 * g:
-            a.append(a_m)
-    a += [q ** (i - g) * a[2 * g - i] for i in range(len(a), 2 * g + 1)]
+    for m in range(1, g + 1):
+        a_m, rem = divmod(-sum(sums[i - 1] * a[m - i] for i in range(1, m + 1)), m)
+        if rem:
+            raise LSeriesError(f"Newton division not exact at m={m}: {diagnosis}")
+        a.append(a_m)
+    a += [q ** (m - g) * a[2 * g - m] for m in range(g + 1, 2 * g + 1)]
+    if len(sums) > g:
+        bad = next((m for m, (s, t) in enumerate(zip(sums, _power_sums(a, len(sums))), 1) if s != t), None)
+        if bad:
+            raise LSeriesError(f"s_{bad} is inconsistent with s_1..s_{g} at genus {g}: {diagnosis}")
     return LPolynomial(q, g, a)
 
 
@@ -85,8 +85,7 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     """Reconstruct the L-polynomial from N_1..N_M, M >= g, g by default the spec's capped genus.
 
     Only the first g counts determine the coefficients; each surplus count must
-    fit the functional equation (m <= 2g) or the degree (m > 2g) in the same
-    Newton pass, a consistency check, not a check of g: given N_1..N_(g+2),
+    be the count that L predicts, a consistency check, not a check of g: given N_1..N_(g+2),
     C_4 (g = 8) also passes at 6, 7 and 9, C_5 (g = 16) at 17, and C_1^(3) at 4.
     The counts of a PointCounts must also give L the curve's p-rank: by
     Deuring-Shafarevich the degree of L mod p, the largest i with p not dividing
@@ -176,32 +175,28 @@ def divides(denom, numer) -> DivisionResult:
     return DivisionResult(True, tuple(series[:qlen]), None)
 
 
-def _frac_gcd(a: list, b: list) -> list:
-    """A gcd of two polynomials given as ascending lists of Fractions."""
-    a, b = _ptrim(a[:]), _ptrim(b[:])
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A gcd over the rationals of two integer polynomials, ascending, as an integer list.
+
+    Euclid by primitive pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1): each step
+    replaces a by lc(b) a - lc(a) x^(deg a - deg b) b divided by its content, which
+    changes a only by a rational unit, so every step stays in the integers.
+    """
+    a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        inv = 1 / b[-1]
-        b = [c * inv for c in b]
         while len(a) >= len(b):
-            lead = a[-1]
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= lead * b[i]
-            _ptrim(a)
+            off, la, lb = len(a) - len(b), a[-1], b[-1]
+            a = _ptrim([lb * c - (la * b[i - off] if i >= off else 0) for i, c in enumerate(a)])
+            content = math.gcd(*a) or 1
+            a = [c // content for c in a]
         a, b = b, a
     return a
 
 
 def squarefree(poly) -> bool:
-    """True iff gcd(f, f') is constant, over the rationals with exact arithmetic."""
-    from fractions import Fraction
-
+    """True iff gcd(f, f') is constant, by the exact integer :func:`_gcd`."""
     c = _as_coeffs(poly)
-    if len(c) <= 1:
-        return True
-    f = [Fraction(v) for v in c]
-    fprime = [Fraction(i * c[i]) for i in range(1, len(c))]
-    return len(_frac_gcd(f, fprime)) == 1
+    return len(c) <= 1 or len(_gcd(c, [i * c[i] for i in range(1, len(c))])) == 1
 
 
 class HasseWeilResult(NamedTuple):

@@ -7,7 +7,9 @@ the bit level of what it builds once, where its parameters enter: the tower
 refuses k > MAX_LEVEL and the trace sum n s > MAX_LEVEL before any term exists,
 so no exponent a tower or trace check forms has more than MAX_LEVEL + 1 bits.
 :func:`parse_terms` takes any exponent int() reads, so Python's 4,300-digit
-limit on int text bounds its input.
+limit on int text bounds its input, and the additive-image decision refuses a
+term x^(p^i u) with i > MAX_LEVEL before its chain is walked, so each term adds
+at most MAX_LEVEL terms to the witness.
 
 On top of the ring arithmetic sit the checks this package exists for: the
 covering identity f^(q+1) + f = x^(q^r + 1) + x + g^2 + g behind the tower
@@ -33,7 +35,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import gf
 
-MAX_LEVEL = 512  # the largest k of a tower, and n s of a trace sum
+MAX_LEVEL = 512  # the largest k of a tower, n s of a trace sum, and chain length of an additive image
 
 
 class SparsePoly:
@@ -246,7 +248,8 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
     the coefficients of h at the exponents p^j u sum to 0 mod p.  Then the witness
     has coefficient sum_(i>j) h_(p^i u) at p^j u, and no constant term; it is
     re-verified exactly.  Otherwise stuck_degree is the largest u whose chain sum is
-    nonzero, the degree at which leading-term peeling stops.
+    nonzero, the degree at which leading-term peeling stops.  A term x^(p^i u) with
+    i > MAX_LEVEL, which alone would add i terms to the witness, is refused first.
 
     In :func:`tower_obstruction`, x^(p^2+p) = x^(p (p+1)) and x^(p+1) share the chain
     of u = p + 1 and sum to 2, nonzero for odd p, so odd p is stuck at p + 1.  For
@@ -254,8 +257,10 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
     witness is x^3 + x^2.
     """
     p = h.p
-    chains, witness = {}, []
+    chains, witness, past = {}, [], p ** (MAX_LEVEL + 1)
     for e, c in h.terms.items():
+        if e and e % past == 0:
+            raise ValueError(f"x^({p}^i u) with i > {MAX_LEVEL} is past the level bound MAX_LEVEL = {MAX_LEVEL}")
         while e and e % p == 0:  # c x^(p^i u) feeds the witness at p^j u for every j < i
             e //= p
             witness.append((e, c))

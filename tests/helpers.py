@@ -7,7 +7,8 @@ forms built from field arithmetic alone, the form oracle evaluates a
 quadratic form at every point of GF(p)^m, the trace-form oracle builds the qf
 kernel's Gram matrix one field product and trace per entry, count prediction
 expands the zeta function's logarithmic derivative as a power series,
-polynomial division is ascending long division over the rationals,
+polynomial division is ascending long division over the rationals, the
+polynomial gcd is Euclid over the rationals with each divisor made monic,
 irreducibility is decided by trial division over all low-degree monic
 polynomials, and so is primality.  The ck and ckp counts also have Coulter's
 closed forms, which read k only through gcd(k, m).  The covering-defect oracle takes every
@@ -363,6 +364,29 @@ def fraction_long_division(d, n):
             rem[i + j] -= c * dj
     bad = [i for i, r in enumerate(rem) if r]
     return (None, bad[0]) if bad else (tuple(quotient), None)
+
+
+def frac_gcd(a, b):
+    """A gcd of two integer polynomials, ascending, by Euclid over the rationals: a monic
+    list of Fractions, or a itself, trimmed, when b is zero."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim([Fraction(c) for c in a]), trim([Fraction(c) for c in b])
+    while b:
+        inv = 1 / b[-1]
+        b = [c * inv for c in b]
+        while len(a) >= len(b):
+            lead = a[-1]
+            off = len(a) - len(b)
+            for i in range(len(b)):
+                a[off + i] -= lead * b[i]
+            trim(a)
+        a, b = b, a
+    return a
 
 
 def expand_factors(factors):

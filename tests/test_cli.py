@@ -410,8 +410,8 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
 @pytest.mark.parametrize(
     "argv, skipped, limit",
     [
-        # the closed form alone forms 2^(n-1)
-        (("verify", "lmw", "--n", "33", "--k", "1"), "lmw_formula", "degree limit"),
+        # lmw_formula refuses GF(2^33) before its closed form, whose work is the Jacobi symbol
+        (("verify", "lmw", "--n", "33", "--k", "1"), "jacobi_symbol", "degree limit"),
         # curves binds make_field by name; gf.make_field is lru_cached
         (("count", "--family", "ek", "--k", "1", "--m", "21"), "make_field", "MAX_RECURRENCE_ORDER"),
         # gcd(31 + 31, 31) != 1: refused before GF(2^31) is built and counted
@@ -435,6 +435,8 @@ def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, a
         (("verify", "involution", "--k", "62"), 0),
         # p = 2^61 - 1 is prime: x^(p^2 + p) has 122 bits, and exponents have no width
         (("verify", "as-image", "--p", "2305843009213693951"), 0),
+        # a witness of 512 terms, one per step of the chain of x^(2^512) at the level bound
+        (("verify", "as-image", "--p", "2", "--poly", f"x^{2**sympoly.MAX_LEVEL}+x"), 0),
         (("count", "--family", "ckp", "--p", "2305843009213693951", "--k", "1", "--m", "1"), 2),
         # the twist p^k is taken mod m, and the genus is not formed
         (("count", "--family", "ck", "--k", "100000000", "--m", "3"), 0),
@@ -448,7 +450,7 @@ def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, a
         (("conjecture", "--family", "ckp", "--p", "3", "--kmax", "100000000"), 2),
     ],
     ids=[
-        "involution-62", "as-image-p61", "count-ckp-p61", "count-ck-k1e8", "count-ek-k1e8",
+        "involution-62", "as-image-p61", "as-image-2^E", "count-ckp-p61", "count-ck-k1e8", "count-ek-k1e8",
         "count-ckp-k1e8", "count-ck-k1e5", "lmw-k1e8", "lpoly-ckp-k1e8", "conjecture-ck-k1e8",
         "conjecture-ckp-k1e8",
     ],
@@ -530,6 +532,14 @@ def test_level_bound_refuses_before_any_term_is_built(capsys, monkeypatch, argv,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"{named} is past the level bound MAX_LEVEL = 512" in err
+
+
+@pytest.mark.parametrize("exponent", [2 ** (sympoly.MAX_LEVEL + 1), 2**14000], ids=["2^(E+1)", "2^14000"])
+def test_as_image_refuses_a_chain_past_the_level_bound(capsys, exponent):
+    # x^(2^i u) alone adds i terms to the witness: x^(2^14000) + x printed 30 MB unbounded
+    code, out, err = run(capsys, "verify", "as-image", "--p", "2", "--poly", f"x^{exponent}+x")
+    assert code == 2 and out == ""
+    assert "past the level bound MAX_LEVEL = 512" in err
 
 
 def test_count_commands_leave_numpy_unloaded(tmp_path):

@@ -385,6 +385,19 @@ def test_lmw_validation():
         lmw_formula(5, 3, 2)  # gcd(3 - 2, 5) = 1 but gcd(3 + 2, 5) = 5
 
 
+def test_lmw_formula_refuses_past_the_field_limits():
+    # n and j first, then the field before 2^(n-1) is formed, then the hypothesis
+    for n in (33, 100001):
+        with pytest.raises(FieldLimitError, match="degree limit"):
+            lmw_formula(n, 1)
+    with pytest.raises(FieldLimitError):
+        lmw_formula(33, 3)  # gcd(3, 33) = 3 fails the hypothesis too
+    with pytest.raises(ValueError, match="odd and positive"):
+        lmw_formula(34, 1)
+    with pytest.raises(ValueError, match="0 <= j < k"):
+        lmw_formula(33, 1, 1)
+
+
 def test_lmw_equality_small_grid():
     for n in (1, 3, 5, 7, 9, 11):
         for k in range(1, 5):

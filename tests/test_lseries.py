@@ -1,13 +1,16 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpolydiv import lseries
 from lpolydiv.curves import CurveSpec, PointCounts, count_series, hasse_weil_ok
 from lpolydiv.lseries import (
     LPolynomial,
     LSeriesError,
+    _gcd,
     base_change,
     divides,
     format_int_poly,
@@ -24,7 +27,7 @@ from lpolydiv.lseries import (
     squarefree,
 )
 from lpolydiv.sympoly import verify_covering
-from helpers import fraction_long_division, zeta_oracle_counts
+from helpers import expand_factors, frac_gcd, fraction_long_division, zeta_oracle_counts
 
 C1 = LPolynomial(2, 1, (1, 2, 2))
 C2 = LPolynomial(2, 2, (1, 2, 4, 4, 4))
@@ -77,6 +80,23 @@ def test_each_surplus_count_is_checked(spec):
         assert hasse_weil_ok(changed[m - 1], q, m, g)
         with pytest.raises(LSeriesError, match=rf"^s_{m} is inconsistent with s_1\.\.s_{g} at genus {g}: "):
             lpoly_from_counts(changed, g=g, q=q)
+
+
+def test_surplus_counts_are_checked_only_when_there_are_any(monkeypatch):
+    counts = count_series(CurveSpec("ck", 3), 6).counts
+    lp = lpoly_from_counts(counts[:4], g=4, q=2)
+    # the first mismatch is named, however many follow it
+    changed = list(counts[:4]) + [counts[4] + 2, counts[5] + 2]
+    with pytest.raises(LSeriesError, match=r"^s_5 is inconsistent with s_1\.\.s_4 at genus 4: "):
+        lpoly_from_counts(changed, g=4, q=2)
+
+    def refuse(*args):
+        raise AssertionError("the power sums of L ran with no surplus count")
+
+    monkeypatch.setattr(lseries, "_power_sums", refuse)
+    assert lpoly_from_counts(counts[:4], g=4, q=2) == lp
+    with pytest.raises(AssertionError, match="no surplus count"):
+        lpoly_from_counts(counts, g=4, q=2)
 
 
 IN_REACH = (
@@ -326,6 +346,41 @@ def test_squarefree_examples():
     assert squarefree((1,))
     assert not squarefree((0, 0, 1))  # t^2
     assert squarefree((0, 1))
+
+
+def _squarefree_reference(coeffs):
+    c = _trimmed(coeffs)
+    return len(c) <= 1 or len(frac_gcd(c, [i * c[i] for i in range(1, len(c))])) == 1
+
+
+def _monic(coeffs):
+    return [Fraction(c) / coeffs[-1] for c in coeffs]
+
+
+_SMALL_POLYS = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_SMALL_POLYS, g=_SMALL_POLYS, u=_SMALL_POLYS, shift=st.integers(0, 2))
+def test_integer_gcd_matches_the_rational_reference(f, g, u, shift):
+    x_shift = ((0,) * shift + (1,), 1)  # x^shift: f(0) = 0 for shift > 0
+    for h in (expand_factors([x_shift, (f, 1)]), expand_factors([x_shift, (f, 1), (g, 2)])):
+        assert squarefree(h) == _squarefree_reference(h), h
+    a, b = expand_factors([(f, 1), (g, 1)]), expand_factors([x_shift, (f, 1), (u, 1)])
+    got, want = _gcd(a, b), frac_gcd(a, b)
+    assert all(type(c) is int for c in got)
+    assert len(got) == len(want)
+    assert not got or _monic(got) == _monic(want)
+
+
+@pytest.mark.parametrize("spec", IN_REACH, ids=lambda spec: spec.label)
+def test_squarefree_of_every_l_in_reach_matches_the_rational_reference(spec):
+    lp = lpoly_from_counts(count_series(spec))
+    for s in (1, 2, 3, 4):
+        coeffs = base_change(lp, s).coeffs
+        derivative = [i * coeffs[i] for i in range(1, len(coeffs))]
+        assert _monic(_gcd(coeffs, derivative)) == _monic(frac_gcd(coeffs, derivative)), s
+        assert squarefree(coeffs) == _squarefree_reference(coeffs), s
 
 
 def test_hasse_weil_check():

@@ -46,7 +46,7 @@ def test_readme_example_prints_what_it_says():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     assert readme.count("```python\n") == 1
     example = readme.split("```python\n")[1].split("```\n")[0]
-    script = example + 'import sys\nassert "numpy" not in sys.modules\n'
+    script = example + 'import sys\nassert "numpy" not in sys.modules\nassert "fractions" not in sys.modules\n'
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     first, second, third = proc.stdout.splitlines()

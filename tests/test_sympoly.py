@@ -249,6 +249,17 @@ def test_artin_schreier_decision_is_linear():
     assert decision.in_image and decision.witness == g
 
 
+def test_artin_schreier_chain_length_is_bounded_by_the_level():
+    # 3^512 * 2 and 2 share the chain of u = 2 and sum to 0: the witness has one term per j < 512
+    h = SparsePoly(3, {2 * 3**MAX_LEVEL: 1, 2: 2})
+    decision = artin_schreier_image(h)
+    assert decision.in_image and len(decision.witness.terms) == MAX_LEVEL
+    # one more step along the chain is refused, whether or not h is an image
+    for terms in ({2 * 3 ** (MAX_LEVEL + 1): 1, 2: 2}, {3 ** (MAX_LEVEL + 1): 1, 5: 1}):
+        with pytest.raises(ValueError, match="is past the level bound MAX_LEVEL = 512"):
+            artin_schreier_image(SparsePoly(3, terms))
+
+
 def test_involution_examples():
     assert involution_search(2) == SparsePoly(2, {1: 1, 2: 1})
     assert involution_search(3) is None
