@@ -24,8 +24,8 @@ Fields*, ch. 1 §4 and ch. 2 §3), by :func:`_power_sums`, the package's one
 power-sum function, which :mod:`lpolydiv.lseries` also runs for an
 L-polynomial.  The vector is built on first use.
 
-Supported sizes: p = 2 with 1 <= m <= 32; odd p with p**m <= 2**22; terms that
-need the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
+Supported sizes: every prime p and m >= 1 with p**m <= 2**32; terms that need
+the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 
@@ -38,15 +38,15 @@ import functools
 import operator
 from typing import Sequence
 
-MAX_BINARY_DEGREE = 32
-MAX_ODD_ORDER = 1 << 22
+MAX_ORDER_BITS = 32  # every field order p**m is at most 2**MAX_ORDER_BITS
 MAX_RECURRENCE_ORDER = 1 << 20  # the recurrence expands one term per nonzero element
 
 # Discrete-log tables above this size would dominate memory and build time.
 MAX_TABLE_ORDER = 1 << 20
 
-# Every genus is read at most this large: a count that a field within the limits can give is
-# within 2^45 of q^m + 1, so it passes Hasse-Weil past the cap, and p^k for a huge k is not formed.
+# Every genus is read at most this large, so p^k for a huge k is not formed.  A count over
+# GF(q) that passes the fiber rule is within p q <= 2^64 < 2^65 sqrt(q) of q + 1, so it
+# passes Hasse-Weil at the capped genus too.
 GENUS_CAP = 1 << 64
 
 
@@ -452,7 +452,7 @@ def int_from_decimal(text) -> int:
 
 
 def check_field_limits(p: int, m: int) -> None:
-    """Refuse GF(p^m) past the limits (p = 2: m <= 32; odd p: p**m <= 2**22), searching no modulus.
+    """Refuse GF(p^m) past the order limit p**m <= 2**MAX_ORDER_BITS, searching no modulus.
 
     p and m must be ints: a bool, a float or a string raises TypeError.
     """
@@ -460,15 +460,9 @@ def check_field_limits(p: int, m: int) -> None:
         raise ValueError(f"characteristic {p} is not prime")
     if _int(m) < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if p == 2:
-        if m > MAX_BINARY_DEGREE:
-            raise FieldLimitError(f"{_field_name(p, m)} exceeds the degree limit {MAX_BINARY_DEGREE}")
-    # p**m > 2**m, so m past log2 of the limit is over it before p**m, which a
-    # huge m makes slower than any count, is computed
-    elif m >= MAX_ODD_ORDER.bit_length() or p**m > MAX_ODD_ORDER:
-        raise FieldLimitError(
-            f"{_field_name(p, m)} exceeds the odd-characteristic order limit 2^{MAX_ODD_ORDER.bit_length() - 1}"
-        )
+    # p**m >= 2**m, so the degree test keeps a huge m from forming p**m
+    if m > MAX_ORDER_BITS or p**m > 1 << MAX_ORDER_BITS:
+        raise FieldLimitError(f"{_field_name(p, m)} exceeds the order limit 2^{MAX_ORDER_BITS}")
 
 
 def _log_exact(p: int, n: int) -> int | None:

@@ -194,8 +194,14 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def squarefree(poly) -> bool:
-    """True iff gcd(f, f') is constant, by the exact integer :func:`_gcd`."""
+    """True iff gcd(f, f') is constant, by the exact integer :func:`_gcd`.
+
+    Every square divides 0, so the zero polynomial raises ValueError, much as
+    :func:`divides` refuses a zero divisor.
+    """
     c = _as_coeffs(poly)
+    if not any(c):
+        raise ValueError("the zero polynomial is divisible by every square")
     return len(c) <= 1 or len(_gcd(c, [i * c[i] for i in range(1, len(c))])) == 1
 
 

@@ -44,11 +44,15 @@ class SparsePoly:
     __slots__ = ("p", "_terms")
 
     def __init__(self, p: int, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if p != 2 and not gf.is_prime(p):  # 2 is prime: GF(2) checks never run gf
+        if type(p) is not int:  # gf._int's rule, kept here so that GF(2) checks never run gf
+            raise TypeError(f"expected an integer, got {p!r}")
+        if p != 2 and not gf.is_prime(p):  # 2 is prime
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        for e, _ in items:
+        for e, c in items:
+            if type(e) is not int or type(c) is not int:
+                raise TypeError(f"expected an integer exponent and coefficient, got {(e, c)!r}")
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
         self._terms = _add_terms({}, items, p)

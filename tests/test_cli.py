@@ -364,8 +364,8 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
     "argv, limit",
     [
         pytest.param(
-            ("count", "--family", "ck", "--k", "1", "--m", "33"), "degree limit",
-            id="ck-33-degree limit",
+            ("count", "--family", "ck", "--k", "1", "--m", "33"), "order limit 2^32",
+            id="ck-33-order limit",
         ),
         pytest.param(
             ("count", "--family", "ek", "--k", "1", "--m", "21"), "MAX_RECURRENCE_ORDER",
@@ -377,11 +377,21 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
             "order limit", id="ckp-30000000-order limit",
         ),
         # the series needs GF(2^64); its first 32 counts fit
-        pytest.param(("lpoly", "--family", "ck", "--k", "7"), "degree limit", id="lpoly-ck-7"),
+        pytest.param(("lpoly", "--family", "ck", "--k", "7"), "order limit", id="lpoly-ck-7"),
         # the genus 2^(k-1) is too long to print in decimal
         pytest.param(
-            ("lpoly", "--family", "ck", "--k", "100000000"), "degree limit",
+            ("lpoly", "--family", "ck", "--k", "100000000"), "order limit",
             id="lpoly-ck-100000000",
+        ),
+        # GF(3^20) is the largest field of characteristic 3 within 2^32
+        pytest.param(
+            ("count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "21"),
+            "GF(3^21) exceeds the order limit 2^32", id="ckp-3-21",
+        ),
+        # 4294967311 is the smallest prime above 2^32
+        pytest.param(
+            ("count", "--family", "ckp", "--p", "4294967311", "--k", "1", "--m", "1"),
+            "GF(4294967311) exceeds the order limit 2^32", id="ckp-4294967311-1",
         ),
         # k = 2 fits, k = 3 needs GF(3^27)
         pytest.param(
@@ -390,7 +400,7 @@ def test_count_past_2_26_needs_no_flag(tmp_path, capsys):
         ),
         # one check of kmax's series, with its genus capped at 2^64, not one per k
         pytest.param(
-            ("conjecture", "--family", "ck", "--kmax", "100000000"), "degree limit",
+            ("conjecture", "--family", "ck", "--kmax", "100000000"), "order limit",
             id="conjecture-ck-100000000",
         ),
         pytest.param(
@@ -411,13 +421,16 @@ def test_field_limits_refuse_before_any_work(tmp_path, capsys, argv, limit):
     "argv, skipped, limit",
     [
         # lmw_formula refuses GF(2^33) before its closed form, whose work is the Jacobi symbol
-        (("verify", "lmw", "--n", "33", "--k", "1"), "jacobi_symbol", "degree limit"),
+        (("verify", "lmw", "--n", "33", "--k", "1"), "jacobi_symbol", "order limit"),
         # curves binds make_field by name; gf.make_field is lru_cached
         (("count", "--family", "ek", "--k", "1", "--m", "21"), "make_field", "MAX_RECURRENCE_ORDER"),
         # gcd(31 + 31, 31) != 1: refused before GF(2^31) is built and counted
         (("verify", "lmw", "--n", "31", "--k", "31"), "make_field", "hypothesis"),
+        # no modulus is searched for GF(3^21), one degree past the order limit
+        (("count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "21"), "make_field", "order limit 2^32"),
+        (("conjecture", "--family", "ckp", "--p", "3", "--kmax", "3"), "make_field", "order limit 2^32"),
     ],
-    ids=["verify-lmw-33", "ek-21", "verify-lmw-31-hypothesis"],
+    ids=["verify-lmw-33", "ek-21", "verify-lmw-31-hypothesis", "ckp-3-21", "conjecture-ckp-3"],
 )
 def test_refusal_comes_before_the_work_it_skips(tmp_path, capsys, monkeypatch, argv, skipped, limit):
     def refuse(*args):
@@ -775,9 +788,10 @@ def test_module_entry_point_exit_codes(tmp_path):
         # a regular file given as the cache directory
         (["count", "--family", "ck", "--k", "1", "--m", "3",
           "--cache-dir", str(tmp_path / "counts.jsonl")], 2, "counts.jsonl/counts.jsonl"),
-        (["count", "--family", "ckp", "--p", "4194319", "--k", "1", "--m", "1",
+        # 4294967311 is the smallest prime above 2^32
+        (["count", "--family", "ckp", "--p", "4294967311", "--k", "1", "--m", "1",
           "--cache-dir", str(tmp_path / "unused")], 2,
-         "error: GF(4194319) exceeds the odd-characteristic order limit 2^22\n"),
+         "error: GF(4294967311) exceeds the order limit 2^32\n"),
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "lpolydiv", *argv], capture_output=True, text=True

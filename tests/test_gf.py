@@ -46,9 +46,12 @@ _PINNED_MODULI = {
         0x200005, 0x400003, 0x800021, 0x100001B, 0x2000009, 0x400001B, 0x8000027,
         0x10000003, 0x20000005, 0x40000003, 0x80000009, 0x10000008D,
     ),
-    3: (3, 10, 34, 86, 250, 734, 2198, 6572, 19747, 59068, 177158, 531452, 1594330),
-    5: (5, 27, 131, 627, 3146, 15632, 78131, 390627, 1953163),
-    7: (7, 50, 345, 2409, 16817, 117651, 823586),
+    3: (
+        3, 10, 34, 86, 250, 734, 2198, 6572, 19747, 59068, 177158, 531452, 1594330,
+        4782974, 14348918, 43046758, 129140170, 387420523, 1162261478, 3486784435,
+    ),
+    5: (5, 27, 131, 627, 3146, 15632, 78131, 390627, 1953163, 9765658, 48828136, 244140634, 1220703167),
+    7: (7, 50, 345, 2409, 16817, 117651, 823586, 5764811, 40353609, 282475266, 1977326753),
 }
 
 
@@ -264,11 +267,14 @@ def test_make_field_errors():
     with pytest.raises(FieldLimitError):
         make_field(2, 33)
     with pytest.raises(FieldLimitError):
-        make_field(3, 15)
-    # 4194319 is the smallest prime above 2^22; a degree-1 field is named as its repr names it
+        make_field(3, 21)
+    # 4294967311 is the smallest prime above 2^32; a degree-1 field is named as its repr names it
     with pytest.raises(FieldLimitError) as refused:
-        check_field_limits(4194319, 1)
-    assert str(refused.value) == "GF(4194319) exceeds the odd-characteristic order limit 2^22"
+        check_field_limits(4294967311, 1)
+    assert str(refused.value) == "GF(4294967311) exceeds the order limit 2^32"
+    with pytest.raises(FieldLimitError) as refused:
+        check_field_limits(2, 33)
+    assert str(refused.value) == "GF(2^33) exceeds the order limit 2^32"
 
 
 @pytest.mark.parametrize("p, m, bad", [(2, True, "True"), (2, 1.0, "1.0"), (2.0, 1, "2.0")])
@@ -298,6 +304,13 @@ def test_make_field_admits_documented_limits():
     big = make_field(2, 32)
     assert len(big.modulus) == 33
     assert big.mul(big.inv(12345), 12345) == 1
+    # one order limit for every p: the largest primes p with p, p^2 and p^3 within 2^32, and
+    # 1613 = 2 mod 3, for which no x^3 + c is irreducible, so the modulus search scans them all
+    for p, m in ((4294967291, 1), (65521, 2), (1621, 3), (1613, 3)):
+        ctx = make_field(p, m)
+        assert ctx.order <= 1 << 32 and ctx.mul(ctx.inv(12345), 12345) == 1
+    with pytest.raises(FieldLimitError):
+        check_field_limits(1627, 3)
     odd = make_field(3, 9)
     assert odd.order == 3**9
 

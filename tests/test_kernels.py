@@ -134,7 +134,7 @@ def test_trace_form_matches_the_per_entry_builder():
             for quads in ((), (0,), (1,), (2,), (5,), (m,), (m + 1, 2), (0, 1), (1, 3)):
                 assert _trace_form(ctx, quads) == trace_form_by_entries(ctx, quads), (p, m, quads)
                 cases += 1
-    assert cases == 648
+    assert cases == 837
 
 
 def test_diagonal_count_matches_brute_force():

@@ -346,6 +346,10 @@ def test_squarefree_examples():
     assert squarefree((1,))
     assert not squarefree((0, 0, 1))  # t^2
     assert squarefree((0, 1))
+    assert squarefree((-3,)) and squarefree((7, 0))  # a nonzero constant has no square factor
+    for zero in ((0,), (), (0, 0, 0), ["0", 0]):  # every square divides 0
+        with pytest.raises(ValueError, match="zero polynomial"):
+            squarefree(zero)
 
 
 def _squarefree_reference(coeffs):
@@ -365,6 +369,10 @@ _SMALL_POLYS = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
 def test_integer_gcd_matches_the_rational_reference(f, g, u, shift):
     x_shift = ((0,) * shift + (1,), 1)  # x^shift: f(0) = 0 for shift > 0
     for h in (expand_factors([x_shift, (f, 1)]), expand_factors([x_shift, (f, 1), (g, 2)])):
+        if not any(h):  # f = 0: every square divides h
+            with pytest.raises(ValueError, match="zero polynomial"):
+                squarefree(h)
+            continue
         assert squarefree(h) == _squarefree_reference(h), h
     a, b = expand_factors([(f, 1), (g, 1)]), expand_factors([x_shift, (f, 1), (u, 1)])
     got, want = _gcd(a, b), frac_gcd(a, b)

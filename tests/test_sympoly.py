@@ -48,6 +48,23 @@ def test_exponent_bound():
         x_pow(3, 2) ** -1
 
 
+@pytest.mark.parametrize(
+    "p, terms",
+    [
+        (2, [(1.5, 1), (True, 3)]),
+        (3, [(2, 1.5)]),
+        (3, {1: True}),
+        (2.0, [(1, 1)]),  # 2.0 == 2, so the p != 2 test alone lets it through
+        (3.0, []),
+        (True, []),
+    ],
+    ids=["exponent-float", "coefficient-float", "coefficient-bool", "p-2.0", "p-3.0", "p-True"],
+)
+def test_sparse_poly_takes_only_ints(p, terms):
+    with pytest.raises(TypeError, match="expected an integer"):
+        SparsePoly(p, terms)
+
+
 def test_zero_coefficients_dropped():
     assert SparsePoly(3, {4: 3, 1: 2}) == SparsePoly(3, {1: 2})
     assert (SparsePoly(2, {1: 1}) + SparsePoly(2, {1: 1})).is_zero()
