@@ -26,7 +26,7 @@ import os
 import sys
 import types
 
-from . import cache, curves, lseries, sympoly
+from . import cache, curves, gf, lseries, sympoly
 
 CACHE_ENV = "LPOLYDIV_CACHE_DIR"
 
@@ -53,7 +53,7 @@ def cmd_count(args) -> int:
     spec = curves.CurveSpec(args.family, args.k, args.p)
     n, provenance = curves.count_field(spec, args.m, cache=_cache(args))
     record = {"family": spec.family, "k": spec.k, "p": spec.p, "m": args.m, "n": n, "provenance": provenance}
-    _emit(args, record, f"{spec.label} / GF({spec.p}^{args.m}): N_{args.m} = {n} ({provenance})")
+    _emit(args, record, f"{spec.label} / {gf._field_name(spec.p, args.m)}: N_{args.m} = {n} ({provenance})")
     return 0
 
 

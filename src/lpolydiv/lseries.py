@@ -23,6 +23,8 @@ the quotient's tail is zero.
 All arithmetic is arbitrary-precision integer, never float.
 Integers are read and written by :func:`lpolydiv.gf.int_from_decimal` and
 :func:`lpolydiv.gf.int_to_decimal`, imported here, so they resolve from this module too.
+A coefficient or count sequence is read entry by entry by :func:`_ints`, which
+refuses a str or bytes rather than read it one character at a time.
 """
 
 import json
@@ -37,16 +39,26 @@ class LSeriesError(ValueError):
     """Inconsistent counts, non-exact Newton division, or a bad polynomial."""
 
 
+def _ints(values) -> tuple[int, ...]:
+    """A coefficient or count sequence, each entry read by :func:`int_from_decimal`.
+
+    A str or bytes is refused: it would be read one character or byte at a time.
+    """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError(f"expected a sequence of integers, got {type(values).__name__}")
+    return tuple(map(int_from_decimal, values))
+
+
 class LPolynomial(_Value):
     """Degree-2g integer polynomial over ground size q, coefficients ascending.
 
-    q, g and each coefficient are read by :func:`int_from_decimal`.
+    q and g are read by :func:`int_from_decimal`, the coefficients by :func:`_ints`.
     """
 
     __slots__ = ("q", "g", "coeffs")
 
     def __init__(self, q: int, g: int, coeffs: Sequence[int]):
-        self._set(int_from_decimal(q), int_from_decimal(g), tuple(map(int_from_decimal, coeffs)))
+        self._set(int_from_decimal(q), int_from_decimal(g), _ints(coeffs))
         if self.g < 0 or self.q < 2:
             raise LSeriesError(f"bad parameters q={self.q}, g={self.g}")
         if len(self.coeffs) != 2 * self.g + 1:
@@ -95,7 +107,7 @@ def lpoly_from_counts(counts, g: int | None = None, q: int | None = None) -> LPo
     if isinstance(counts, PointCounts):
         seq, auto_g, auto_q, rank = counts.counts, counts.spec.capped_genus, counts.spec.p, counts.spec.p_rank
     else:
-        seq, auto_g, auto_q, rank = tuple(map(int_from_decimal, counts)), None, None, None
+        seq, auto_g, auto_q, rank = _ints(counts), None, None, None
     g = auto_g if g is None else int_from_decimal(g)
     q = auto_q if q is None else int_from_decimal(q)
     if g is None or q is None:
@@ -144,7 +156,7 @@ class DivisionResult(NamedTuple):
 def _as_coeffs(poly) -> tuple[int, ...]:
     if isinstance(poly, LPolynomial):
         return poly.coeffs
-    return tuple(_ptrim(list(map(int_from_decimal, poly)))) or (0,)
+    return tuple(_ptrim(list(_ints(poly)))) or (0,)
 
 
 def divides(denom, numer) -> DivisionResult:

@@ -21,12 +21,15 @@ h = g^p - g has a solution iff, for each p-free u and for the constant, the
 coefficients of h at x^(p^j u), j >= 0, sum to 0 mod p.  The degree-p tower
 obstruction x^(p^2+p) + x^(2p) + x^(p+1) + x^p fails it for odd p at u = p + 1,
 whose chain holds x^(p(p+1)) and x^(p+1) and sums to 2; for p = 2 every chain
-sums to 0.  The involution has a closed form.
+sums to 0.  The tower morphism is decided by the same criterion: it exists
+iff the covering image h = f^(q+1) + f + x^(q^r + 1) + x, formed once, is an
+image g^2 + g, and :func:`build_g` is that decision's witness.  The involution
+has a closed form.
 
 Powers are taken by the base-p digits of the exponent: a^p is the Frobenius
 image sum of c x^(p e), exact over GF(p), so only the digits cost schoolbook
-products.  The covering identity's g^2 and f^(q+1) are one dict pass and one
-r x r product rather than a square of g's O(r^2 l) terms.
+products.  The covering image's f^(q+1) is one r x r product, and the
+witness's re-verification squares g by one dict pass.
 """
 
 import re
@@ -181,37 +184,31 @@ def build_f(k: int, l: int) -> SparsePoly:
     return _trace_sum(r, l)
 
 
-def build_g(k: int, l: int) -> SparsePoly:
-    """y-shift of the tower morphism.
-
-    Cross terms carry the scale 2^s for s = 0..l-1: squaring then shifts s by
-    one and the pair sums telescope, which is what makes the covering identity
-    close.  A constant scale in its place does not (see tests).
-    """
+def _covering_image(k: int, l: int) -> SparsePoly:
+    """h = f^(q+1) + f + x^(q^r + 1) + x over GF(2): the tower morphism exists iff h = g^2 + g."""
     q, r = _tower(k, l)
-    terms = [(q**j, 1) for j in range(1, r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            base = q**i + q**j
-            for s in range(l):
-                terms.append(((1 << s) * base, 1))
-    return SparsePoly(2, terms)
+    f = build_f(k, l)
+    return f ** (q + 1) + f + x_pow(2, q**r + 1) + x_pow(2, 1)
+
+
+def build_g(k: int, l: int) -> SparsePoly | None:
+    """y-shift of the tower morphism: the witness of h = g^2 + g that :func:`artin_schreier_image`
+    gives for the covering image h, with no constant term (None if h is no image)."""
+    return artin_schreier_image(_covering_image(k, l)).witness
 
 
 def covering_defect(k: int, l: int, g: SparsePoly | None = None) -> SparsePoly:
-    """f^(q+1) + f + x^(q^r + 1) + x + g^2 + g over GF(2); zero iff the identity holds."""
-    q, r = _tower(k, l)
-    f = build_f(k, l)
+    """h + g^2 + g over GF(2) for the covering image h, g by default h's witness (0 if h has
+    none); zero iff the identity holds."""
+    h = _covering_image(k, l)
     if g is None:
-        g = build_g(k, l)
-    lhs = f ** (q + 1) + f
-    rhs = x_pow(2, q**r + 1) + x_pow(2, 1) + g**2 + g
-    return lhs + rhs
+        g = artin_schreier_image(h).witness or SparsePoly(2)
+    return h + frobenius(g) + g
 
 
 def verify_covering(k: int, l: int) -> bool:
-    """True iff the tower morphism identity holds for the pair (k, l)."""
-    return covering_defect(k, l).is_zero()
+    """True iff the tower morphism identity holds for the pair (k, l): h = g^2 + g has a solution g."""
+    return artin_schreier_image(_covering_image(k, l)).in_image
 
 
 def verify_trace_morphism(n: int, k: int) -> bool:

@@ -12,7 +12,9 @@ polynomial gcd is Euclid over the rationals with each divisor made monic,
 irreducibility is decided by trial division over all low-degree monic
 polynomials, and so is primality.  The ck and ckp counts also have Coulter's
 closed forms, which read k only through gcd(k, m).  The covering-defect oracle takes every
-power by SparsePoly's schoolbook product, the involution oracle scans all
+power by SparsePoly's schoolbook product, with the tower's y-shift by default from
+the hand-derived telescoping formula that the chain criterion replaced in
+``build_g``, the involution oracle scans all
 2^k candidates, and the additive-image oracle is the greedy leading-term peel
 that the chain criterion replaced.
 The command-line oracle is the argparse parser the CLI's table parser replaced,
@@ -35,7 +37,7 @@ import numpy as np
 
 from lpolydiv import cli
 from lpolydiv.gf import make_field
-from lpolydiv.sympoly import SparsePoly, build_f, build_g, x_pow
+from lpolydiv.sympoly import SparsePoly, build_f, x_pow
 
 _BATCH = 1 << 20
 
@@ -199,8 +201,25 @@ def trace_form_by_entries(ctx, quads):
     return form
 
 
+def tower_g_formula(k, l):
+    """y-shift of the tower morphism, by the hand-derived formula.
+
+    Cross terms carry the scale 2^s for s = 0..l-1: squaring then shifts s by
+    one and the pair sums telescope, which is what makes the covering identity
+    close.  A constant scale in its place does not (see tests).
+    """
+    q, r = 1 << l, k // l
+    terms = [(q**j, 1) for j in range(1, r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            base = q**i + q**j
+            for s in range(l):
+                terms.append(((1 << s) * base, 1))
+    return SparsePoly(2, terms)
+
+
 def build_g_fixed_scale(k, l):
-    """build_g with every cross term scaled by the constant 2^l, not the telescoping 2^s.
+    """tower_g_formula with every cross term scaled by the constant 2^l, not the telescoping 2^s.
 
     It fails the covering identity: the regression anchor for the choice of scale.
     """
@@ -217,7 +236,7 @@ def schoolbook_covering_defect(k, l, g=None):
     q, r = 1 << l, k // l
     f = build_f(k, l)
     if g is None:
-        g = build_g(k, l)
+        g = tower_g_formula(k, l)
     f_power = SparsePoly(2, {0: 1})
     for _ in range(q + 1):
         f_power = f_power * f

@@ -12,6 +12,7 @@ import pytest
 from helpers import build_parser
 
 from lpolydiv import cli, sympoly
+from lpolydiv.gf import make_field
 
 
 def run(capsys, *argv):
@@ -28,6 +29,18 @@ def test_count_table_and_cache(tmp_path, capsys):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == "C_1 / GF(2^3): N_3 = 5 (cached)\n"
+
+
+@pytest.mark.parametrize(
+    "m, line",
+    [("1", "C_1^(3) / GF(3): N_1 = 7 (fresh)\n"), ("2", "C_1^(3) / GF(3^2): N_2 = 13 (fresh)\n")],
+)
+def test_count_names_the_field_as_its_refusals_do(tmp_path, capsys, m, line):
+    args = ("count", "--family", "ckp", "--p", "3", "--k", "1", "--m", m, "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == line
+    assert line.split(" / ")[1].startswith(repr(make_field(3, int(m))) + ":")
 
 
 def test_count_records(tmp_path, capsys):

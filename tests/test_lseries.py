@@ -516,6 +516,23 @@ def test_integer_inputs_refuse_every_other_type(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: divides((1, 2), "12"),
+        lambda: squarefree("121"),
+        lambda: LPolynomial(2, 1, "122"),
+        lambda: lpoly_from_counts("5", g=1, q=2),
+        lambda: divides(b"12", (1, 2)),
+    ],
+    ids=["divides", "squarefree", "LPolynomial", "lpoly_from_counts", "divides-bytes"],
+)
+def test_a_string_is_not_a_sequence_of_integers(call):
+    # each was read one character (or byte) at a time: "12" as (1, 2), b"12" as (49, 50)
+    with pytest.raises(TypeError, match="expected a sequence of integers, got (str|bytes)"):
+        call()
+
+
 def test_integer_inputs_take_ints_and_decimal_strings():
     assert LPolynomial("2", "+1", ["1", "2", "2"]) == C1
     assert lpoly_from_record({"q": "2", "g": 1, "coeffs": [1, "2", "2"]}) == C1

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpolydiv import sympoly
 from lpolydiv.sympoly import (
     MAX_LEVEL,
     SparsePoly,
@@ -20,7 +21,13 @@ from lpolydiv.sympoly import (
     verify_trace_morphism,
     x_pow,
 )
-from helpers import build_g_fixed_scale, involution_scan, peel_artin_schreier, schoolbook_covering_defect
+from helpers import (
+    build_g_fixed_scale,
+    involution_scan,
+    peel_artin_schreier,
+    schoolbook_covering_defect,
+    tower_g_formula,
+)
 
 
 def test_frobenius_square_char2():
@@ -141,6 +148,29 @@ def test_build_g_examples():
     assert build_g(2, 1) == SparsePoly(2, {2: 1, 3: 1})
     assert build_g(4, 2) == SparsePoly(2, {4: 1, 5: 1, 10: 1})
     assert sorted(build_g(6, 2).terms) == [4, 5, 10, 16, 17, 20, 34, 40]
+
+
+def test_build_g_matches_the_hand_formula():
+    pairs = [(k, l) for k in range(2, 97) for l in range(1, k) if k % l == 0] + [(256, 2), (300, 3)]
+    assert len(pairs) == 365
+    for k, l in pairs:
+        assert build_g(k, l) == tower_g_formula(k, l), (k, l)
+
+
+def test_covering_defect_without_g_is_the_tower_obstruction():
+    # with g = 0 the defect is the covering image h, and for (2, 1) that is the p = 2 obstruction
+    assert covering_defect(2, 1, SparsePoly(2)) == tower_obstruction(2)
+    assert artin_schreier_image(tower_obstruction(2)).witness == build_g(2, 1)
+
+
+@pytest.mark.parametrize("k, l", [(2, 1), (4, 2), (6, 3), (12, 1), (12, 4)])
+def test_verify_covering_fails_for_an_f_missing_a_term(monkeypatch, k, l):
+    full = build_f(k, l)
+    for e in full.terms:
+        monkeypatch.setattr(sympoly, "build_f", lambda k, l, e=e: full + x_pow(2, e))
+        assert not verify_covering(k, l), e
+        assert build_g(k, l) is None
+        assert not covering_defect(k, l).is_zero()
 
 
 def test_covering_identity_examples():
