@@ -40,7 +40,7 @@ _EXPORTS = {
         "CountIntegrityError", "CurveSpec", "PointCounts", "affine_count", "count_series",
         "lmw_formula", "lmw_zero_count", "point_count",
     ),
-    "gf": ("FieldContext", "FieldLimitError", "is_prime", "jacobi_symbol", "make_field"),
+    "gf": ("FieldContext", "FieldLimitError", "IntegrityError", "is_prime", "jacobi_symbol", "make_field"),
     "_kernels": ("trace_zero_count",),
     "lseries": (
         "DivisionResult", "HasseWeilResult", "LPolynomial", "LSeriesError", "base_change",

@@ -24,7 +24,7 @@ import functools
 import operator
 from typing import Sequence
 
-from .gf import FieldContext, _clmod, _clmul, _digits, _undigits, choose_kernel, jacobi_symbol
+from .gf import FieldContext, IntegrityError, _clmod, _clmul, _digits, _undigits, choose_kernel, jacobi_symbol
 
 
 def _trace_form(ctx: FieldContext, quads: Sequence[int]) -> list[list[int]]:
@@ -185,7 +185,7 @@ def _recurrence_count(ctx: FieldContext, exponents: Sequence[int]) -> int:
     start = head & ((1 << size) - 1)
     bits = _expand_binary(poly, start, max(n + size, count))
     if bits & ((1 << count) - 1) != head or (bits >> n) & ((1 << size) - 1) != start:
-        raise AssertionError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
+        raise IntegrityError(f"{ctx!r}: the recurrence does not reproduce the trace sequence")
     return n - (bits & ((1 << n) - 1)).bit_count()
 
 

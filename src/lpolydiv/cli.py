@@ -5,8 +5,9 @@ Primary output goes to stdout in either human-readable table form or line-delimi
 JSON records (--format records), each of which ``_emit`` begins with "record", the
 command's name, and under verify next with "check", the check's name; diagnostics go to stderr.
 Exit codes are stable for scripting: 0 means success/verified, 1 a
-verification or consistency failure, 2 a usage error (bad parameters,
-oversize field, unusable cache directory), 141 a stdout reader gone away.
+verification or consistency failure (a failed check, or a ``gf.IntegrityError``),
+2 a usage error (bad parameters, oversize field, unusable cache directory),
+141 a stdout reader gone away.
 
 ``COMMANDS`` maps each command path to its handler and options.  ``parse_args`` reads a
 plain argv (exact names, each option as ``--opt value`` or ``--opt=value``) by it, and
@@ -18,6 +19,7 @@ which the package registers lazily, so each command runs only the modules it
 uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
 a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``
 and builds no field.  ``lpoly`` and ``conjecture`` count by ``curves.count_series``.
+A command that fails also runs ``gf``, to tell an integrity failure from a usage error.
 """
 
 import functools
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a block-buffered pipe meets a gone reader here, not at exit
         return code
-    except (curves.CountIntegrityError, lseries.LSeriesError) as exc:
+    except gf.IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

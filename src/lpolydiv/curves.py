@@ -19,7 +19,10 @@ A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e 
 
 import math
 
-from .gf import GENUS_CAP, _int, check_field_limits, choose_kernel, int_to_decimal, is_prime, jacobi_symbol, make_field
+from .gf import (
+    GENUS_CAP, IntegrityError, _int, check_field_limits, choose_kernel, int_to_decimal, is_prime, jacobi_symbol,
+    make_field,
+)
 from . import _kernels  # by module, so that reading cached counts never runs it
 
 # family -> (label pattern, p: 2 or None for any odd prime, c, e)
@@ -138,7 +141,7 @@ class PointCounts(_Value):
         return len(self.counts)
 
 
-class CountIntegrityError(RuntimeError):
+class CountIntegrityError(IntegrityError, RuntimeError):
     """A computed or cached count violates the Hasse-Weil bound or the fiber rule, a cache
     record is malformed, or two cache records store different counts for one key."""
 

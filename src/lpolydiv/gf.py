@@ -31,7 +31,10 @@ Element enumeration order is the packed-int encoding, ascending.
 
 The package's integer rules live here too, below every other module: :func:`_int` takes
 an int alone, :func:`int_from_decimal` reads an int or a decimal string of any length,
-and :func:`int_to_decimal` writes one past Python's digit limit.
+and :func:`int_to_decimal` writes one past Python's digit limit.  So do both failure
+families: :class:`FieldLimitError` refuses a field past the limits, and
+:class:`IntegrityError`, which the count and L-series errors subclass and every
+self-check raises, is the one exception behind the CLI's exit code 1.
 """
 
 import functools
@@ -52,6 +55,10 @@ GENUS_CAP = 1 << 64
 
 class FieldLimitError(ValueError):
     """Field parameters outside the supported size limits."""
+
+
+class IntegrityError(Exception):
+    """A count, an L-polynomial or a self-check of a computation fails its consistency test."""
 
 
 # Miller-Rabin with every prime base up to 41 is exact below this bound
@@ -256,7 +263,7 @@ def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     for f in range(p**m, 2 * p**m):
         if _is_irreducible(f, p, m):
             return tuple(_digits(f, p, m + 1))
-    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
+    raise IntegrityError(f"no irreducible of degree {m} over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +354,7 @@ class FieldContext:
         for cand in range(2, self.order):
             if all(self.pow(cand, n // f) != 1 for f in factors):
                 return cand
-        raise AssertionError("no multiplicative generator found")
+        raise IntegrityError("no multiplicative generator found")
 
     def multiplicative_tables(self) -> tuple:
         """Build and return (exp, tr_exp), anew on every call.
@@ -370,7 +377,7 @@ class FieldContext:
             exp.append(v)
             v = self.mul(v, g)
         if v != 1:
-            raise AssertionError("generator order mismatch")
+            raise IntegrityError("generator order mismatch")
         return exp, bytes(map(self.trace, exp))
 
 

@@ -32,10 +32,10 @@ import math
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, hasse_weil_ok
-from .gf import _power_sums, _ptrim, _series_quotient, int_from_decimal, int_to_decimal
+from .gf import IntegrityError, _power_sums, _ptrim, _series_quotient, int_from_decimal, int_to_decimal
 
 
-class LSeriesError(ValueError):
+class LSeriesError(IntegrityError, ValueError):
     """Inconsistent counts, non-exact Newton division, or a bad polynomial."""
 
 

@@ -270,7 +270,7 @@ def artin_schreier_image(h: SparsePoly) -> ArtinSchreierDecision:
         return ArtinSchreierDecision(False, None, max(chains))
     g = SparsePoly(p, witness)
     if frobenius(g) - g != h:
-        raise AssertionError("the chain criterion produced a witness that does not re-verify")
+        raise gf.IntegrityError("the chain criterion produced a witness that does not re-verify")
     return ArtinSchreierDecision(True, g, None)
 
 
@@ -293,7 +293,7 @@ def involution_search(k: int) -> SparsePoly | None:
     if k % 2:
         return None
     if not verify_trace_morphism(k, 1):
-        raise AssertionError("involution candidate does not re-verify")
+        raise gf.IntegrityError("involution candidate does not re-verify")
     return _trace_sum(k, 1)
 
 

@@ -595,22 +595,36 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
 
 
 @pytest.mark.parametrize(
-    "prefill, argvs, idle, unloaded",
+    "prefill, argvs, code, idle, unloaded",
     [
-        pytest.param(None, [], LIBRARY, ("__future__", "dataclasses", "fractions", "numpy", *PARSING), id="import"),
+        pytest.param(None, [], 0, LIBRARY, ("__future__", "dataclasses", "fractions", "numpy", *PARSING), id="import"),
         pytest.param(
             None,
             [
                 ["verify", "morphism", "--k", "6", "--l", "2"],
                 ["verify", "involution", "--k", "4"],
             ],
+            0,
             ("curves", "lseries", "_kernels", "cache", "gf"),
             ("__future__", "dataclasses", "fractions", "numpy", *PARSING),
             id="verify",
         ),
+        # Telling a refusal from an integrity failure runs gf alone.
+        pytest.param(
+            None,
+            [
+                ["verify", "morphism", "--k", "513", "--l", "1"],
+                ["verify", "involution", "--k", "514"],
+            ],
+            2,
+            ("curves", "lseries", "_kernels", "cache"),
+            ("__future__", "dataclasses", "fractions", "numpy", *PARSING),
+            id="refused",
+        ),
         pytest.param(
             None,
             [["verify", "as-image", "--p", "3"]],
+            0,
             ("curves", "lseries", "_kernels", "cache"),
             ("__future__", "dataclasses", "fractions", "numpy", *PARSING),
             id="as-image",
@@ -622,6 +636,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["count", "--family", "ek", "--k", "2", "--m", "5"],
                 ["verify", "lmw", "--n", "7", "--k", "1"],
             ],
+            0,
             ("sympoly", "lseries"),
             ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="count",
@@ -632,6 +647,7 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["lpoly", "--family", "ek", "--k", "3"],
                 ["conjecture", "--family", "ck", "--kmax", "3"],
             ],
+            0,
             ("sympoly",),
             ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="lseries",
@@ -644,13 +660,14 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
                 ["lpoly", "--family", "ek", "--k", "2"],
                 WARM_PREFILL,
             ],
+            0,
             ("_kernels", "sympoly"),
             ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="warm",
         ),
     ],
 )
-def test_commands_run_only_the_modules_they_use(tmp_path, prefill, argvs, idle, unloaded):
+def test_commands_run_only_the_modules_they_use(tmp_path, prefill, argvs, code, idle, unloaded):
     if prefill:
         cmd = [sys.executable, "-m", "lpolydiv", *prefill, "--cache-dir", str(tmp_path)]
         assert subprocess.run(cmd, capture_output=True).returncode == 0
@@ -659,7 +676,7 @@ import json, sys, types
 before = set(sys.modules)
 from lpolydiv import cli
 for argv in {argvs!r}:
-    assert cli.main(argv + ["--cache-dir", {str(tmp_path)!r}]) == 0
+    assert cli.main(argv + ["--cache-dir", {str(tmp_path)!r}]) == {code}
 
 def ran(name):
     # A lazily registered module keeps the loader's module subclass until its body runs.
@@ -919,6 +936,29 @@ def test_malformed_cache_record_exits_1(tmp_path, capsys):
     )
     assert code == 1 and out == ""
     assert "malformed" in err
+
+
+def test_a_failing_self_check_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    from lpolydiv import _kernels
+
+    # (z + 1)^2 for ek's two terms: the expansion cannot reproduce the computed trace terms
+    monkeypatch.setattr(_kernels, "_min_poly", lambda ctx, h: 0b11)
+    code, out, err = run(capsys, "count", "--family", "ek", "--k", "1", "--m", "10", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the recurrence does not reproduce the trace sequence" in err
+    assert not (tmp_path / "counts.jsonl").exists()
+
+
+def test_integrity_errors_share_one_class():
+    import lpolydiv
+    from lpolydiv.curves import CountIntegrityError
+    from lpolydiv.gf import IntegrityError
+    from lpolydiv.lseries import LSeriesError
+
+    assert lpolydiv.IntegrityError is lpolydiv.gf.IntegrityError
+    assert issubclass(CountIntegrityError, IntegrityError) and issubclass(CountIntegrityError, RuntimeError)
+    assert issubclass(LSeriesError, IntegrityError) and issubclass(LSeriesError, ValueError)
 
 
 def test_commands_that_count_nothing_create_no_cache_dir(tmp_path, capsys):
