@@ -2,8 +2,8 @@
 
 The package splits into five parts:
 
-* :mod:`lpolydiv.gf` -- arithmetic in GF(p^m) on packed-int elements;
-* :mod:`lpolydiv.curves` -- the curve families and trace-based point counting;
+* :mod:`lpolydiv.gf` -- arithmetic in GF(2^m) on packed-int elements;
+* :mod:`lpolydiv.curves` -- the curve families and their point counts;
 * :mod:`lpolydiv.lseries` -- L-polynomials: Newton reconstruction, prediction,
   base change, exact division, squarefree tests;
 * :mod:`lpolydiv.sympoly` -- sparse polynomials over GF(p) and the symbolic

@@ -17,8 +17,9 @@ commands do not.
 Commands call the library through its modules (``sympoly.verify_covering``),
 which the package registers lazily, so each command runs only the modules it
 uses: ``verify`` never runs ``curves``, ``lseries``, ``_kernels`` or ``cache``,
-a GF(2) check not even ``gf``, and reading cached counts runs no ``_kernels``
-and builds no field.  ``lpoly`` and ``conjecture`` count by ``curves.count_series``.
+a GF(2) check not even ``gf``, and reading cached counts, or counting ckp by its
+closed form, runs no ``_kernels`` and builds no field.  ``lpoly`` and ``conjecture``
+count by ``curves.count_series``.
 A command that fails also runs ``gf``, to tell an integrity failure from a usage error.
 """
 

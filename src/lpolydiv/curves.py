@@ -15,6 +15,9 @@ Every check reads the genus capped at :data:`lpolydiv.gf.GENUS_CAP` (``capped_ge
 So is the p-rank (Deuring-Shafarevich; Subrao, Manuscripta Math. 16, 1975):
 gamma = (p - 1)(r - 1) for the r poles of f, which is p - 1 for e = -1 and 0 otherwise.
 A fiber above x has p points when the absolute trace Tr(f(x)) = 0, else none; e = -1 adds (0, 0).
+Three methods count, and no count of odd characteristic builds a field: ak reads N_m off
+L = 1, ckp takes Coulter's closed form (:func:`_ckp_surplus`), and ck and ek count those
+fibers over GF(2^m) by the kernel :func:`lpolydiv.gf.choose_kernel` picks.
 """
 
 import math
@@ -158,11 +161,43 @@ def _fiber_terms(spec: CurveSpec, m: int) -> tuple[int, int]:
     return terms
 
 
+def _ckp_surplus(p: int, k: int, m: int) -> int:
+    """S_m = N_m - p^m - 1 of C_k^(p) over GF(q), q = p^m, by its closed form.
+
+    N_m = q + 1 + S_m with S_m = sum over c in GF(p)* of the Weil sums
+    sum_x psi(c x^(p^k + 1) + c x), psi the canonical additive character of GF(q),
+    which Coulter evaluates (Acta Arith. 83, 1998).  They read k only through
+    d = gcd(k, m).  With r = m/d, f = p - 1 if p | m and f = -1 otherwise, and
+    chi = (-1/p):
+
+      r even, m = 2u:          S_m = -f p^(u+d) if u/d is even, -f p^u if u/d is odd;
+      r odd, m even:           S_m = -f chi^(m/2) p^(m/2);
+      m odd, p | m:            S_m = 0;
+      m odd, p not dividing m: S_m = (-m/p) chi^((m+1)/2) p^((m+1)/2).
+
+    One sign was fixed against counts.  The rule equals the qf elimination on every
+    odd p and every m >= 2 with p^m <= 2^32, at every k mod m (tests/sweep_ckp_closed_form.py),
+    and gives 2p + 1 at m = 1, where x^(p^k + 1) + x reduces to x^2 + x over GF(p).
+    """
+    d = math.gcd(k, m)
+    r, f, chi = m // d, p - 1 if m % p == 0 else -1, jacobi_symbol(-1, p)
+    if r % 2 == 0:  # u/d = r/2
+        return -f * p ** (m // 2 + d * (r % 4 == 0))
+    if m % 2 == 0:
+        return -f * chi ** (m // 2) * p ** (m // 2)
+    if m % p == 0:
+        return 0
+    return jacobi_symbol(-m, p) * chi ** ((m + 1) // 2) * p ** ((m + 1) // 2)
+
+
 def affine_count(spec: CurveSpec, m: int) -> int:
-    """Solutions of the affine model over GF(p^m), by trace-based fiber counting."""
+    """Solutions of the affine model over GF(p^m): ckp by its closed form, the rest by
+    trace-based fiber counting over GF(2^m)."""
     terms = _fiber_terms(spec, m)  # before make_field's modulus search
-    zeros = _kernels.trace_zero_count(make_field(spec.p, m), terms)
-    return spec.p * zeros + (terms[1] == -1)  # e = -1: (0, 0), where 1/x is not defined
+    if spec.p != 2:  # choose_kernel takes odd p only in ckp's shape
+        return spec.p**m + _ckp_surplus(spec.p, spec.k, m)
+    zeros = _kernels.trace_zero_count(make_field(2, m), terms)
+    return 2 * zeros + (terms[1] == -1)  # e = -1: (0, 0), where 1/x is not defined
 
 
 def point_count(spec: CurveSpec, m: int) -> int:

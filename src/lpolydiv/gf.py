@@ -1,31 +1,32 @@
-"""Exact arithmetic in small finite fields GF(p^m).
+"""Exact arithmetic in the binary fields GF(2^m), and the integer rules below every module.
 
-A field element is a plain Python int in [0, p**m): its base-p digits are the
-coefficients of the residue polynomial, least significant digit first.  For
-p = 2 this is the usual packed-bit representation.  All operations hang off an
-immutable context, one class per characteristic and picked by :func:`make_field`
-alone: :class:`FieldContext` on base-p digits, or for p = 2 its subclass on
-packed bits.  Elements are freely copyable plain data; every operation is pure.
+A field element is a plain Python int in [0, 2**m): its bits are the
+coefficients of the residue polynomial, least significant bit first.  All
+operations hang off one immutable context class, :class:`FieldContext`, which
+only :func:`make_field` builds: XOR adds, and a carry-less product reduced by the
+modulus multiplies.  Elements are freely copyable plain data; every operation is pure.
+No command builds a field of odd characteristic: ckp, the one odd-p family, is
+counted by its closed form in :mod:`lpolydiv.curves`, so :func:`make_field`
+refuses odd p.
 
 The reduction modulus is the lexicographically smallest monic irreducible of
 its degree, comparing coefficients from degree m-1 down to the constant term.
 That ordering coincides with the numeric order of the packed-int encoding, so
 the modulus (and therefore every computation) is reproducible across runs and
-machines.  Each candidate is tested by Ben-Or's criterion (FOCS 1981): for
-p = 2 on packed ints, powers and gcd alike by shift-XOR; for odd p with the
-powers x^(p^i) taken by a context over the candidate itself.
+machines.  Each candidate is tested by Ben-Or's criterion (FOCS 1981) on packed
+ints, powers and gcd alike by shift-XOR.
 
-The absolute trace is GF(p)-linear, so each field keeps one vector
-t_n = Tr(x^n), n < 2m - 1, and Tr(a) = sum_(i<m) digit_i(a) t_i mod p (for
-p = 2, the parity of a & trace_mask, the vector packed into bits).  The t_n
-are the power sums of the modulus's roots, so Newton's identities give them
-from its coefficients with no field multiplication (Lidl-Niederreiter, *Finite
-Fields*, ch. 1 §4 and ch. 2 §3), by :func:`_power_sums`, the package's one
-power-sum function, which :mod:`lpolydiv.lseries` also runs for an
-L-polynomial.  The vector is built on first use.
+The absolute trace is GF(2)-linear, so each field keeps one vector
+t_n = Tr(x^n), n < 2m - 1, and Tr(a) is the parity of a & trace_mask, the
+vector packed into bits.  The t_n are the power sums of the modulus's roots, so
+Newton's identities give them from its coefficients with no field multiplication
+(Lidl-Niederreiter, *Finite Fields*, ch. 1 §4 and ch. 2 §3), by
+:func:`_power_sums`, the package's one power-sum function, which
+:mod:`lpolydiv.lseries` also runs for an L-polynomial.  The vector is built on first use.
 
-Supported sizes: every prime p and m >= 1 with p**m <= 2**32; terms that need
-the recurrence kernel, p = 2 up to order 2**20 (:func:`choose_kernel`).
+Supported sizes: every prime p and m >= 1 with p**m <= 2**32 for a count
+(:func:`check_field_limits`), fields for p = 2 alone; terms that need the
+recurrence kernel, order up to 2**20 (:func:`choose_kernel`).
 Discrete-log tables, which only the test oracles read, stop at order 2**20.
 Element enumeration order is the packed-int encoding, ascending.
 
@@ -38,7 +39,6 @@ self-check raises, is the one exception behind the CLI's exit code 1.
 """
 
 import functools
-import operator
 from typing import Sequence
 
 MAX_ORDER_BITS = 32  # every field order p**m is at most 2**MAX_ORDER_BITS
@@ -132,25 +132,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p, for modulus construction and field multiplication.
-# Dense ones are lists of ints in [0, p), ascending degree, no trailing zeros;
-# over GF(2) they are also packed into the bits of an int, bit i <-> x^i.
-
-
-def _digits(v: int, p: int, m: int) -> list[int]:
-    """The m base-p digits of v, least significant first."""
-    out = []
-    for _ in range(m):
-        v, d = divmod(v, p)
-        out.append(d)
-    return out
-
-
-def _undigits(digits: Sequence[int], p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
+# Polynomials over GF(2), for modulus construction and field multiplication,
+# packed into the bits of an int, bit i <-> x^i.
 
 
 def _clmul(a: int, b: int) -> int:
@@ -170,42 +153,9 @@ def _clmod(a: int, f: int) -> int:
     return a
 
 
-def _ptrim(a: list[int]) -> list[int]:  # drops trailing zeros in place, mod p here or over Z in lseries
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: Sequence[int], p: int) -> list[int]:
-    # f must be monic
-    a = a[:]
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - df
-            for j in range(df + 1):
-                a[off + j] = (a[off + j] - c * f[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, b, p)
-    return a
+def _pack(bits: Sequence[int]) -> int:
+    """The int whose bit i is bits[i]."""
+    return sum(b << i for i, b in enumerate(bits))
 
 
 # Over the integers, not F_p: the package's one exact ascending series division,
@@ -231,62 +181,50 @@ def _power_sums(coeffs: Sequence[int], upto: int) -> list[int]:
     return _series_quotient([-n * c[n] for n in range(upto + 1)], coeffs)[1:]
 
 
-def _is_irreducible(f: int, p: int, m: int) -> bool:
-    """Ben-Or: monic f of degree m is irreducible iff gcd(x^(p^i) - x, f) = 1 for i <= m/2.
-
-    f is packed with its leading digit.  For p = 2 powers and gcd are shift-XOR
-    on packed ints; odd p takes x^(p^i) by a context over f, gcd on digit lists.
-    """
-    if p == 2:
-        r = 2  # the residue class of x
-        for _ in range(m // 2):
-            r = _clmod(_clmul(r, r), f)
-            a, b = f, r ^ 2
-            while b:
-                a, b = b, _clmod(a, b)
-            if a != 1:
-                return False
-        return True
-    coeffs = _digits(f, p, m + 1)
-    ring = FieldContext(p, m, tuple(coeffs))
-    x = r = p  # the residue class of x
+def _is_irreducible(f: int, m: int) -> bool:
+    """Ben-Or: monic f of degree m over GF(2), packed, is irreducible iff gcd(x^(2^i) - x, f) = 1 for i <= m/2."""
+    r = 2  # the residue class of x
     for _ in range(m // 2):
-        r = ring.pow(r, p)
-        if len(_pgcd(coeffs, _ptrim(_digits(ring.sub(r, x), p, m)), p)) != 1:
+        r = _clmod(_clmul(r, r), f)
+        a, b = f, r ^ 2
+        while b:
+            a, b = b, _clmod(a, b)
+        if a != 1:
             return False
     return True
 
 
-def _lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+def _lex_smallest_irreducible(m: int) -> tuple[int, ...]:
     # Scanning the packed encoding in ascending numeric order compares the
     # coefficient tuple (a_{m-1}, ..., a_0) lexicographically.
-    for f in range(p**m, 2 * p**m):
-        if _is_irreducible(f, p, m):
-            return tuple(_digits(f, p, m + 1))
-    raise IntegrityError(f"no irreducible of degree {m} over GF({p})")
+    for f in range(1 << m, 2 << m):
+        if _is_irreducible(f, m):
+            return tuple(f >> i & 1 for i in range(m + 1))
+    raise IntegrityError(f"no irreducible of degree {m} over GF(2)")
 
 
 # ---------------------------------------------------------------------------
 
 
 class FieldContext:
-    """Immutable arithmetic context for GF(p)[x]/(f), f the monic modulus.
+    """Immutable arithmetic context for GF(2)[x]/(f), f the monic modulus, on packed bits.
 
-    Any monic f of degree m, and no other, gives ring arithmetic (add, mul,
-    pow) on the base-p digits of the residues.  Only :func:`make_field`, which
-    picks an irreducible f, promises the field GF(p^m) that inv, trace,
-    generator and the tables need.  Use it rather than the constructor: it
-    also caches contexts, so repeated lookups share one modulus search and one
-    trace vector, and takes the packed-bit subclass for p = 2.
+    Any monic f of degree m over GF(2), and no other, gives ring arithmetic
+    (add, mul, pow): XOR adds, and a carry-less product reduced by f
+    multiplies.  Only :func:`make_field`, which picks an irreducible f,
+    promises the field GF(2^m) that inv, trace, generator and the tables need.
+    Use it rather than the constructor: it also caches contexts, so repeated
+    lookups share one modulus search and one trace vector.  p must be 2.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        if len(modulus) != m + 1 or modulus[m] != 1 or not all(0 <= c < p for c in modulus):
-            raise ValueError(f"modulus {modulus} is not a monic polynomial of degree {m} over GF({p})")
+        if p != 2 or len(modulus) != m + 1 or modulus[m] != 1 or not all(c in (0, 1) for c in modulus):
+            raise ValueError(f"modulus {modulus} over GF({p}) is not a monic polynomial of degree {m} over GF(2)")
         self.p = p
         self.m = m
         self.order = p**m
         self.modulus = modulus
+        self._mod_bits = _pack(modulus)
 
     def __repr__(self) -> str:
         return _field_name(self.p, self.m)
@@ -294,18 +232,15 @@ class FieldContext:
     # -- element arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+        return a ^ b
+
+    sub = add
 
     def neg(self, a: int) -> int:
-        return _undigits([-d % self.p for d in _digits(a, self.p, self.m)], self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return a
 
     def mul(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        return _undigits(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self.modulus, p), p)
+        return _clmod(_clmul(a, b), self._mod_bits)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -325,8 +260,8 @@ class FieldContext:
         return self.pow(a, self.order - 2)
 
     def trace(self, a: int) -> int:
-        """Absolute trace into GF(p), an int in [0, p): the m digits of a against t_0..t_(m-1)."""
-        return sum(map(operator.mul, _digits(a, self.p, self.m), self._traces)) % self.p
+        """Absolute trace into GF(2), 0 or 1: the parity of a & trace_mask."""
+        return (a & self.trace_mask).bit_count() & 1
 
     def elements(self, start: int = 0, stop: int | None = None) -> range:
         """Elements in packed-int order, all of them or those in [start, stop)."""
@@ -344,6 +279,11 @@ class FieldContext:
         """
         p, m = self.p, self.m
         return (m % p, *(s % p for s in _power_sums(self.modulus[::-1], 2 * m - 2)))
+
+    @functools.cached_property
+    def trace_mask(self) -> int:
+        """The trace vector packed into bits: trace(a) is the parity of a & trace_mask."""
+        return _pack(self._traces)
 
     def generator(self) -> int:
         """Smallest multiplicative generator in packed-int order."""
@@ -379,33 +319,6 @@ class FieldContext:
         if v != 1:
             raise IntegrityError("generator order mismatch")
         return exp, bytes(map(self.trace, exp))
-
-
-class _BinaryField(FieldContext):
-    """GF(2)[x]/(f) on packed bits: addition is XOR, multiplication carry-less."""
-
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        super().__init__(p, m, modulus)
-        self._mod_bits = _undigits(modulus, 2)
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
-    def neg(self, a: int) -> int:
-        return a
-
-    def mul(self, a: int, b: int) -> int:
-        return _clmod(_clmul(a, b), self._mod_bits)
-
-    def trace(self, a: int) -> int:
-        return (a & self.trace_mask).bit_count() & 1
-
-    @functools.cached_property
-    def trace_mask(self) -> int:
-        """The trace vector packed into bits: trace(a) is the parity of a & trace_mask."""
-        return _undigits(self._traces, 2)
 
 
 def _field_name(p: int, m: int) -> str:
@@ -486,10 +399,13 @@ def _log_exact(p: int, n: int) -> int | None:
 def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], int] | None:
     """The qf split of the terms over GF(p^m), or None for the recurrence, refused past its bound.
 
-    The recurrence counts over GF(2) alone, so odd p with other terms is refused.
+    The recurrence counts over GF(2) alone.  Odd p takes only ckp's terms x^(p^a + 1) + x,
+    which :mod:`lpolydiv.curves` counts by their closed form, with no field and no kernel.
     """
     if 0 in exponents:
         raise ValueError("constant terms are not supported")
+    if p != 2 and (len(exponents) != 2 or min(exponents) != 1 or _log_exact(p, max(exponents) - 1) is None):
+        raise ValueError(f"odd p takes only the terms x^(p^a + 1) + x, got p = {p}")
     quads: list[int] = []
     linear = 0
     for e in exponents:  # a negative exponent fits neither quadratic-form shape
@@ -497,8 +413,6 @@ def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], 
             linear += 1
         elif (a := _log_exact(p, e - 1)) is not None:
             quads.append(a)
-        elif p != 2:
-            raise ValueError(f"odd p takes only terms x^(p^a) and x^(p^a + 1), got p = {p}")
         elif p**m > MAX_RECURRENCE_ORDER:
             raise FieldLimitError(
                 f"{_field_name(p, m)} is too large for these terms: the recurrence kernel stops at "
@@ -512,10 +426,12 @@ def choose_kernel(p: int, m: int, exponents: Sequence[int]) -> tuple[list[int], 
 # typed: True and 1 are equal keys, and a cached GF(2) must not answer make_field(2, True)
 @functools.lru_cache(maxsize=None, typed=True)
 def make_field(p: int, m: int) -> FieldContext:
-    """Field context for GF(p^m) with the canonical (lex-smallest) modulus.
+    """Field context for GF(2^m) with the canonical (lex-smallest) modulus.
 
+    Odd p is refused with ValueError, after the field limits and before any search.
     Only counts build one: size checks and cached counts search no modulus.
     """
     check_field_limits(p, m)
-    context = _BinaryField if p == 2 else FieldContext
-    return context(p, m, _lex_smallest_irreducible(p, m))
+    if p != 2:
+        raise ValueError(f"make_field builds GF(2^m) alone, got {_field_name(p, m)}")
+    return FieldContext(p, m, _lex_smallest_irreducible(m))

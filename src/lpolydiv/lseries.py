@@ -32,11 +32,17 @@ import math
 from typing import NamedTuple, Sequence
 
 from .curves import PointCounts, _Value, hasse_weil_ok
-from .gf import IntegrityError, _power_sums, _ptrim, _series_quotient, int_from_decimal, int_to_decimal
+from .gf import IntegrityError, _power_sums, _series_quotient, int_from_decimal, int_to_decimal
 
 
 class LSeriesError(IntegrityError, ValueError):
     """Inconsistent counts, non-exact Newton division, or a bad polynomial."""
+
+
+def _ptrim(a: list[int]) -> list[int]:  # drops trailing zeros in place
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _ints(values) -> tuple[int, ...]:

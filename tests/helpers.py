@@ -10,8 +10,11 @@ expands the zeta function's logarithmic derivative as a power series,
 polynomial division is ascending long division over the rationals, the
 polynomial gcd is Euclid over the rationals with each divisor made monic,
 irreducibility is decided by trial division over all low-degree monic
-polynomials, and so is primality.  The ck and ckp counts also have Coulter's
-closed forms, which read k only through gcd(k, m).  The covering-defect oracle takes every
+polynomials, and so is primality.  The ck counts also have Coulter's closed
+form, which reads k only through gcd(k, m).  lpolydiv counts ckp by its own closed form
+and builds no field of odd characteristic, so the odd-p field arithmetic it once ran (base-p
+digits, the odd-p Ben-Or modulus search, and the qf elimination with its square step)
+lives on here as the oracle of that form.  The covering-defect oracle takes every
 power by SparsePoly's schoolbook product, with the tower's y-shift by default from
 the hand-derived telescoping formula that the chain criterion replaced in
 ``build_g``, the involution oracle scans all
@@ -28,7 +31,9 @@ test dependency only, from the ``test`` extra; the package itself needs none.
 
 import argparse
 import functools
+import itertools
 import math
+import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -36,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from lpolydiv import cli
-from lpolydiv.gf import make_field
+from lpolydiv.gf import FieldContext, _log_exact, check_field_limits, jacobi_symbol, make_field
 from lpolydiv.sympoly import SparsePoly, build_f, x_pow
 
 _BATCH = 1 << 20
@@ -44,7 +49,7 @@ _BATCH = 1 << 20
 
 def oracle_affine_count(spec, m):
     """Affine solutions by checking the curve equation on every (x, y) pair."""
-    ctx = make_field(spec.p, m)
+    ctx = oracle_field(spec.p, m)
     q = ctx.order
     k, p = spec.k, spec.p
     if spec.family == "ek":
@@ -201,6 +206,222 @@ def trace_form_by_entries(ctx, quads):
     return form
 
 
+# -- odd characteristic --------------------------------------------------------------
+# lpolydiv builds no field of odd characteristic: ckp counts come from the closed form.
+# What it once computed there lives on below as the oracle of that form, with the same
+# modulus rule, so every field here presents GF(p^m) as lpolydiv's fields did.
+
+
+def _digits(v, p, m):
+    """The m base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def _undigits(digits, p):
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _ptrim(out)
+
+
+def _pmod(a, f, p):
+    # f must be monic
+    a = a[:]
+    df = len(f) - 1
+    while len(a) - 1 >= df and a:
+        c = a[-1]
+        if c:
+            off = len(a) - 1 - df
+            for j in range(df + 1):
+                a[off + j] = (a[off + j] - c * f[j]) % p
+        a.pop()
+    return _ptrim(a)
+
+
+def _pgcd(a, b, p):
+    a, b = a[:], b[:]
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [(c * inv) % p for c in b]
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
+class DigitField(FieldContext):
+    """GF(p)[x]/(f) on the base-p digits of the residues, any prime p, f monic of degree m.
+
+    It replaces FieldContext's packed-bit add, neg, sub, mul and trace by digit
+    arithmetic, and keeps its pow, inv, trace vector, generator and tables.
+    """
+
+    def __init__(self, p, m, modulus):
+        self.p, self.m, self.order, self.modulus = p, m, p**m, tuple(modulus)
+
+    def add(self, a, b):
+        p, m = self.p, self.m
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+
+    def neg(self, a):
+        return _undigits([-d % self.p for d in _digits(a, self.p, self.m)], self.p)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        return _undigits(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self.modulus, p), p)
+
+    def trace(self, a):
+        """Absolute trace into GF(p): the m digits of a against t_0..t_(m-1)."""
+        return sum(map(operator.mul, _digits(a, self.p, self.m), self._traces)) % self.p
+
+
+def ben_or_is_irreducible(f, p, m):
+    """Ben-Or: monic f of degree m over GF(p), packed with its leading digit, is irreducible
+    iff gcd(x^(p^i) - x, f) = 1 for i <= m/2; x^(p^i) by a DigitField over f, gcd on digit lists."""
+    coeffs = _digits(f, p, m + 1)
+    ring = DigitField(p, m, coeffs)
+    x = r = p  # the residue class of x
+    for _ in range(m // 2):
+        r = ring.pow(r, p)
+        if len(_pgcd(coeffs, _ptrim(_digits(ring.sub(r, x), p, m)), p)) != 1:
+            return False
+    return True
+
+
+@functools.cache
+def digit_field(p, m):
+    """GF(p^m) on digits, modulus the lex-smallest monic irreducible as make_field picks it.
+
+    The packed encoding in ascending order compares (a_(m-1), ..., a_0) lexicographically.
+    The field limits are check_field_limits', so p^m <= 2^32.
+    """
+    check_field_limits(p, m)
+    for f in range(p**m, 2 * p**m):
+        if ben_or_is_irreducible(f, p, m):
+            return DigitField(p, m, _digits(f, p, m + 1))
+    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
+
+
+def oracle_field(p, m):
+    """make_field(2, m) for p = 2, and digit_field(p, m) for odd p, which make_field refuses."""
+    return make_field(p, m) if p == 2 else digit_field(p, m)
+
+
+def qf_trace_form(ctx, quads):
+    """G[i][j] = sum_a Tr(e_i^(p^a) e_j) mod p over the twists a, basis e_i = x^i, any p.
+
+    G is the digit matrix of w_i = sum_a (x^(p^a))^i times the Hankel matrix t_(l+j) of
+    the trace vector, as lpolydiv built it for every p.
+    """
+    p, m, t = ctx.p, ctx.m, ctx._traces
+    x = p  # the residue class of X; at m = 1 no power of it is read
+    w = [0] * m
+    for a in quads:
+        y, powers = ctx.pow(x, p ** (a % m)), [1]
+        for _ in range(m - 1):
+            powers.append(ctx.mul(powers[-1], y))
+        w = list(map(ctx.add, w, powers))
+    rows = [_digits(v, p, m) for v in w]
+    return [[sum(map(operator.mul, d, t[j : j + m])) % p for j in range(m)] for d in rows]
+
+
+def diagonal_count(p, r, delta, b):
+    """Solutions y in GF(p)^r of d_1 y_1^2 + ... + d_r y_r^2 = b, prod d_t = delta, p odd.
+
+    Lidl-Niederreiter Thm 6.26 (r odd) and Thm 6.27 (r even), with eta the
+    quadratic character of GF(p).
+    """
+    if r == 0:
+        return 1 if b == 0 else 0
+    if r % 2:
+        sign = -1 if (r - 1) // 2 % 2 else 1
+        return p ** (r - 1) + p ** ((r - 1) // 2) * jacobi_symbol(sign * b * delta, p)
+    nu = p - 1 if b == 0 else -1
+    sign = -1 if r // 2 % 2 else 1
+    return p ** (r - 1) + nu * p ** ((r - 2) // 2) * jacobi_symbol(sign * delta, p)
+
+
+def qf_form_count(p, g, lin):
+    """Zeros over GF(p)^m of Q(x) = sum_ij g_ij x_i x_j + sum_i lin_i x_i, for every p.
+
+    The elimination lpolydiv ran for every p before odd p took the closed form: it
+    splits off a square d_i (x_i + U/2d_i)^2 while some d_i = g_ii != 0 (odd p only),
+    else a hyperbolic plane, and reads the zeros off the r squares, of product delta,
+    the h planes and the constant left (Lidl-Niederreiter, *Finite Fields*, ch. 6 §2).
+    """
+    m, fold = len(g), p == 2
+    a = [[(x + y) % p for x, y in zip(row, col)] for row, col in zip(g, zip(*g))]
+    lin = [(l + fold * g[i][i]) % p for i, l in enumerate(lin)]
+    live = set(range(m))
+    const, delta, r, h = 0, 1, 0, 0
+    while True:
+        if (i := next((i for i in live if a[i][i]), None)) is not None:
+            j, c = i, 2 * a[i][i]
+            delta, r = delta * a[i][i] * (p + 1) // 2 % p, r + 1  # d_i = a_ii / 2
+        elif (pair := next(((i, j) for i in live for j in live if a[i][j]), None)) is not None:
+            (i, j), h = pair, h + 1
+            c = a[i][j]
+        else:
+            break
+        live -= {i, j}
+        cinv = pow(c, -1, p)
+        u, v, li, lj = a[i], a[j], lin[i], lin[j]
+        for k in live:
+            uk, vk = u[k] * cinv % p, v[k] * cinv % p
+            if uk or vk:  # over GF(2), the square U_k V_k x_k^2 / c is linear
+                a[k] = [(x - uk * y - vk * z) % p for x, y, z in zip(a[k], v, u)]
+                lin[k] = (lin[k] - uk * lj - vk * li - fold * uk * v[k]) % p
+        const = (const - li * lj * cinv) % p
+    if any(lin[k] for k in live):
+        return p ** (m - 1)
+    planes = (p**h - 1) * p ** (h + r) // p  # p^r square sums, p^(2h-1) - p^(h-1) plane points each
+    return p ** (m - r - 2 * h) * (planes + p**h * diagonal_count(p, r, delta, -const % p))
+
+
+def qf_zero_count(ctx, exponents):
+    """x in ctx with Tr(sum_e x^e) = 0, every e = p^a (linear) or p^a + 1, by qf_form_count."""
+    quads = [_log_exact(ctx.p, e - 1) for e in exponents if _log_exact(ctx.p, e) is None]
+    linear = len(exponents) - len(quads)
+    return qf_form_count(ctx.p, qf_trace_form(ctx, quads), [linear * t for t in ctx._traces[: ctx.m]])
+
+
+def ckp_qf_count(p, k, m):
+    """N_m of C_k^(p) by the qf oracle: p zeros of Tr(x^(p^k + 1) + x) per fiber, plus infinity."""
+    return 1 + p * qf_zero_count(digit_field(p, m), (p ** (k % m) + 1, 1))
+
+
+def ckp_sweep_cases():
+    """(p, k, m) for every odd prime p and m >= 2 with p^m <= 2^32, and k = 1..m, every k mod m."""
+    for m in itertools.count(2):
+        if 3**m > 1 << 32:
+            return
+        for p in range(3, math.isqrt(1 << 32) + 1, 2):
+            if p**m > 1 << 32:
+                break
+            if trial_division_is_prime(p):
+                yield from ((p, k, m) for k in range(1, m + 1))
+
+
 def tower_g_formula(k, l):
     """y-shift of the tower morphism, by the hand-derived formula.
 
@@ -283,47 +504,27 @@ def _v2(n):
 
 
 def closed_form_count(spec, m):
-    """N_m = q + 1 + S_m of ck or ckp over GF(q), q = p^m, by Coulter's closed forms.
+    """N_m = 2^m + 1 + S_m of ck over GF(2^m) by Coulter's closed form.
 
-    With d = gcd(k, m) and r = m/d, ck (Coulter, New Zealand J. Math. 28, 1999) has
+    With d = gcd(k, m) and r = m/d (Coulter, New Zealand J. Math. 28, 1999):
       r odd:                       S_m = (2/r)^d 2^((m+d)/2), (2/r) the Jacobi symbol;
       r even, v2(m) = v2(k) + 1:   S_m = 0;
       otherwise:                   S_m = eps 2^(m/2+d), eps = +1 if d is odd and r = 4 mod 8,
                                    else -1.
     The even-r sign eps was fitted to counts, not derived from the theorem's b != 0 case.
-    ckp (derived from Coulter, Acta Arith. 83, 1998), with f = p - 1 if p | m, else -1:
-      r even, m = 2u:              S_m = -p^(u+d) f if u/d is even, -p^u f if u/d is odd;
-      r odd, m even:               S_m = -s p^(m/2) f, s = 1 if p = 1 mod 4, else (-1)^(m/2);
-      m odd, p | m:                S_m = 0;
-      m odd, p not dividing m:     S_m = (-m/p) t p^((m+1)/2), t = 1 if p = 1 mod 4,
-                                   else (-1)^((m+1)/2).
-    One ckp sign was likewise fixed against counts.
+    ckp's closed form is lpolydiv's own (curves._ckp_surplus), checked against ckp_qf_count.
     """
-    k, p = spec.k, spec.p
+    assert spec.family == "ck"
+    k = spec.k
     d = math.gcd(k, m)
     r = m // d
-    if spec.family == "ck":
-        if r % 2:
-            s = (1 if r % 8 in (1, 7) else -1) ** d * 2 ** ((m + d) // 2)
-        elif _v2(m) == _v2(k) + 1:
-            s = 0
-        else:
-            s = (1 if d % 2 and r % 8 == 4 else -1) * 2 ** (m // 2 + d)
-        return 2**m + 1 + s
-    assert spec.family == "ckp"
-    f = p - 1 if m % p == 0 else -1
-    quarter = p % 4 == 1
-    if r % 2 == 0:
-        u = m // 2
-        s = -(p ** (u + d) if (u // d) % 2 == 0 else p**u) * f
-    elif m % 2 == 0:
-        s = -(1 if quarter else (-1) ** (m // 2)) * p ** (m // 2) * f
-    elif m % p == 0:
+    if r % 2:
+        s = (1 if r % 8 in (1, 7) else -1) ** d * 2 ** ((m + d) // 2)
+    elif _v2(m) == _v2(k) + 1:
         s = 0
     else:
-        legendre = 1 if pow(-m % p, (p - 1) // 2, p) == 1 else -1
-        s = legendre * (1 if quarter else (-1) ** ((m + 1) // 2)) * p ** ((m + 1) // 2)
-    return p**m + 1 + s
+        s = (1 if d % 2 and r % 8 == 4 else -1) * 2 ** (m // 2 + d)
+    return 2**m + 1 + s
 
 
 def trial_division_is_prime(n):

@@ -11,8 +11,7 @@ import time
 import pytest
 from helpers import build_parser
 
-from lpolydiv import cli, sympoly
-from lpolydiv.gf import make_field
+from lpolydiv import cli, gf, sympoly
 
 
 def run(capsys, *argv):
@@ -40,7 +39,7 @@ def test_count_names_the_field_as_its_refusals_do(tmp_path, capsys, m, line):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == line
-    assert line.split(" / ")[1].startswith(repr(make_field(3, int(m))) + ":")
+    assert line.split(" / ")[1].startswith(gf._field_name(3, int(m)) + ":")
 
 
 def test_count_records(tmp_path, capsys):
@@ -641,6 +640,19 @@ WARM_PREFILL = ["conjecture", "--family", "ek", "--kmax", "3"]
             ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
             id="count",
         ),
+        # ckp counts come from the closed form: no field, no kernel
+        pytest.param(
+            None,
+            [
+                ["count", "--family", "ckp", "--p", "3", "--k", "1", "--m", "20"],
+                ["lpoly", "--family", "ckp", "--p", "5", "--k", "1"],
+                ["conjecture", "--family", "ckp", "--p", "3", "--kmax", "2"],
+            ],
+            0,
+            ("_kernels", "sympoly"),
+            ("__future__", "dataclasses", "inspect", "fractions", "numpy", *PARSING),
+            id="ckp",
+        ),
         pytest.param(
             None,
             [
@@ -726,12 +738,12 @@ def test_empty_cache_env_var_means_unset(tmp_path, capsys, monkeypatch):
 
 def _old_record(spec, m) -> str:
     """The record an earlier version stored for N_m, keyed also by the modulus of GF(p^m)."""
+    from helpers import oracle_field
     from lpolydiv.curves import point_count
-    from lpolydiv.gf import make_field
 
     return json.dumps(
         {"family": spec.family, "k": spec.k, "p": spec.p, "m": m,
-         "modulus": list(make_field(spec.p, m).modulus), "n": point_count(spec, m),
+         "modulus": list(oracle_field(spec.p, m).modulus), "n": point_count(spec, m),
          "timestamp": "2026-01-01T00:00:00Z"},
         separators=(",", ":"),
     ) + "\n"
@@ -773,8 +785,8 @@ def test_warm_commands_build_no_field(tmp_path, capsys):
 import contextlib, io, json
 from lpolydiv import cli, gf
 
-def search(p, m):
-    raise AssertionError(f"searched a modulus for GF({{p}}^{{m}})")
+def search(m):
+    raise AssertionError(f"searched a modulus for GF(2^{{m}})")
 
 gf._lex_smallest_irreducible = search
 results = []

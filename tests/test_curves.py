@@ -18,9 +18,9 @@ from lpolydiv.curves import (
     lmw_zero_count,
     point_count,
 )
-from lpolydiv.gf import GENUS_CAP, FieldLimitError, make_field
+from lpolydiv.gf import GENUS_CAP, FieldLimitError, jacobi_symbol, make_field
 from lpolydiv.lseries import LPolynomial, LSeriesError, lpoly_from_counts, predicted_count
-from helpers import bit_zero_count, closed_form_count, oracle_affine_count, walk_zero_count
+from helpers import bit_zero_count, ckp_qf_count, closed_form_count, oracle_affine_count, walk_zero_count
 
 
 def test_spec_validation():
@@ -184,12 +184,11 @@ def test_affine_count_examples():
 
 
 def test_ckp_nine_pair_enumeration():
-    # all 9 pairs over GF(3): y^3 - y = x^4 + x literally
-    ctx = make_field(3, 1)
+    # all 9 pairs over GF(3): y^3 - y = x^4 + x literally, in the integers mod 3
     hits = 0
     for x in range(3):
         for y in range(3):
-            if ctx.sub(ctx.pow(y, 3), y) == ctx.add(ctx.pow(x, 4), x):
+            if (y**3 - y) % 3 == (x**4 + x) % 3:
                 hits += 1
     assert hits == 6
     assert affine_count(CurveSpec("ckp", 1, 3), 1) == hits
@@ -330,9 +329,28 @@ def test_ck_counts_match_the_closed_form():
     assert [(spec.k, m) for spec, m in cases if point_count(spec, m) != closed_form_count(spec, m)] == []
 
 
+def _ckp_branch(p, k, m):
+    """The case of the ckp closed form that (p, k, m) takes, from its hypotheses alone."""
+    r = m // math.gcd(k, m)
+    if r % 2 == 0:
+        return f"r even, u/d {'even' if r % 4 == 0 else 'odd'}"
+    if m % 2 == 0:
+        return f"r odd, m even, p = {p % 4} mod 4"
+    if m % p == 0:
+        return "m odd, p | m"
+    return f"m odd, (-m/p) = {jacobi_symbol(-m, p)}"
+
+
+CKP_BRANCHES = {
+    "r even, u/d even", "r even, u/d odd", "r odd, m even, p = 1 mod 4", "r odd, m even, p = 3 mod 4",
+    "m odd, p | m", "m odd, (-m/p) = 1", "m odd, (-m/p) = -1",
+}
+
+
 def test_ckp_counts_match_the_closed_form():
-    # every field within the order limit 2^32; count_field checks each count against
-    # Hasse-Weil and the fiber rule before the closed form sees it
+    # every field within the order limit 2^32; count_field takes the closed form and checks
+    # each count against Hasse-Weil and the fiber rule, and the oracle's qf elimination
+    # recounts it on a digit field of GF(p^m)
     cases = [
         (CurveSpec("ckp", k, p), m)
         for p in (3, 5, 7, 11, 13)
@@ -341,9 +359,28 @@ def test_ckp_counts_match_the_closed_form():
         for k in range(1, 2 * m + 3)
     ]
     assert len(cases) == 1018
+    # the grid reaches every case of the rule, with both values of (-1/p) and of (-m/p)
+    assert {_ckp_branch(spec.p, spec.k, m) for spec, m in cases} == CKP_BRANCHES
     assert [
-        (spec.p, spec.k, m) for spec, m in cases if count_field(spec, m)[0] != closed_form_count(spec, m)
+        (spec.p, spec.k, m) for spec, m in cases if count_field(spec, m)[0] != ckp_qf_count(spec.p, spec.k, m)
     ] == []
+
+
+def test_ckp_counts_build_no_field(monkeypatch):
+    # the closed form gives every ckp count, so no field is built and no kernel runs
+    def refuse(p, m):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr("lpolydiv.curves.make_field", refuse)
+    expected = {
+        (1, 3): (7, 13, 28),
+        (2, 3): (7, 7, 28, 91, 217, 784, 2107, 7291, 19684),
+        (1, 5): (11, 31, 101, 751, 3126, 15751, 77501, 393751, 1956251, 9753126),
+    }
+    for (k, p), counts in expected.items():
+        assert count_series(CurveSpec("ckp", k, p)).counts == counts, (k, p)
+    assert count_field(CurveSpec("ckp", 1, 3), 20) == (3486961549, "fresh")  # GF(3^20)
+    assert point_count(CurveSpec("ckp", 2, 3), 20) == 3486843451
 
 
 def test_ak_is_rational():

@@ -7,7 +7,6 @@ from lpolydiv.gf import (
     MAX_PRIME_TEST,
     FieldContext,
     FieldLimitError,
-    _BinaryField,
     _is_irreducible,
     check_field_limits,
     is_prime,
@@ -15,17 +14,24 @@ from lpolydiv.gf import (
     make_field,
 )
 from helpers import (
+    DigitField,
+    ben_or_is_irreducible,
     brute_smallest_irreducible,
+    digit_field,
     monic_polys,
+    oracle_field,
     trial_division_is_irreducible,
     trial_division_is_prime,
 )
+
+# Odd p has no field in lpolydiv; those cases check the oracle's digit field in helpers,
+# which keeps the modulus rule and the arithmetic lpolydiv once ran for every p.
 
 
 def test_modulus_examples():
     assert make_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
     assert make_field(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
-    assert make_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
+    assert digit_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
 
 
 @pytest.mark.parametrize(
@@ -33,12 +39,12 @@ def test_modulus_examples():
     [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)],
 )
 def test_modulus_matches_bruteforce(p, m):
-    assert make_field(p, m).modulus == brute_smallest_irreducible(p, m)
+    assert oracle_field(p, m).modulus == brute_smallest_irreducible(p, m)
 
 
-# make_field(p, m).modulus for m = 1, 2, ... up to the field limit, as the
-# packed int sum c_i p^i.  Count cache keys contain the modulus, so a changed
-# modulus would orphan every cached count of its field.
+# The modulus for m = 1, 2, ... up to the field limit, as the packed int sum
+# c_i p^i: make_field's for p = 2, the digit field's for odd p.  Cache records of
+# earlier versions carry the modulus; test_cli writes such records through oracle_field.
 _PINNED_MODULI = {
     2: (
         0x2, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B, 0x203, 0x409, 0x805, 0x1009,
@@ -58,10 +64,10 @@ _PINNED_MODULI = {
 @pytest.mark.parametrize("p", sorted(_PINNED_MODULI))
 def test_modulus_pinned_for_every_supported_degree(p):
     pinned = _PINNED_MODULI[p]
-    moduli = [make_field(p, m).modulus for m in range(1, len(pinned) + 1)]
+    moduli = [oracle_field(p, m).modulus for m in range(1, len(pinned) + 1)]
     assert tuple(sum(c * p**i for i, c in enumerate(f)) for f in moduli) == pinned
     with pytest.raises(FieldLimitError):
-        make_field(p, len(pinned) + 1)
+        oracle_field(p, len(pinned) + 1)
 
 
 def _mobius(n):
@@ -75,12 +81,16 @@ def _mobius(n):
     return out
 
 
+def _ben_or(f, p, n):
+    return _is_irreducible(f, n) if p == 2 else ben_or_is_irreducible(f, p, n)
+
+
 # Every monic candidate of each degree, not only those below the smallest
 # irreducible that the modulus search reaches.
 @pytest.mark.parametrize("p, nmax", [(2, 12), (3, 6)])
 def test_ben_or_accepts_gauss_count_of_monic_irreducibles(p, nmax):
     for n in range(1, nmax + 1):
-        accepted = sum(_is_irreducible(f, p, n) for f in range(p**n, 2 * p**n))
+        accepted = sum(_ben_or(f, p, n) for f in range(p**n, 2 * p**n))
         gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
         assert accepted == gauss, n
 
@@ -89,7 +99,7 @@ def test_ben_or_accepts_gauss_count_of_monic_irreducibles(p, nmax):
 def test_ben_or_agrees_with_trial_division(p, nmax):
     for n in range(1, nmax + 1):
         for f, digits in enumerate(monic_polys(p, n), start=p**n):
-            assert _is_irreducible(f, p, n) == trial_division_is_irreducible(digits, p), digits
+            assert _ben_or(f, p, n) == trial_division_is_irreducible(digits, p), digits
 
 
 def test_gf4_multiplication():
@@ -106,7 +116,7 @@ def test_char2_addition():
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2)])
 def test_inverse_roundtrip_exhaustive(p, m):
-    ctx = make_field(p, m)
+    ctx = oracle_field(p, m)
     for a in ctx.elements(1):
         assert ctx.mul(a, ctx.inv(a)) == 1
 
@@ -118,7 +128,7 @@ def test_inv_zero_raises():
 
 @pytest.mark.parametrize("p,m", [(2, 5), (3, 3)])
 def test_frobenius_order(p, m):
-    ctx = make_field(p, m)
+    ctx = oracle_field(p, m)
     q = ctx.order
     for a in ctx.elements():
         assert ctx.pow(a, q) == a
@@ -136,7 +146,7 @@ _FIELDS = [(2, 8), (2, 13), (3, 5), (5, 3), (7, 2)]
 )
 def test_field_axioms(idx, data):
     p, m = _FIELDS[idx]
-    ctx = make_field(p, m)
+    ctx = oracle_field(p, m)
     el = st.integers(0, ctx.order - 1)
     a, b, c = data.draw(el), data.draw(el), data.draw(el)
     assert ctx.add(a, b) == ctx.add(b, a)
@@ -150,19 +160,21 @@ def test_field_axioms(idx, data):
 
 
 def test_make_field_picks_the_context_class_by_characteristic():
-    assert type(make_field(2, 5)) is _BinaryField
-    for p, m in [(3, 2), (5, 1)]:
-        assert type(make_field(p, m)) is FieldContext
-    assert [repr(make_field(p, m)) for p, m in [(2, 5), (3, 1), (3, 2)]] == ["GF(2^5)", "GF(3)", "GF(3^2)"]
+    # one packed-bit class for p = 2; odd p, which only ckp reaches, builds no field
+    assert type(make_field(2, 5)) is FieldContext
+    assert [repr(make_field(2, m)) for m in (1, 5)] == ["GF(2)", "GF(2^5)"]
+    for p, m in [(3, 2), (5, 1), (4294967291, 1)]:
+        with pytest.raises(ValueError, match=r"make_field builds GF\(2\^m\) alone, got GF\("):
+            make_field(p, m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 16), data=st.data())
 def test_binary_field_matches_the_digit_codec(m, data):
-    # FieldContext computes GF(2^m) on base-2 digit lists, sharing no arithmetic
-    # with the packed-bit subclass that make_field returns for p = 2.
+    # The oracle's DigitField computes GF(2^m) on base-2 digit lists, sharing no
+    # element arithmetic with the packed-bit context that make_field returns.
     bits = make_field(2, m)
-    digits = FieldContext(2, m, bits.modulus)
+    digits = DigitField(2, m, bits.modulus)
     el = st.integers(0, bits.order - 1)
     a, b, e = data.draw(el), data.draw(el), data.draw(st.integers(0, 2 * bits.order))
     for op, args in [
@@ -185,7 +197,7 @@ def test_trace_examples():
 @given(idx=st.integers(0, len(_FIELDS) - 1), data=st.data())
 def test_trace_linearity_and_frobenius(idx, data):
     p, m = _FIELDS[idx]
-    ctx = make_field(p, m)
+    ctx = oracle_field(p, m)
     el = st.integers(0, ctx.order - 1)
     a, b = data.draw(el), data.draw(el)
     lam = data.draw(st.integers(0, p - 1))
@@ -199,7 +211,7 @@ def test_trace_linearity_and_frobenius(idx, data):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 6), (2, 10), (3, 4), (5, 3), (7, 2)])
 def test_trace_zero_cardinality(p, m):
-    ctx = make_field(p, m)
+    ctx = oracle_field(p, m)
     zeros = sum(1 for a in ctx.elements() if ctx.trace(a) == 0)
     assert zeros == p ** (m - 1)
 
@@ -225,7 +237,7 @@ _TRACE_BASIS_FIELDS = (
 
 def test_trace_matches_frobenius_sum():
     for p, m in _TRACE_BASIS_FIELDS:
-        ctx = make_field(p, m)
+        ctx = oracle_field(p, m)
         for i in range(m):
             assert ctx.trace(p**i) == _frobenius_sum(ctx, p**i), (p, m, i)
         # the trace vector runs on to n = 2m - 2 for the qf kernel's Hankel matrix
@@ -234,14 +246,14 @@ def test_trace_matches_frobenius_sum():
         for n in range(2 * m - 1):
             assert ctx._traces[n] == _frobenius_sum(ctx, ctx.pow(x, n)), (p, m, n)
     for p, m in [(2, 8), (3, 5), (5, 3), (7, 2)]:
-        ctx = make_field(p, m)
+        ctx = oracle_field(p, m)
         for a in ctx.elements():
             assert ctx.trace(a) == _frobenius_sum(ctx, a), (p, m, a)
 
 
 def test_pow_matches_repeated_multiplication():
     for p, m in [(2, 5), (3, 3)]:
-        ctx = make_field(p, m)
+        ctx = oracle_field(p, m)
         for a in ctx.elements():
             expected = 1
             for e in range(40):
@@ -268,6 +280,8 @@ def test_make_field_errors():
         make_field(2, 33)
     with pytest.raises(FieldLimitError):
         make_field(3, 21)
+    with pytest.raises(ValueError, match="make_field builds GF"):
+        make_field(3, 2)
     # 4294967311 is the smallest prime above 2^32; a degree-1 field is named as its repr names it
     with pytest.raises(FieldLimitError) as refused:
         check_field_limits(4294967311, 1)
@@ -292,7 +306,8 @@ def test_make_field_refuses_a_non_int_equal_to_a_cached_int(p, m, bad):
         (FieldContext, 3, 2, (1, 0, 1, 0)),  # a trailing zero digit
         (FieldContext, 3, 2, (3, 0, 1)),  # a digit outside [0, p)
         (FieldContext, 5, 1, (-1, 1)),
-        (_BinaryField, 2, 3, (1, 1, 0, 2)),
+        (FieldContext, 2, 3, (1, 1, 0, 2)),  # a digit outside GF(2)
+        (FieldContext, 3, 2, (2, 0, 1)),  # monic over GF(3), but FieldContext is GF(2) alone
     ],
 )
 def test_field_context_refuses_a_bad_modulus(context, p, m, modulus):
@@ -305,13 +320,15 @@ def test_make_field_admits_documented_limits():
     assert len(big.modulus) == 33
     assert big.mul(big.inv(12345), 12345) == 1
     # one order limit for every p: the largest primes p with p, p^2 and p^3 within 2^32, and
-    # 1613 = 2 mod 3, for which no x^3 + c is irreducible, so the modulus search scans them all
+    # 1613 = 2 mod 3, for which no x^3 + c is irreducible, so the modulus search scans them all;
+    # the oracle's digit fields of these orders serve the ckp sweep
     for p, m in ((4294967291, 1), (65521, 2), (1621, 3), (1613, 3)):
-        ctx = make_field(p, m)
+        check_field_limits(p, m)
+        ctx = digit_field(p, m)
         assert ctx.order <= 1 << 32 and ctx.mul(ctx.inv(12345), 12345) == 1
     with pytest.raises(FieldLimitError):
         check_field_limits(1627, 3)
-    odd = make_field(3, 9)
+    odd = digit_field(3, 9)
     assert odd.order == 3**9
 
 
@@ -382,14 +399,14 @@ def test_multiplicative_tables_consistency():
 
 
 def test_multiplicative_tables_odd_p():
-    ctx = make_field(3, 4)
+    ctx = digit_field(3, 4)  # FieldContext's tables over the oracle's digit arithmetic
     exp, tr_exp = ctx.multiplicative_tables()
     for i in (0, 1, 17, 50):
         assert tr_exp[i] == ctx.trace(int(exp[i]))
 
 
 def test_tables_are_rebuilt_equal_on_each_call():
-    ctx = make_field(3, 3)
+    ctx = make_field(2, 6)
     first, second = ctx.multiplicative_tables(), ctx.multiplicative_tables()
     assert first == second
     assert first[0] is not second[0]  # the context keeps no table state

@@ -5,6 +5,9 @@ element of GF(2^m), with a trace form built from field arithmetic alone, and
 the walk oracle visits every nonzero element of GF(p^m) through discrete-log
 tables; both kernels must agree with them wherever they are affordable.  The
 form oracle evaluates a random quadratic form at every point of GF(p)^m.
+
+Odd p has no kernel in lpolydiv.  Its qf elimination, with the square step, lives on in
+``helpers`` as the oracle of ckp's closed form, and meets the same checks here.
 """
 
 import itertools
@@ -15,7 +18,6 @@ import pytest
 
 from lpolydiv import _kernels
 from lpolydiv._kernels import (
-    _diagonal_count,
     _min_poly,
     _qf_count,
     _recurrence_count,
@@ -24,9 +26,20 @@ from lpolydiv._kernels import (
     trace_zero_count,
 )
 from lpolydiv.curves import CurveSpec, count_series, lmw_formula, point_count
-from lpolydiv.gf import FieldContext, FieldLimitError, IntegrityError, check_field_limits, make_field
+from lpolydiv.gf import FieldLimitError, IntegrityError, check_field_limits, make_field
 from lpolydiv.lseries import lpoly_from_counts, predicted_count
-from helpers import bit_zero_count, form_zero_count, trace_form_by_entries, walk_zero_count
+from helpers import (
+    DigitField,
+    bit_zero_count,
+    diagonal_count,
+    digit_field,
+    form_zero_count,
+    qf_form_count,
+    qf_trace_form,
+    qf_zero_count,
+    trace_form_by_entries,
+    walk_zero_count,
+)
 
 CK_TERMS = [((1 << k) + 1, 1) for k in range(1, 7)]
 AK_TERMS = [(1 << k, 1) for k in (1, 2)]
@@ -39,8 +52,8 @@ def test_qf_matches_bit_enumeration(terms):
     for m in range(1, 21):
         expected = bit_zero_count(m, terms)
         assert trace_zero_count(make_field(2, m), terms) == expected, m
-        if m <= 8:  # a context from the public constructor computes on digit lists
-            assert trace_zero_count(FieldContext(2, m, make_field(2, m).modulus), terms) == expected, m
+        if m <= 8:  # the oracle's qf elimination, on digit lists
+            assert qf_zero_count(DigitField(2, m, make_field(2, m).modulus), terms) == expected, m
 
 
 @pytest.mark.parametrize("terms", [CK_TERMS[5], LMW_TERMS[1]])
@@ -69,6 +82,7 @@ def test_ck_counts_take_the_values_of_their_quadratic_form():
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_qf_matches_table_walk_odd(p):
+    """The oracle's odd-p qf count against the walk over its digit field's tables."""
     term_lists = [
         (p + 1, 1),  # ckp, k = 1
         (p * p + 1, 1),  # ckp, k = 2
@@ -79,16 +93,17 @@ def test_qf_matches_table_walk_odd(p):
         (p,) * p,  # p times the trace is 0: every element is a zero
     ]
     for m in itertools.count(1):
-        ctx = make_field(p, m)
+        ctx = digit_field(p, m)
         if ctx.order > 3**8:
             break
         for terms in term_lists:
             walk = walk_zero_count(ctx, terms) + 1
-            assert trace_zero_count(ctx, terms) == walk, (m, terms)
+            assert qf_zero_count(ctx, terms) == walk, (m, terms)
 
 
 def test_qf_count_matches_evaluation_on_random_forms():
-    """_qf_count against the form evaluated at every point of GF(p)^m, p^m <= 4096.
+    """_qf_count (p = 2) and the oracle's qf_form_count (odd p) against the form
+    evaluated at every point of GF(p)^m, p^m <= 4096.
 
     g is random and need not be symmetric; its diagonal is zero half the time,
     so odd p also meets forms whose first step is a plane, and the linear part
@@ -106,7 +121,8 @@ def test_qf_count_matches_evaluation_on_random_forms():
                     for i in range(m):
                         g[i][i] = 0
                 for lin in ([0] * m, [rng.randrange(p) for _ in range(m)]):
-                    assert _qf_count(p, g, lin) == form_zero_count(p, g, lin), (p, g, lin)
+                    count = _qf_count(g, lin) if p == 2 else qf_form_count(p, g, lin)
+                    assert count == form_zero_count(p, g, lin), (p, g, lin)
                     cases += 1
             m += 1
     assert cases == 544
@@ -125,14 +141,15 @@ def test_trace_form_matches_the_per_entry_builder():
     """The Hankel product W H equals the Gram matrix built one ctx.mul and ctx.trace per entry.
 
     Every supported degree for six primes, with nine twist lists each: no twist,
-    single twists (a = m is the twist a = 0), and pairs.
+    single twists (a = m is the twist a = 0), and pairs.  p = 2 checks _trace_form,
+    odd p the oracle's qf_trace_form on its digit fields.
     """
     cases = 0
     for p in (2, 3, 5, 7, 11, 13):
         for m in _supported_degrees(p):
-            ctx = make_field(p, m)
+            ctx, form = (make_field(p, m), _trace_form) if p == 2 else (digit_field(p, m), qf_trace_form)
             for quads in ((), (0,), (1,), (2,), (5,), (m,), (m + 1, 2), (0, 1), (1, 3)):
-                assert _trace_form(ctx, quads) == trace_form_by_entries(ctx, quads), (p, m, quads)
+                assert form(ctx, quads) == trace_form_by_entries(ctx, quads), (p, m, quads)
                 cases += 1
     assert cases == 837
 
@@ -149,7 +166,7 @@ def test_diagonal_count_matches_brute_force():
                     for ys in itertools.product(range(p), repeat=r)
                 ]
                 for b in range(p):
-                    assert _diagonal_count(p, r, delta, b) == values.count(b), (p, d, b)
+                    assert diagonal_count(p, r, delta, b) == values.count(b), (p, d, b)
 
 
 def test_qf_dispatch_visits_no_elements(monkeypatch):
@@ -181,14 +198,15 @@ def test_recurrence_matches_walk_binary(terms):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_recurrence_refuses_odd_characteristic(p):
-    """The recurrence counts over GF(2) alone: odd p takes only the qf shapes, refused before any field."""
-    for terms in ((p + 1, -1), (p + 2,), (p + 1, 1, -1)):
+    """The recurrence counts over GF(2) alone, and odd p takes only ckp's x^(p^a + 1) + x,
+    which the closed form counts: every other term list is refused before any field."""
+    for terms in ((p + 1, -1), (p + 2,), (p + 1, 1, -1), (p, 1), (2,), (p + 1, p * p + 1), (p + 1, p), (1, 1)):
         for m in (1, 2, 100):
             with pytest.raises(ValueError, match="odd p takes only"):
                 choose_kernel(p, m, terms)
-        with pytest.raises(ValueError, match="odd p takes only"):
-            trace_zero_count(make_field(p, 2), terms)
-    assert choose_kernel(p, 100, (p + 1, 1)) == ([1], 1)
+    for terms in ((p + 1, 1), (1, p + 1)):
+        assert choose_kernel(p, 100, terms) == ([1], 1)
+    assert choose_kernel(p, 100, (2, 1)) == ([0], 1)  # k = 0 mod m: x^2 + x
 
 
 def test_min_poly():
